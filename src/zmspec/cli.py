@@ -3,7 +3,8 @@
 Subcommands: theta, points, matrix, spectrum, tensor-check, count,
 selftest.  Every command is deterministic; exit codes are 0 for
 success/verified, 1 for a verification mismatch, 2 for usage or domain
-errors, 3 when a size guardrail fires.  The ZMSPEC_GUARDRAIL
+errors, 3 when a size guardrail fires, 4 when the output cannot be
+written (or another operating-system error).  The ZMSPEC_GUARDRAIL
 environment variable (or --guardrail) overrides the default theta
 limit of 5000.
 """
@@ -51,6 +52,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_GUARDRAIL = 3
+EXIT_IO = 4
 
 
 @dataclass(frozen=True)
@@ -416,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="closed-form spectrum, optionally verified")
     sp.add_argument("--verify", action="store_true",
-                    help="build B and check every multiplicity by exact nullity")
+                    help="build B and prove every multiplicity: eigenbasis "
+                    "certificate, exact Bareiss nullity as the fallback")
     add_common(sp, fmt=["table", "json"], output=True)
     sp.set_defaults(func=cmd_spectrum)
 
@@ -457,6 +460,9 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 def entry() -> None:

@@ -94,11 +94,6 @@ class ExactMatrix:
     def max_abs(self) -> int:
         return max((abs(x) for r in self._data for x in r), default=0)
 
-    def to_numpy_int64(self) -> np.ndarray:
-        if self.max_abs() >= _INT64_SAFE:
-            raise OverflowError("entries exceed the int64 fast path")
-        return np.array(self._data, dtype=np.int64)
-
     # -------------------- structure --------------------
 
     @property
@@ -208,12 +203,6 @@ class ExactMatrix:
     def row_sums(self) -> list[int]:
         return [sum(r) for r in self._data]
 
-    def submatrix(self, row_idx: list[int], col_idx: list[int]) -> "ExactMatrix":
-        data = [[self._data[i][j] for j in col_idx] for i in row_idx]
-        rl = tuple(self.row_labels[i] for i in row_idx) if self.row_labels else None
-        cl = tuple(self.col_labels[j] for j in col_idx) if self.col_labels else None
-        return ExactMatrix(data, rl, cl)
-
 
 @dataclass(frozen=True)
 class Permutation:
@@ -269,7 +258,8 @@ def entry_b_uv(u: ProjectivePoint, v: ProjectivePoint) -> int:
     num = p ** (nu + e * (n - 2)) - p ** (min(nu, e - 1) + (e - 1) * (n - 2))
     phi = euler_phi(p**e)
     q, r = divmod(num, phi)
-    assert r == 0, "entry formula must be integral"
+    if r:
+        raise DomainError(f"entry formula is not integral: {num} / {phi}")
     return q
 
 

@@ -210,7 +210,10 @@ def enumerate_space(
     else:
         points = tuple(_lex_points(n, mod.value))
 
-    assert len(points) == count
+    if len(points) != count:
+        raise DomainError(
+            f"enumerated {len(points)} points of P_{{{n},{mod.value}}}, theta is {count}"
+        )
     index = {pt: i for i, pt in enumerate(points)}
     return ProjectiveSpace(n=n, m=mod, ordering=ordering, points=points, index=index)
 
@@ -257,7 +260,10 @@ def fiber(v: ProjectivePoint, p: int, e: int, n: int) -> list[ProjectivePoint]:
         for gamma in itertools.product(range(p), repeat=n)
     }
     out = sorted(members, key=lambda pt: pt.coords)
-    assert len(out) == p ** (n - 1), "fiber size violates the p^(n-1) count"
+    if len(out) != p ** (n - 1):
+        raise DomainError(
+            f"fiber size {len(out)} violates the p^(n-1) = {p ** (n - 1)} count"
+        )
     return out
 
 

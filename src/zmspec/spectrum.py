@@ -8,16 +8,20 @@ theta_{n,p^(s-2)}.  For composite m every choice of one row per
 prime-power factor contributes the product eigenvalue with the product
 multiplicity.
 
-Verification is by exact nullity: for symmetric integer B the kernel
-dimension of B - lambda*I over the rationals equals the multiplicity.
-Nullities are computed with fraction-free (Bareiss) elimination using
-full pivoting on the magnitude-smallest nonzero entry, which keeps every
-intermediate an exact integer minor.
+The module constructs every eigenvector family the theory exhibits: the
+all-ones vector, the prime-case difference columns, the fiber-difference
+vectors, fiber-constant lifts from the previous prime-power level, and
+CRT-permuted Kronecker products.
 
-The module also constructs every eigenvector family the theory
-exhibits: the all-ones vector, the prime-case difference columns, the
-fiber-difference vectors, fiber-constant lifts from the previous
-prime-power level, and CRT-permuted Kronecker products.
+Verification first certifies the whole spectrum at once from that
+eigenbasis V: B V == V diag(lambda) exactly, and V has full rank modulo
+a word-size prime, which proves V invertible over the rationals and so
+fixes every multiplicity (see ``eigenbasis_nullities``).  When the
+certificate declines, each multiplicity is checked by exact nullity:
+the kernel dimension of B - lambda*I over the rationals, computed with
+fraction-free (Bareiss) elimination using full pivoting on the
+magnitude-smallest nonzero entry, which keeps every intermediate an
+exact integer minor.
 """
 
 from __future__ import annotations
@@ -26,8 +30,10 @@ import itertools
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
-from .matrices import ExactMatrix, Permutation
+from .matrices import _INT64_SAFE, ExactMatrix, Permutation, crt_permutation
 from .modular import Modulus, as_modulus, is_prime
 from .projective import KPartition, ProjectiveSpace, enumerate_space, k_partition, theta
 
@@ -191,14 +197,97 @@ def exact_nullity(m: ExactMatrix, lam: int) -> int:
     return m.rows - _bareiss_rank(data)
 
 
+# -------------------- eigenbasis certificate --------------------
+
+# residues modulo this prime stay below 2^31, so every product of two of
+# them stays below 2^62 and int64 elimination is exact
+_CERTIFICATE_PRIME = 2**31 - 1
+
+
+def _nonsingular_mod_p(a: np.ndarray, p: int) -> bool:
+    """Whether the square integer matrix ``a`` is invertible modulo the
+    prime p < 2^31, by Gaussian elimination on residues in [0, p).
+    Updates only the rows with a nonzero entry in the pivot column."""
+    a = a % p
+    for col in range(a.shape[0]):
+        nz = np.flatnonzero(a[col:, col])
+        if nz.size == 0:
+            return False
+        piv = col + int(nz[0])
+        if piv != col:
+            a[[col, piv]] = a[[piv, col]]
+        a[col, col:] = a[col, col:] * pow(int(a[col, col]), -1, p) % p
+        below = col + 1 + np.flatnonzero(a[col + 1 :, col])
+        if below.size:
+            a[below, col:] = (
+                a[below, col:] - np.outer(a[below, col], a[col, col:])
+            ) % p
+    return True
+
+
+def eigenbasis_nullities(
+    m: ExactMatrix, family: list[tuple[int, list[int]]]
+) -> dict[int, int] | None:
+    """Every nullity of M - lambda*I at once, proved from a tagged eigenbasis.
+
+    Stack the vectors of ``family`` as the columns of V and let D be the
+    diagonal of their tags.  Two exact checks:
+
+    1. M V == V D, computed in int64 after checking max|M| * max|V| *
+       order < 2^62 and max|lambda| * max|V| < 2^62, so no entry of either
+       side can overflow;
+    2. V has full rank modulo the prime 2^31 - 1.
+
+    A nonzero determinant mod p is a nonzero integer, so rank_p(V) <=
+    rank_Q(V) and (2) makes V invertible over the rationals.  Then (1)
+    gives M = V D V^-1, so M - lambda*I = V (D - lambda*I) V^-1 and the
+    nullity of M - lambda*I is the number of tags equal to lambda, for
+    every integer lambda.  Nothing is assumed about M or about where the
+    vectors came from; a wrong family can only make a check fail.
+
+    Returns {lambda: number of tags equal to lambda}, or None when a step
+    declines: the family is not order vectors of length order, a bound is
+    exceeded, the residual is nonzero or V is singular mod p.  A decline
+    proves nothing either way.
+    """
+    if not m.is_square:
+        raise DomainError("nullity needs a square matrix")
+    order = m.rows
+    if len(family) != order or any(len(vec) != order for _, vec in family):
+        return None
+    vmax = max(abs(x) for _, vec in family for x in vec)
+    lmax = max(abs(lam) for lam, _ in family)
+    if (
+        vmax == 0
+        or m.max_abs() * vmax * order >= _INT64_SAFE
+        or lmax * vmax >= _INT64_SAFE
+    ):
+        return None
+    v = np.array([vec for _, vec in family], dtype=np.int64).T
+    tags = np.array([lam for lam, _ in family], dtype=np.int64)
+    b = np.array(m.to_lists(), dtype=np.int64)
+    if not np.array_equal(b @ v, v * tags):
+        return None
+    if not _nonsingular_mod_p(v, _CERTIFICATE_PRIME):
+        return None
+    counts: dict[int, int] = {}
+    for lam, _ in family:
+        counts[lam] = counts.get(lam, 0) + 1
+    return counts
+
+
 # -------------------- verification --------------------
 
 
 @dataclass(frozen=True)
 class EigenvalueCheck:
+    """One merged table row: claimed and computed multiplicity, and the
+    method that computed it ("eigenbasis" or "bareiss")."""
+
     eigenvalue: int
     claimed: int
     computed: int
+    method: str = "bareiss"
 
     @property
     def ok(self) -> bool:
@@ -237,6 +326,7 @@ class VerificationReport:
                     "claimed": c.claimed,
                     "computed": c.computed,
                     "ok": c.ok,
+                    "method": c.method,
                 }
                 for c in self.entries
             ],
@@ -251,9 +341,15 @@ class VerificationReport:
 
 
 def verify_spectrum(m: ExactMatrix, table: SpectrumTable) -> VerificationReport:
-    """Check every merged (eigenvalue, multiplicity) claim by exact nullity,
-    plus the dimension, trace and trace-of-square identities.  Mismatches
-    are report content, not exceptions."""
+    """Check every merged (eigenvalue, multiplicity) claim, plus the
+    dimension, trace and trace-of-square identities.  Mismatches are
+    report content, not exceptions.
+
+    The claims are first decided together by ``eigenbasis_nullities`` on
+    the family of ``eigvec_family_general(table.n, table.m)``, which is an
+    exact proof for any matrix passed in.  If it declines (for instance
+    when M is not B_{n,m} in lex order) every claim is decided by
+    ``exact_nullity`` instead.  Each row records its method."""
     if not m.is_square:
         raise DomainError("verification needs a square matrix")
     if m.rows != table.total_multiplicity:
@@ -262,9 +358,18 @@ def verify_spectrum(m: ExactMatrix, table: SpectrumTable) -> VerificationReport:
             f"multiplicity {table.total_multiplicity}"
         )
     merged = table.merged()
-    entries = tuple(
-        EigenvalueCheck(lam, d, exact_nullity(m, lam)) for lam, d in merged
-    )
+    family = eigvec_family_general(table.n, table.m, guardrail=m.rows)
+    certified = eigenbasis_nullities(m, family)
+    if certified is not None:
+        entries = tuple(
+            EigenvalueCheck(lam, d, certified.get(lam, 0), "eigenbasis")
+            for lam, d in merged
+        )
+    else:
+        entries = tuple(
+            EigenvalueCheck(lam, d, exact_nullity(m, lam), "bareiss")
+            for lam, d in merged
+        )
     dim_ok = sum(d for _, d in merged) == m.rows
     trace_ok = sum(lam * d for lam, d in merged) == m.trace()
     trace_sq_ok = sum(lam * lam * d for lam, d in merged) == m.trace_of_square()
@@ -374,3 +479,32 @@ def eigvec_family_prime_power(
     for j in range(diffs.cols):
         family.append((p ** (e * (n - 2)), [diffs[i, j] for i in range(diffs.rows)]))
     return partition.space, family
+
+
+def eigvec_family_general(
+    n: int, m: int | Modulus, guardrail: int | None = None
+) -> list[tuple[int, list[int]]]:
+    """The complete eigenvector family of B_{n,m}: theta vectors over the
+    lex-ordered P_{n,m}, each tagged with its eigenvalue.
+
+    The prime-power families of the factors of m are folded together one
+    factor at a time: Kronecker products re-indexed by
+    ``crt_permutation(n, m_so_far, p^e)``, tagged with the product of the
+    factors' eigenvalues.
+    """
+    mod = as_modulus(m)
+    m_so_far = 1
+    family: list[tuple[int, list[int]]] = []
+    for p, e in mod.factors:
+        _, factor_family = eigvec_family_prime_power(n, p, e, guardrail=guardrail)
+        if m_so_far == 1:
+            family = factor_family
+        else:
+            perm = crt_permutation(n, m_so_far, p**e, guardrail=guardrail)
+            family = [
+                (lam1 * lam2, eigvec_tensor([vec1, vec2], perm))
+                for lam1, vec1 in family
+                for lam2, vec2 in factor_family
+            ]
+        m_so_far *= p**e
+    return family

@@ -108,6 +108,7 @@ def test_spectrum_verify(capsys):
     assert {e["lambda"]: e["claimed"] for e in report["entries"]} == {
         "36": 1, "8": 6, "4": 21
     }
+    assert {e["method"] for e in report["entries"]} == {"eigenbasis"}
 
 
 def test_spectrum_verify_composite(capsys):
@@ -158,6 +159,13 @@ def test_output_to_file(tmp_path, capsys):
                        "--format", "csv", "-o", str(target))
     assert code == 0 and out == ""
     assert target.read_text().splitlines()[0] == "index,c1,c2"
+
+
+def test_unwritable_output_exit_code(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.mtx"
+    code, out, err = run(capsys, "matrix", "-n", "2", "-m", "2", "-o", str(target))
+    assert code == 4 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_commands_are_deterministic(capsys):

@@ -2,8 +2,10 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from zmspec import spectrum
 from zmspec.errors import DomainError
 from zmspec.matrices import (
     ExactMatrix,
@@ -15,9 +17,12 @@ from zmspec.projective import enumerate_space, k_partition, theta
 from zmspec.spectrum import (
     SpectrumRow,
     SpectrumTable,
+    _nonsingular_mod_p,
+    eigenbasis_nullities,
     eigvec_R_d,
     eigvec_all_ones,
     eigvec_differences,
+    eigvec_family_general,
     eigvec_family_prime_power,
     eigvec_lift,
     eigvec_tensor,
@@ -164,8 +169,122 @@ def test_report_json_schema():
         "n", "m", "theta", "entries", "trace_ok", "trace_sq_ok", "dimension_ok", "all_ok"
     }
     assert obj["entries"][0]["lambda"] == "9"
+    assert [e["method"] for e in obj["entries"]] == ["eigenbasis", "eigenbasis"]
     assert obj["all_ok"] is True
     assert obj["theta"] == 7
+
+
+def _perturbed(table):
+    """Move one unit of multiplicity from the second merged row to the
+    first; the total stays theta, so only the nullities can tell."""
+    (lam1, d1), (lam2, d2), *rest = table.merged()
+    rows = [SpectrumRow(lam1, d1 + 1, "a"), SpectrumRow(lam2, d2 - 1, "b")]
+    rows += [SpectrumRow(lam, d, "c") for lam, d in rest]
+    return SpectrumTable(n=table.n, m=table.m, rows=tuple(rows))
+
+
+def _force_family(monkeypatch, family):
+    monkeypatch.setattr(
+        spectrum, "eigvec_family_general", lambda n, m, guardrail=None: family
+    )
+
+
+def _assert_decided_by_bareiss(b, table):
+    """The certificate declined; Bareiss verifies the true table and
+    rejects the perturbed one."""
+    report = verify_spectrum(b, table)
+    assert report.all_ok
+    assert {c.method for c in report.entries} == {"bareiss"}
+    wrong = verify_spectrum(b, _perturbed(table))
+    assert not wrong.all_ok
+    assert {c.method for c in wrong.entries} == {"bareiss"}
+
+
+@pytest.mark.parametrize("n,m", [(3, 6), (3, 8), (3, 9), (4, 4), (2, 12), (2, 15)])
+def test_eigenbasis_certificate_agrees_with_bareiss(n, m):
+    _, b = B_of(n, m)
+    report = verify_spectrum(b, spectrum_general(n, m))
+    assert report.all_ok
+    for c in report.entries:
+        assert c.method == "eigenbasis"
+        assert c.computed == exact_nullity(b, c.eigenvalue), (n, m, c)
+
+
+def test_perturbed_table_fails_under_both_routes(monkeypatch):
+    _, b = B_of(3, 6)
+    table = _perturbed(spectrum_general(3, 6))
+    truth = dict(spectrum_general(3, 6).merged())
+
+    certified = verify_spectrum(b, table)
+    assert not certified.all_ok
+    assert {c.method for c in certified.entries} == {"eigenbasis"}
+
+    _force_family(monkeypatch, [])
+    fallback = verify_spectrum(b, table)
+    assert not fallback.all_ok
+    assert {c.method for c in fallback.entries} == {"bareiss"}
+
+    for report in (certified, fallback):
+        assert {c.eigenvalue: c.computed for c in report.entries} == truth
+        assert [c.ok for c in report.entries] == [False, False, True, True]
+
+
+def test_certificate_declines_on_k_grouped_matrix():
+    space = enumerate_space(3, 4, "k-grouped")
+    b = build_B_product(build_A(space))
+    assert eigenbasis_nullities(b, eigvec_family_general(3, 4)) is None
+    _assert_decided_by_bareiss(b, spectrum_general(3, 4))
+
+
+def test_certificate_declines_on_corrupted_vector(monkeypatch):
+    _, b = B_of(3, 4)
+    family = eigvec_family_general(3, 4)
+    lam, vec = family[5]
+    i = next(i for i, x in enumerate(vec) if x)
+    family[5] = (lam, vec[:i] + [-vec[i]] + vec[i + 1 :])
+    assert eigenbasis_nullities(b, family) is None
+    _force_family(monkeypatch, family)
+    _assert_decided_by_bareiss(b, spectrum_general(3, 4))
+
+
+def test_certificate_declines_on_duplicated_column(monkeypatch):
+    _, b = B_of(3, 4)
+    family = eigvec_family_general(3, 4)
+    same = [i for i, (lam, _) in enumerate(family) if lam == family[-1][0]]
+    family[same[0]] = family[same[1]]
+    # every vector is still an eigenvector, so only the rank check can decline
+    assert all(b.matvec(vec) == [lam * x for x in vec] for lam, vec in family)
+    assert eigenbasis_nullities(b, family) is None
+    _force_family(monkeypatch, family)
+    _assert_decided_by_bareiss(b, spectrum_general(3, 4))
+
+
+def test_certificate_declines_past_the_int64_bound():
+    _, b = B_of(3, 2)
+    family = eigvec_family_general(3, 2)
+    assert eigenbasis_nullities(b, family) == {9: 1, 2: 6}
+    big = b * (1 << 60)
+    scaled = [(lam << 60, vec) for lam, vec in family]
+    assert eigenbasis_nullities(big, scaled) is None
+    huge_tags = [(lam << 61, vec) for lam, vec in family]
+    assert eigenbasis_nullities(b, huge_tags) is None
+    assert eigenbasis_nullities(b, family[:-1]) is None
+
+
+def test_nonsingular_mod_p_against_fraction_oracle():
+    rng = random.Random(31)
+    p = 2**31 - 1
+    for trial in range(60):
+        k = rng.randrange(1, 7)
+        data = [[rng.randrange(-1, 2) for _ in range(k)] for _ in range(k)]
+        if k >= 2 and trial % 3 == 0:
+            data[-1] = [a - b for a, b in zip(data[0], data[1])]
+        arr = np.array(data, dtype=np.int64)
+        assert _nonsingular_mod_p(arr, p) == (rank_oracle(data) == k)
+        assert arr.tolist() == data  # the input is not modified
+    # singular mod 5 only: the certificate's one-sided direction
+    assert not _nonsingular_mod_p(np.array([[5]]), 5)
+    assert _nonsingular_mod_p(np.array([[5]]), p)
 
 
 def test_verify_rejects_mismatched_order():
@@ -256,6 +375,21 @@ def test_tensor_eigenvectors():
     col = [rd3[i, 0] for i in range(rd3.rows)]
     w2 = eigvec_tensor([ones2, col], perm)
     assert b6.matvec(w2) == [27 * x for x in w2]
+
+
+def test_full_family_general():
+    for n, m in [(3, 6), (2, 30), (3, 4)]:
+        family = eigvec_family_general(n, m)
+        _, b = B_of(n, m)
+        assert len(family) == theta(n, m)
+        for lam, vec in family:
+            assert b.matvec(vec) == [lam * x for x in vec]
+        counts = {}
+        for lam, _ in family:
+            counts[lam] = counts.get(lam, 0) + 1
+        assert counts == dict(spectrum_general(n, m).merged())
+    # a prime power is its own factor family
+    assert eigvec_family_general(3, 4) == eigvec_family_prime_power(3, 2, 2)[1]
 
 
 def test_full_family_prime_power():
