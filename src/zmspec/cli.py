@@ -90,7 +90,8 @@ def _matrix_label(pt) -> str:
 
 
 def _matrix_table(m: ExactMatrix) -> str:
-    width = max(len(str(m[i, j])) for i in range(m.rows) for j in range(m.cols))
+    # the longest entry is the largest or, with its sign, the smallest
+    width = max(len(str(m.array.max())), len(str(m.array.min())))
     if m.row_labels is not None:
         lw = max(len(_matrix_label(pt)) for pt in m.row_labels)
         labels = [_matrix_label(pt).ljust(lw) for pt in m.row_labels]
@@ -98,8 +99,8 @@ def _matrix_table(m: ExactMatrix) -> str:
         lw = len(str(m.rows - 1))
         labels = [str(i).ljust(lw) for i in range(m.rows)]
     lines = [
-        labels[i] + " " + " ".join(str(m[i, j]).rjust(width) for j in range(m.cols))
-        for i in range(m.rows)
+        label + " " + " ".join(str(x).rjust(width) for x in row.tolist())
+        for label, row in zip(labels, m.array)
     ]
     return "\n".join(lines) + "\n"
 
@@ -110,7 +111,7 @@ def _matrix_json(m: ExactMatrix) -> str:
         "cols": m.cols,
         "row_labels": [point_label(pt) for pt in m.row_labels] if m.row_labels else None,
         "col_labels": [point_label(pt) for pt in m.col_labels] if m.col_labels else None,
-        "entries": [[str(m[i, j]) for j in range(m.cols)] for i in range(m.rows)],
+        "entries": [list(map(str, row.tolist())) for row in m.array],
     }
     return json.dumps(obj, indent=2)
 

@@ -5,9 +5,9 @@ product), its Gram matrix B = A*A^t built two independent ways (exact
 product and the closed-form prime-power entry), Kronecker products, the
 CRT relabeling that exhibits B_{n,m} as a tensor product over the
 prime-power factors, and the fiber-aligned blocks of B over a
-K-partition.  All arithmetic is exact; numpy is used only where values
-provably fit machine integers (or exact float dot products of 0/1
-data), with plain big-int fallbacks otherwise.
+K-partition.  All arithmetic is exact: every operation is one numpy
+expression, evaluated in int64 when a checked bound proves it cannot
+wrap and on Python ints (an object array) otherwise.
 """
 
 from __future__ import annotations
@@ -15,13 +15,14 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .counting import xi_data
 from .errors import DomainError, UnsupportedError
-from .modular import as_modulus, crt_combine, euler_phi
+from .modular import crt_combine, euler_phi
 from .projective import (
     KPartition,
     ProjectivePoint,
@@ -31,32 +32,78 @@ from .projective import (
     point_label,
 )
 
-_INT64_SAFE = 1 << 62
+# below this, a sum of two values still fits int64
+_INT64_LIMIT = 1 << 62
+
+
+def _exact_dtype(*bounds: int) -> type:
+    """The dtype in which a computation is exact: int64 when every bound is
+    below 2^62, object (Python ints) otherwise.
+
+    This is the only place the int64 decision is made.  Callers pass a
+    bound on the absolute value of every operand entry and of every
+    partial and final result entry, so the int64 path can never wrap."""
+    return np.int64 if max(bounds) < _INT64_LIMIT else object
+
+
+def _exact_array(data) -> tuple[np.ndarray, int]:
+    """``data`` as a read-only 2-d array in the dtype its largest |entry|
+    gets from ``_exact_dtype``, together with that largest |entry|.
+
+    Integer and bool entries are accepted; floats, strings and anything
+    else that is not an integer raise DomainError."""
+    try:
+        arr = np.asarray(data)
+        if arr.dtype.kind not in "biu":
+            # big Python ints, or something that is not an integer at all
+            arr = np.array(data, dtype=object)
+    except ValueError as exc:
+        raise DomainError("ragged rows are not a matrix") from exc
+    if arr.ndim == 1 and arr.size == 0:
+        arr = arr.reshape(0, 0)
+    if arr.ndim != 2:
+        raise DomainError(f"matrix data must be 2-d, got shape {arr.shape}")
+    if arr.dtype == object:
+        try:
+            flat = [operator.index(x) for x in arr.flat]
+        except TypeError as exc:
+            raise DomainError("matrix entries must be integers") from exc
+        max_abs = max(map(abs, flat), default=0)
+        arr = np.array(flat, dtype=_exact_dtype(max_abs)).reshape(arr.shape)
+    else:
+        max_abs = max(-int(arr.min()), int(arr.max())) if arr.size else 0
+        arr = arr.astype(_exact_dtype(max_abs), copy=False)
+    # a view, so that a caller's own array keeps its flags
+    arr = arr.view()
+    arr.flags.writeable = False
+    return arr, max_abs
 
 
 class ExactMatrix:
-    """Dense matrix of arbitrary-precision integers with optional point labels."""
+    """Dense matrix of arbitrary-precision integers with optional point labels.
 
-    __slots__ = ("rows", "cols", "_data", "row_labels", "col_labels")
+    The entries live in one read-only 2-d ndarray: int64 while every
+    |entry| < 2^62, an object array of Python ints otherwise.  Each
+    operation states a bound on the values it computes and runs in the
+    dtype ``_exact_dtype`` picks for that bound, so a result is exact in
+    either dtype.  An int64 ndarray passed in is shared, not copied, and
+    no method writes to the array, so transposes and index views share
+    memory too.
+    """
+
+    __slots__ = ("_array", "_max_abs", "row_labels", "col_labels")
 
     def __init__(
         self,
-        data: list[list[int]],
+        data: list[list[int]] | np.ndarray,
         row_labels: tuple[ProjectivePoint, ...] | None = None,
         col_labels: tuple[ProjectivePoint, ...] | None = None,
     ):
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        for r in data:
-            if len(r) != cols:
-                raise DomainError("ragged rows are not a matrix")
-        if row_labels is not None and len(row_labels) != rows:
+        self._array, self._max_abs = _exact_array(data)
+        if row_labels is not None and len(row_labels) != self.rows:
             raise DomainError("row label count does not match the row count")
-        if col_labels is not None and len(col_labels) != cols:
+        if col_labels is not None and len(col_labels) != self.cols:
             raise DomainError("column label count does not match the column count")
-        self.rows = rows
-        self.cols = cols
-        self._data = [list(map(int, r)) for r in data]
         self.row_labels = tuple(row_labels) if row_labels is not None else None
         self.col_labels = tuple(col_labels) if col_labels is not None else None
 
@@ -64,35 +111,35 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, k: int) -> "ExactMatrix":
-        return cls([[1 if i == j else 0 for j in range(k)] for i in range(k)])
+        return cls(np.eye(k, dtype=np.int64))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls([[0] * cols for _ in range(rows)])
-
-    @classmethod
-    def from_numpy(
-        cls,
-        arr: np.ndarray,
-        row_labels: tuple[ProjectivePoint, ...] | None = None,
-        col_labels: tuple[ProjectivePoint, ...] | None = None,
-    ) -> "ExactMatrix":
-        return cls(arr.tolist(), row_labels, col_labels)
+        return cls(np.zeros((rows, cols), dtype=np.int64))
 
     # -------------------- access --------------------
 
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        i, j = key
-        return self._data[i][j]
+    @property
+    def array(self) -> np.ndarray:
+        """The read-only entries (int64, or object when some |entry| >= 2^62)."""
+        return self._array
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return tuple(self._data[i])
+    @property
+    def rows(self) -> int:
+        return self._array.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self._array.shape[1]
+
+    def __getitem__(self, key: tuple[int, int]) -> int:
+        return int(self._array[key])
 
     def to_lists(self) -> list[list[int]]:
-        return [list(r) for r in self._data]
+        return self._array.tolist()
 
     def max_abs(self) -> int:
-        return max((abs(x) for r in self._data for x in r), default=0)
+        return self._max_abs
 
     # -------------------- structure --------------------
 
@@ -101,19 +148,12 @@ class ExactMatrix:
         return self.rows == self.cols
 
     def is_symmetric(self) -> bool:
-        if not self.is_square:
-            return False
-        d = self._data
-        return all(d[i][j] == d[j][i] for i in range(self.rows) for j in range(i))
+        return self.is_square and np.array_equal(self._array, self._array.T)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self._data == other._data
-        )
+        return np.array_equal(self._array, other._array)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -122,42 +162,33 @@ class ExactMatrix:
 
     # -------------------- arithmetic --------------------
 
+    def _as(self, dtype: type) -> np.ndarray:
+        return self._array.astype(dtype, copy=False)
+
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            [list(col) for col in zip(*self._data)] if self.rows else [],
-            row_labels=self.col_labels,
-            col_labels=self.row_labels,
-        )
+        return ExactMatrix(self._array.T, self.col_labels, self.row_labels)
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check_same_shape(other)
-        return ExactMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._data, other._data)],
-            self.row_labels,
-            self.col_labels,
-        )
+        dtype = _exact_dtype(self._max_abs + other._max_abs)
+        return ExactMatrix(self._as(dtype) + other._as(dtype), self.row_labels, self.col_labels)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check_same_shape(other)
-        return ExactMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._data, other._data)],
-            self.row_labels,
-            self.col_labels,
-        )
+        dtype = _exact_dtype(self._max_abs + other._max_abs)
+        return ExactMatrix(self._as(dtype) - other._as(dtype), self.row_labels, self.col_labels)
 
     def __mul__(self, scalar: int) -> "ExactMatrix":
         if not isinstance(scalar, int):
             return NotImplemented
-        return ExactMatrix(
-            [[scalar * x for x in r] for r in self._data],
-            self.row_labels,
-            self.col_labels,
-        )
+        s = int(scalar)
+        dtype = _exact_dtype(abs(s), self._max_abs, abs(s) * self._max_abs)
+        return ExactMatrix(self._as(dtype) * s, self.row_labels, self.col_labels)
 
     __rmul__ = __mul__
 
     def _check_same_shape(self, other: "ExactMatrix") -> None:
-        if (self.rows, self.cols) != (other.rows, other.cols):
+        if self._array.shape != other._array.shape:
             raise DomainError(
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
@@ -167,41 +198,34 @@ class ExactMatrix:
             raise DomainError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        # int64 path is exact when no dot product can overflow
-        bound = self.max_abs() * other.max_abs() * max(self.cols, 1)
-        if bound < _INT64_SAFE:
-            prod = np.array(self._data, dtype=np.int64) @ np.array(other._data, dtype=np.int64)
-            return ExactMatrix.from_numpy(prod, self.row_labels, other.col_labels)
-        bt = [list(col) for col in zip(*other._data)]
-        data = [
-            [sum(a * b for a, b in zip(row, col)) for col in bt] for row in self._data
-        ]
-        return ExactMatrix(data, self.row_labels, other.col_labels)
+        a, b = self._max_abs, other._max_abs
+        dtype = _exact_dtype(a, b, a * b * self.cols)
+        return ExactMatrix(self._as(dtype) @ other._as(dtype), self.row_labels, other.col_labels)
 
     def matvec(self, vec: list[int] | tuple[int, ...]) -> list[int]:
         """Exact matrix-vector product."""
         if len(vec) != self.cols:
             raise DomainError(f"vector length {len(vec)} does not match {self.cols} columns")
-        vmax = max((abs(x) for x in vec), default=0)
-        if self.max_abs() * vmax * max(self.cols, 1) < _INT64_SAFE:
-            out = np.array(self._data, dtype=np.int64) @ np.array(vec, dtype=np.int64)
-            return [int(x) for x in out]
-        return [sum(a * b for a, b in zip(row, vec)) for row in self._data]
+        vmax = max(map(abs, vec), default=0)
+        dtype = _exact_dtype(self._max_abs, vmax, self._max_abs * vmax * self.cols)
+        return (self._as(dtype) @ np.array(vec, dtype=dtype)).tolist()
 
     def trace(self) -> int:
         if not self.is_square:
             raise DomainError("trace needs a square matrix")
-        return sum(self._data[i][i] for i in range(self.rows))
+        dtype = _exact_dtype(self._max_abs * self.rows)
+        return int(self._as(dtype).diagonal().sum())
 
     def trace_of_square(self) -> int:
         """trace(M @ M) without forming the product."""
         if not self.is_square:
             raise DomainError("trace needs a square matrix")
-        d = self._data
-        return sum(d[i][j] * d[j][i] for i in range(self.rows) for j in range(self.cols))
+        x = self._as(_exact_dtype(self._max_abs, self._max_abs**2 * self.rows**2))
+        return int((x * x.T).sum())
 
     def row_sums(self) -> list[int]:
-        return [sum(r) for r in self._data]
+        dtype = _exact_dtype(self._max_abs * self.cols)
+        return self._as(dtype).sum(axis=1).tolist()
 
 
 @dataclass(frozen=True)
@@ -230,8 +254,7 @@ def build_A(space: ProjectiveSpace) -> ExactMatrix:
     m = space.m.value
     coords = np.array([pt.coords for pt in space.points], dtype=np.int64)
     gram = (coords @ coords.T) % m
-    a = (gram == 0).astype(np.int64)
-    return ExactMatrix.from_numpy(a, space.points, space.points)
+    return ExactMatrix((gram == 0).astype(np.int64), space.points, space.points)
 
 
 def build_B_product(a: ExactMatrix) -> ExactMatrix:
@@ -241,11 +264,10 @@ def build_B_product(a: ExactMatrix) -> ExactMatrix:
     if a.max_abs() <= 1 and a.cols <= 1 << 24:
         # 0/1 data: float64 dot products are sums of at most `cols` ones,
         # far below 2^53, so the BLAS product is exact
-        arr = np.array(a.to_lists(), dtype=np.float64)
+        arr = a.array.astype(np.float64)
         prod = np.rint(arr @ arr.T).astype(np.int64)
-        return ExactMatrix.from_numpy(prod, a.row_labels, a.row_labels)
-    result = a @ a.transpose()
-    return ExactMatrix(result.to_lists(), a.row_labels, a.row_labels)
+        return ExactMatrix(prod, a.row_labels, a.row_labels)
+    return a @ a.transpose()
 
 
 def entry_b_uv(u: ProjectivePoint, v: ProjectivePoint) -> int:
@@ -297,26 +319,15 @@ def build_B_analytic(space: ProjectiveSpace) -> ExactMatrix:
         (p ** (k + e * (n - 2)) - p ** (min(k, e - 1) + (e - 1) * (n - 2))) // phi
         for k in range(e + 1)
     ]
-    data = [[entry_by_nu[k] for k in row] for row in nu.tolist()]
-    return ExactMatrix(data, space.points, space.points)
+    lookup = np.array(entry_by_nu, dtype=_exact_dtype(max(entry_by_nu)))
+    return ExactMatrix(lookup[nu], space.points, space.points)
 
 
 def tensor_product(m1: ExactMatrix, m2: ExactMatrix) -> ExactMatrix:
     """Kronecker product; row (i1, i2) of the result is flat index i1*rows2 + i2."""
-    if (
-        m1.max_abs() * m2.max_abs() < _INT64_SAFE
-        and m1.max_abs() < _INT64_SAFE
-        and m2.max_abs() < _INT64_SAFE
-    ):
-        out = np.kron(np.array(m1.to_lists(), dtype=np.int64),
-                      np.array(m2.to_lists(), dtype=np.int64))
-        return ExactMatrix.from_numpy(out)
-    data = [
-        [m1[i1, j1] * m2[i2, j2] for j1 in range(m1.cols) for j2 in range(m2.cols)]
-        for i1 in range(m1.rows)
-        for i2 in range(m2.rows)
-    ]
-    return ExactMatrix(data)
+    a, b = m1.max_abs(), m2.max_abs()
+    dtype = _exact_dtype(a, b, a * b)
+    return ExactMatrix(np.kron(m1._as(dtype), m2._as(dtype)))
 
 
 def crt_permutation(
@@ -352,11 +363,8 @@ def apply_simultaneous_permutation(m: ExactMatrix, perm: Permutation) -> ExactMa
     if m.rows != perm.size:
         raise DomainError(f"permutation size {perm.size} does not match order {m.rows}")
     f = perm.forward
-    data = [[m[f[i], f[j]] for j in range(m.cols)] for i in range(m.rows)]
-    labels = (
-        tuple(m.row_labels[f[i]] for i in range(m.rows)) if m.row_labels else None
-    )
-    return ExactMatrix(data, labels, labels)
+    labels = tuple(m.row_labels[i] for i in f) if m.row_labels else None
+    return ExactMatrix(m.array[np.ix_(f, f)], labels, labels)
 
 
 def block_C(a: int, b: int, partition: KPartition, big_b: ExactMatrix) -> ExactMatrix:
@@ -372,8 +380,8 @@ def block_C(a: int, b: int, partition: KPartition, big_b: ExactMatrix) -> ExactM
         pos = partition.space.index
     row_idx = [pos[pt] for pt in partition.classes[a]]
     col_idx = [pos[pt] for pt in partition.classes[b]]
-    data = [[big_b[i, j] for j in col_idx] for i in row_idx]
-    return ExactMatrix(data, partition.classes[a], partition.classes[b])
+    block = big_b.array[np.ix_(row_idx, col_idx)]
+    return ExactMatrix(block, partition.classes[a], partition.classes[b])
 
 
 def block_C_reference(
@@ -400,9 +408,8 @@ def block_C_reference(
 def to_matrix_market(m: ExactMatrix) -> str:
     """Matrix Market dense array format (column-major), exact integers."""
     lines = ["%%MatrixMarket matrix array integer general", f"{m.rows} {m.cols}"]
-    for j in range(m.cols):
-        for i in range(m.rows):
-            lines.append(str(m[i, j]))
+    for col in m.array.T:
+        lines.extend(map(str, col.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -415,17 +422,10 @@ def to_csv(m: ExactMatrix) -> str:
     else:
         header = [""] + [str(j) for j in range(m.cols)]
     writer.writerow(header)
-    for i in range(m.rows):
+    for i, row in enumerate(m.array):
         label = point_label(m.row_labels[i]) if m.row_labels else str(i)
-        writer.writerow([label] + list(m.row(i)))
+        writer.writerow([label] + row.tolist())
     return buf.getvalue()
-
-
-def matrices_for(n: int, m: int, ordering: str = "lex", guardrail: int | None = None):
-    """Convenience: (space, A, B) for one modulus."""
-    space = enumerate_space(n, as_modulus(m), ordering, guardrail=guardrail)
-    a = build_A(space)
-    return space, a, build_B_product(a)
 
 
 __all__ = [
@@ -439,7 +439,6 @@ __all__ = [
     "build_B_product",
     "crt_permutation",
     "entry_b_uv",
-    "matrices_for",
     "tensor_product",
     "to_csv",
     "to_matrix_market",

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .matrices import _INT64_SAFE, ExactMatrix, Permutation, crt_permutation
+from .matrices import ExactMatrix, Permutation, _exact_dtype, crt_permutation
 from .modular import Modulus, as_modulus, is_prime
 from .projective import KPartition, ProjectiveSpace, enumerate_space, k_partition, theta
 
@@ -257,16 +257,11 @@ def eigenbasis_nullities(
         return None
     vmax = max(abs(x) for _, vec in family for x in vec)
     lmax = max(abs(lam) for lam, _ in family)
-    if (
-        vmax == 0
-        or m.max_abs() * vmax * order >= _INT64_SAFE
-        or lmax * vmax >= _INT64_SAFE
-    ):
+    if vmax == 0 or _exact_dtype(m.max_abs() * vmax * order, lmax * vmax) is object:
         return None
     v = np.array([vec for _, vec in family], dtype=np.int64).T
     tags = np.array([lam for lam, _ in family], dtype=np.int64)
-    b = np.array(m.to_lists(), dtype=np.int64)
-    if not np.array_equal(b @ v, v * tags):
+    if not np.array_equal(m.array @ v, v * tags):
         return None
     if not _nonsingular_mod_p(v, _CERTIFICATE_PRIME):
         return None
@@ -398,9 +393,8 @@ def eigvec_R_d(space: ProjectiveSpace) -> ExactMatrix:
     if not (space.m.is_prime_power and space.m.prime_power()[1] == 1):
         raise DomainError(f"the difference columns need a prime modulus, got {space.m.value}")
     d = len(space) - 1
-    data = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    data.append([-1] * d)
-    return ExactMatrix(data)
+    bottom = np.full((1, d), -1, dtype=np.int64)
+    return ExactMatrix(np.vstack([np.eye(d, dtype=np.int64), bottom]))
 
 
 def eigvec_differences(partition: KPartition) -> ExactMatrix:
@@ -409,14 +403,16 @@ def eigvec_differences(partition: KPartition) -> ExactMatrix:
     follow the partition's (lex-ordered) space."""
     space = partition.space
     last = partition.classes[-1]
-    cols: list[list[int]] = []
-    for a in range(partition.l - 1):
-        for u, v in zip(partition.classes[a], last):
-            col = [0] * len(space)
-            col[space.position(u)] = 1
-            col[space.position(v)] = -1
-            cols.append(col)
-    data = [[col[i] for col in cols] for i in range(len(space))]
+    pairs = [
+        (space.position(u), space.position(v))
+        for a in range(partition.l - 1)
+        for u, v in zip(partition.classes[a], last)
+    ]
+    plus, minus = np.array(pairs).T
+    cols = np.arange(len(pairs))
+    data = np.zeros((len(space), len(pairs)), dtype=np.int64)
+    data[plus, cols] = 1
+    data[minus, cols] = -1
     return ExactMatrix(data)
 
 
@@ -465,9 +461,7 @@ def eigvec_family_prime_power(
     if e == 1:
         space = enumerate_space(n, p, "lex", guardrail=guardrail)
         family = [(theta(n - 1, p) ** 2, eigvec_all_ones(space))]
-        rd = eigvec_R_d(space)
-        for j in range(rd.cols):
-            family.append((p ** (n - 2), [rd[i, j] for i in range(rd.rows)]))
+        family += [(p ** (n - 2), col) for col in eigvec_R_d(space).array.T.tolist()]
         return space, family
     partition = k_partition(p, e, n, guardrail=guardrail)
     _, base_family = eigvec_family_prime_power(n, p, e - 1, guardrail=guardrail)
@@ -475,9 +469,9 @@ def eigvec_family_prime_power(
         (p ** (2 * n - 4) * lam, eigvec_lift(vec, partition))
         for lam, vec in base_family
     ]
-    diffs = eigvec_differences(partition)
-    for j in range(diffs.cols):
-        family.append((p ** (e * (n - 2)), [diffs[i, j] for i in range(diffs.rows)]))
+    family += [
+        (p ** (e * (n - 2)), col) for col in eigvec_differences(partition).array.T.tolist()
+    ]
     return partition.space, family
 
 

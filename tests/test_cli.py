@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -188,3 +189,87 @@ def test_selftest(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 9
     assert all(line.startswith("PASS") for line in lines)
+
+
+# sha256 of stdout, recorded before the matrix storage moved to ndarrays:
+# every export format of A and B (lex, k-grouped, comma-quoted labels for
+# m > 10, a composite modulus), two certified spectra and a point list
+GOLDEN_DIGESTS = [
+    ("matrix -n 2 -m 2 --ordering lex --which A --format table",
+     "a869e89ad01433ace9e788b1a5690b634fdcd474596bcee8bdee0f7b8f08eef1"),
+    ("matrix -n 2 -m 2 --ordering lex --which A --format csv",
+     "09f8091072b3a41f43da7514958beced66ab10e8f1800e801c8cb207bcc30960"),
+    ("matrix -n 2 -m 2 --ordering lex --which A --format matrixmarket",
+     "287101c046e26dd64f9190fadadc052c3198c5d49950ef3cd1459a683aca854a"),
+    ("matrix -n 2 -m 2 --ordering lex --which A --format json",
+     "7637682a619e5d2476e60af663309b95a4834d04eaa13c80bf713c28a258910d"),
+    ("matrix -n 2 -m 2 --ordering lex --which B --format table",
+     "89c2d0da6d0a0d4d1fc4363470a1ef96f9fa9c0a2dc22f2f3fa1eccc7a171f4b"),
+    ("matrix -n 2 -m 2 --ordering lex --which B --format csv",
+     "17a5167d2ea9816638d90d516703cdd37e6b704b4830009d96407f6ab2a85375"),
+    ("matrix -n 2 -m 2 --ordering lex --which B --format matrixmarket",
+     "c81e80dde49b769eca818a16a633f9443b1d410e5576c619ac98a1d8759a905e"),
+    ("matrix -n 2 -m 2 --ordering lex --which B --format json",
+     "b254ad0a7c3ec75fcd31fe77d11e6b09e36dae1309c2e2f796474ba32d10544d"),
+    ("matrix -n 3 -m 4 --ordering k-grouped --which A --format table",
+     "b12da4d51abdb0c8a43b220dceaf2dfb3e3b90fd370fa9c01d444ba3421fe97c"),
+    ("matrix -n 3 -m 4 --ordering k-grouped --which A --format csv",
+     "020180175d6cdc122b0d4053976777e21ca71424038441e74ce2f41592f96cb8"),
+    ("matrix -n 3 -m 4 --ordering k-grouped --which A --format matrixmarket",
+     "d3066d139b8b8840399f15a7a5b05d2a65671546e765853867ed1d8d5c3de9b3"),
+    ("matrix -n 3 -m 4 --ordering k-grouped --which A --format json",
+     "acd70710b709fda50587228f85d635383251778bbb06177bfd7aa225f92982e3"),
+    ("matrix -n 3 -m 4 --ordering k-grouped --which B --format table",
+     "d358d554a7d2ddb9485f0789afb2131119054d6f1c4aa3e6479969311816eacd"),
+    ("matrix -n 3 -m 4 --ordering k-grouped --which B --format csv",
+     "f906a5d8efd9c6aedbfc95a5bdf694c3cdb0bffe02cb5850e96a818d7eae70f7"),
+    ("matrix -n 3 -m 4 --ordering k-grouped --which B --format matrixmarket",
+     "23892361e58e454d223702d9fd3db38cd9a3f504613f25271f41aad0e9a00903"),
+    ("matrix -n 3 -m 4 --ordering k-grouped --which B --format json",
+     "ae4e7a6edb33bc920b46254fa6baa3fc59bfd342e7567feefc373d17304e3290"),
+    ("matrix -n 2 -m 12 --ordering lex --which A --format table",
+     "1b2eef77acfee0c6a7ae53725941717ae2d012da7e3e0781b80731122f0f2c0f"),
+    ("matrix -n 2 -m 12 --ordering lex --which A --format csv",
+     "3ea47fa0d06aebb344d89cf51be5923c448c4a8c6d024b2e126d1439a87da4b1"),
+    ("matrix -n 2 -m 12 --ordering lex --which A --format matrixmarket",
+     "205bb597d3019d631f726caca9e370ca838ffe35511a62d15f6cbe83d31bda7c"),
+    ("matrix -n 2 -m 12 --ordering lex --which A --format json",
+     "38cd8786bdb5dd596ed436a5dcd58988f9510dbb100c2c2552f1e08abcb0a015"),
+    ("matrix -n 2 -m 12 --ordering lex --which B --format table",
+     "c93be862a7652bbfda0f992ffa061bfb6f2278b1e12bb9b5cfdb9112c37e75fe"),
+    ("matrix -n 2 -m 12 --ordering lex --which B --format csv",
+     "d6c5d8e3abd44cc43aa7739e1afa27c5dfb298b59fb7cbf569cda5d963f0c146"),
+    ("matrix -n 2 -m 12 --ordering lex --which B --format matrixmarket",
+     "33e2c6f8259ca3876f2e4f108d39261ba7fec3302183b7486d9d0ece624fa38a"),
+    ("matrix -n 2 -m 12 --ordering lex --which B --format json",
+     "30031c361c8fb18a07f56cd4efbcf461b9a434a0453a3b969cc7e6af8dfca32f"),
+    ("matrix -n 3 -m 6 --ordering lex --which A --format table",
+     "f16a3438590f792db27f691b3007ab32030dc5fc51717b408e4ab0797d67fd51"),
+    ("matrix -n 3 -m 6 --ordering lex --which A --format csv",
+     "e516369a7a75d1c18d6502b2095983bd206c7920359372c868babc2d7b58c148"),
+    ("matrix -n 3 -m 6 --ordering lex --which A --format matrixmarket",
+     "5e24800a80163529fe526db8c5c450219afe898b1b949fe8b15237e6973c2435"),
+    ("matrix -n 3 -m 6 --ordering lex --which A --format json",
+     "f82b6425e9c786862dcc8723ae72bd9729fb83e257f2aea3f34061d750374418"),
+    ("matrix -n 3 -m 6 --ordering lex --which B --format table",
+     "d07ceab5519dab747057ab12c915f2b4c983bde4738b71fb3613602ace475735"),
+    ("matrix -n 3 -m 6 --ordering lex --which B --format csv",
+     "a29298cac616042614b0c405f4f3be89229d815fbc0807f8cbf1d9c61a4fb3df"),
+    ("matrix -n 3 -m 6 --ordering lex --which B --format matrixmarket",
+     "c5dd38acf39aa54cf484946a293cace717245e37cfa3253e9f75c576d86e6144"),
+    ("matrix -n 3 -m 6 --ordering lex --which B --format json",
+     "bdcb2cae0b25addc02c3f4768f013397b967f00a03f00f3a55322b4c83767c78"),
+    ("spectrum -n 3 -m 4 --verify",
+     "26e8385565f7bbfe094c395847979289e923bebd4a7fd0725519b5f1e73c314f"),
+    ("spectrum -n 3 -m 10 --verify",
+     "6521416413fa5eb91c1cbd67d0f60951c2f8f65eaf844f948b2f1fdf66f6ec79"),
+    ("points -n 3 -m 12 --format json",
+     "3c0e4918d6fb22a7d420597a0a5f8c935475e5cdcd08fb301adf0af6d1c51043"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_DIGESTS, ids=[a for a, _ in GOLDEN_DIGESTS])
+def test_golden_output_digests(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -1,5 +1,7 @@
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from zmspec.errors import DomainError, UnsupportedError
@@ -49,6 +51,76 @@ def test_exact_matrix_big_values():
     prod = m @ m
     assert prod[0, 0] == big * big
     assert m.matvec([1, 2]) == [big, 2 * big]
+
+
+# entries from 2^61 to 2^62 - 1 fit int64 storage, but their products and
+# sums of three do not: int64 arithmetic would wrap silently on them
+BOUNDARY = [
+    [[2**61, 2**62 - 1, -(2**62 - 1)], [2**62 - 1, 2**61 + 7, 1], [-(2**61), 5, 2**62 - 1]],
+    [[10**30, 2**62 - 1, -1], [2**61, -(10**30), 2**62 - 1], [0, 3, 2**61]],
+]
+
+
+@pytest.mark.parametrize("data", BOUNDARY)
+def test_int64_boundary_matches_python_ints(data):
+    other = [row[::-1] for row in data[::-1]]
+    m, o = ExactMatrix(data), ExactMatrix(other)
+    vec = [2**61, -(2**62 - 1), 7]
+    n = len(data)
+    assert m.to_lists() == data
+    assert (m + o).to_lists() == [[a + b for a, b in zip(r, s)] for r, s in zip(data, other)]
+    assert (m - o).to_lists() == [[a - b for a, b in zip(r, s)] for r, s in zip(data, other)]
+    assert (3 * m).to_lists() == [[3 * a for a in r] for r in data]
+    assert (m * -(2**40)).to_lists() == [[-(2**40) * a for a in r] for r in data]
+    assert (m @ o).to_lists() == [
+        [sum(a * b for a, b in zip(r, c)) for c in zip(*other)] for r in data
+    ]
+    assert m.matvec(vec) == [sum(a * b for a, b in zip(r, vec)) for r in data]
+    assert tensor_product(m, o).to_lists() == [
+        [a * b for a in r1 for b in r2] for r1 in data for r2 in other
+    ]
+    assert m.trace() == sum(data[i][i] for i in range(n))
+    assert m.trace_of_square() == sum(data[i][j] * data[j][i] for i in range(n) for j in range(n))
+    assert m.row_sums() == [sum(r) for r in data]
+
+
+def test_storage_dtype_follows_the_largest_entry():
+    assert ExactMatrix([[2**62 - 1, -(2**62 - 1)]]).array.dtype == np.int64
+    big = ExactMatrix([[2**62, 1]])
+    assert big.array.dtype == object and big.max_abs() == 2**62
+    assert (big - big).array.dtype == np.int64
+    # numpy alone would read this row as float64 and lose the low bits
+    assert ExactMatrix([[2**63 + 1, -1]]).to_lists() == [[2**63 + 1, -1]]
+    assert ExactMatrix(np.array([[2**63 + 1]], dtype=np.uint64))[0, 0] == 2**63 + 1
+
+
+def test_stored_array_is_read_only_and_shared():
+    own = np.array([[1, 2], [3, 4]], dtype=np.int64)
+    m = ExactMatrix(own)
+    with pytest.raises(ValueError):
+        m.array[0, 0] = 5
+    with pytest.raises(ValueError):
+        m.transpose().array[0, 1] = 5
+    assert own.flags.writeable and np.shares_memory(m.array, own)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [[1.5, 2]],
+        [[1.0, 2]],
+        [[1.5, 10**30]],
+        [["7"]],
+        [[1, "7"]],
+        np.array([[1.0, 2.0]]),
+        [[Fraction(1)]],
+    ],
+    ids=["float", "integral float", "float with big int", "string", "int and string",
+         "float ndarray", "fraction"],
+)
+def test_non_integer_entries_are_rejected(data):
+    with pytest.raises(DomainError):
+        ExactMatrix(data)
 
 
 def test_trace_of_square_matches_product():
