@@ -22,6 +22,10 @@ the kernel dimension of B - lambda*I over the rationals, computed with
 fraction-free (Bareiss) elimination using full pivoting on the
 magnitude-smallest nonzero entry, which keeps every intermediate an
 exact integer minor.
+
+Exact rank uses the same modular elimination (``_rank_mod_p``): full rank
+modulo 2^31 - 1 proves full rank over the rationals, and Bareiss is the
+fallback only when the rank mod p falls short (see ``exact_rank``).
 """
 
 from __future__ import annotations
@@ -178,8 +182,52 @@ def _bareiss_rank(data: list[list[int]]) -> int:
     return rank
 
 
+# residues modulo this prime stay below 2^31, so every product of two of
+# them stays below 2^62 and int64 elimination is exact
+_CERTIFICATE_PRIME = 2**31 - 1
+
+
+def _rank_mod_p(a: np.ndarray, p: int) -> int:
+    """Rank of the integer matrix ``a`` modulo the prime p < 2^31.
+
+    Row-echelon elimination on int64 residues in [0, p); object arrays of
+    Python ints are reduced with ``% p`` before the cast.  Each pivot
+    updates only the rows with a nonzero entry in its column.  ``a`` is
+    not modified."""
+    a = (a % p).astype(np.int64, copy=False)
+    rows, cols = a.shape
+    rank = 0
+    for col in range(cols):
+        if rank == rows:
+            break
+        nz = np.flatnonzero(a[rank:, col])
+        if nz.size == 0:
+            continue
+        piv = rank + int(nz[0])
+        if piv != rank:
+            a[[rank, piv]] = a[[piv, rank]]
+        a[rank, col:] = a[rank, col:] * pow(int(a[rank, col]), -1, p) % p
+        below = rank + 1 + np.flatnonzero(a[rank + 1 :, col])
+        if below.size:
+            a[below, col:] = (
+                a[below, col:] - np.outer(a[below, col], a[rank, col:])
+            ) % p
+        rank += 1
+    return rank
+
+
 def exact_rank(m: ExactMatrix) -> int:
-    """Rank of an integer matrix over the rationals (exact)."""
+    """Rank of an integer matrix over the rationals (exact).
+
+    First the rank r modulo the prime 2^31 - 1.  An r x r minor that is
+    nonzero mod p is a nonzero integer, so r <= rank over Q <= min(rows,
+    cols); when r reaches min(rows, cols) it is the rank.  Otherwise the
+    matrix is rank deficient or p divides every maximal minor, which
+    the residues cannot tell apart, and Bareiss elimination decides.
+    """
+    full = min(m.rows, m.cols)
+    if _rank_mod_p(m.array, _CERTIFICATE_PRIME) == full:
+        return full
     return _bareiss_rank(m.to_lists())
 
 
@@ -198,32 +246,6 @@ def exact_nullity(m: ExactMatrix, lam: int) -> int:
 
 
 # -------------------- eigenbasis certificate --------------------
-
-# residues modulo this prime stay below 2^31, so every product of two of
-# them stays below 2^62 and int64 elimination is exact
-_CERTIFICATE_PRIME = 2**31 - 1
-
-
-def _nonsingular_mod_p(a: np.ndarray, p: int) -> bool:
-    """Whether the square integer matrix ``a`` is invertible modulo the
-    prime p < 2^31, by Gaussian elimination on residues in [0, p).
-    Updates only the rows with a nonzero entry in the pivot column."""
-    a = a % p
-    for col in range(a.shape[0]):
-        nz = np.flatnonzero(a[col:, col])
-        if nz.size == 0:
-            return False
-        piv = col + int(nz[0])
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-        a[col, col:] = a[col, col:] * pow(int(a[col, col]), -1, p) % p
-        below = col + 1 + np.flatnonzero(a[col + 1 :, col])
-        if below.size:
-            a[below, col:] = (
-                a[below, col:] - np.outer(a[below, col], a[col, col:])
-            ) % p
-    return True
-
 
 def eigenbasis_nullities(
     m: ExactMatrix, family: list[tuple[int, list[int]]]
@@ -263,7 +285,7 @@ def eigenbasis_nullities(
     tags = np.array([lam for lam, _ in family], dtype=np.int64)
     if not np.array_equal(m.array @ v, v * tags):
         return None
-    if not _nonsingular_mod_p(v, _CERTIFICATE_PRIME):
+    if _rank_mod_p(v, _CERTIFICATE_PRIME) != order:
         return None
     counts: dict[int, int] = {}
     for lam, _ in family:

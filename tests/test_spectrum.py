@@ -17,7 +17,8 @@ from zmspec.projective import enumerate_space, k_partition, theta
 from zmspec.spectrum import (
     SpectrumRow,
     SpectrumTable,
-    _nonsingular_mod_p,
+    _bareiss_rank,
+    _rank_mod_p,
     eigenbasis_nullities,
     eigvec_R_d,
     eigvec_all_ones,
@@ -120,6 +121,7 @@ def test_exact_rank_small_cases():
     assert exact_rank(ExactMatrix.zeros(3, 4)) == 0
     assert exact_rank(ExactMatrix.identity(4)) == 4
     assert exact_rank(ExactMatrix([[2, 0, 1], [0, 3, 1]])) == 2
+    assert exact_rank(ExactMatrix([[2**70, 1], [1, 0]])) == 2  # object dtype
 
 
 def test_exact_rank_against_fraction_oracle():
@@ -271,7 +273,7 @@ def test_certificate_declines_past_the_int64_bound():
     assert eigenbasis_nullities(b, family[:-1]) is None
 
 
-def test_nonsingular_mod_p_against_fraction_oracle():
+def test_rank_mod_p_against_fraction_oracle():
     rng = random.Random(31)
     p = 2**31 - 1
     for trial in range(60):
@@ -280,11 +282,77 @@ def test_nonsingular_mod_p_against_fraction_oracle():
         if k >= 2 and trial % 3 == 0:
             data[-1] = [a - b for a, b in zip(data[0], data[1])]
         arr = np.array(data, dtype=np.int64)
-        assert _nonsingular_mod_p(arr, p) == (rank_oracle(data) == k)
+        assert (_rank_mod_p(arr, p) == k) == (rank_oracle(data) == k)
         assert arr.tolist() == data  # the input is not modified
     # singular mod 5 only: the certificate's one-sided direction
-    assert not _nonsingular_mod_p(np.array([[5]]), 5)
-    assert _nonsingular_mod_p(np.array([[5]]), p)
+    assert _rank_mod_p(np.array([[5]]), 5) == 0
+    assert _rank_mod_p(np.array([[5]]), p) == 1
+
+
+def test_rank_mod_p_rectangular_and_deficient():
+    rng = random.Random(32)
+    for trial in range(60):
+        r = rng.randrange(1, 7)
+        c = rng.randrange(1, 7)
+        data = [[rng.randrange(-5, 6) for _ in range(c)] for _ in range(r)]
+        if r >= 2 and trial % 2 == 0:
+            data[-1] = [a + 2 * b for a, b in zip(data[0], data[1 % (r - 1)])]
+        arr = np.array(data, dtype=np.int64)
+        truth = rank_oracle(data)
+        assert _rank_mod_p(arr, 5) <= truth
+        # Hadamard: every minor is at most 15 sqrt(6) * (5 sqrt(6))^5 < 2^24
+        # in size, so no nonzero minor vanishes mod p and the ranks agree
+        assert _rank_mod_p(arr, 2**31 - 1) == truth
+        assert arr.tolist() == data
+    # Python-int entries are reduced mod p before the int64 cast
+    big = np.array([[2**70, 1], [1, 0]], dtype=object)
+    assert _rank_mod_p(big, 2**31 - 1) == 2
+    assert big.tolist() == [[2**70, 1], [1, 0]]
+    assert _rank_mod_p(np.zeros((3, 0), dtype=np.int64), 5) == 0
+
+
+P31 = 2**31 - 1
+
+
+@pytest.mark.parametrize(
+    "data, rank",
+    [
+        ([[P31]], 1),
+        ([[1, 0], [0, P31]], 2),
+        ([[2, 1], [1, 2**30]], 2),  # determinant 2^31 - 1
+        ([[1, 1], [0, P31], [1, 1]], 2),  # columns equal mod p only
+        ([[P31 << 40, 1], [0, P31]], 2),  # object dtype, determinant p^2 2^40
+    ],
+)
+def test_exact_rank_falls_back_when_p_divides_every_maximal_minor(data, rank):
+    m = ExactMatrix(data)
+    assert _rank_mod_p(m.array, P31) < rank  # so only Bareiss can answer
+    assert exact_rank(m) == rank == rank_oracle(data)
+
+
+@pytest.mark.parametrize("n, p, e", [(3, 2, 1), (3, 3, 1), (3, 2, 2), (4, 2, 2), (3, 3, 2)])
+def test_exact_rank_agrees_with_bareiss_on_families(monkeypatch, n, p, e):
+    space, family = eigvec_family_prime_power(n, p, e)
+    size = len(space)
+    full = ExactMatrix([[vec[i] for _, vec in family] for i in range(size)])
+    singular = full.to_lists()
+    for row in singular:
+        row[0] = row[1]
+    singular = ExactMatrix(singular)
+    assert _bareiss_rank(full.to_lists()) == size
+    assert _bareiss_rank(singular.to_lists()) == size - 1
+
+    calls = []
+
+    def counted(data):
+        calls.append(len(data))
+        return _bareiss_rank(data)
+
+    monkeypatch.setattr(spectrum, "_bareiss_rank", counted)
+    assert exact_rank(full) == size
+    assert calls == []  # decided by the rank mod p
+    assert exact_rank(singular) == size - 1
+    assert calls == [size]  # decided by Bareiss
 
 
 def test_verify_rejects_mismatched_order():
