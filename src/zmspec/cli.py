@@ -12,9 +12,10 @@ limit of 5000.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
 
 from .counting import LayerSpec, count_2x2, count_2x2_brute, count_layer, count_layer_brute
 from .errors import DomainError, GuardrailError
@@ -40,9 +41,9 @@ from .projective import (
     points_to_csv,
     theta,
 )
-from .modular import euler_phi, factorize
+from .modular import euler_phi
 from .spectrum import (
-    eigvec_family_prime_power,
+    eigvec_family_general,
     exact_rank,
     spectrum_general,
     verify_spectrum,
@@ -55,34 +56,24 @@ EXIT_GUARDRAIL = 3
 EXIT_IO = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated common knobs of a command invocation."""
-
-    n: int
-    m: int
-    ordering: str = "lex"
-    guardrail: int | None = None
-    fmt: str = "table"
-    output: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise DomainError(f"-n must be >= 2, got {self.n}")
-        if self.m < 2:
-            raise DomainError(f"-m must be >= 2, got {self.m}")
-        if self.guardrail is not None and self.guardrail <= 0:
-            raise DomainError("--guardrail must be positive")
+def _validate(n: int, m: int, guardrail: int | None = None) -> None:
+    """Reject the common knobs of a command that are out of range."""
+    if n < 2:
+        raise DomainError(f"-n must be >= 2, got {n}")
+    if m < 2:
+        raise DomainError(f"-m must be >= 2, got {m}")
+    if guardrail is not None and guardrail <= 0:
+        raise DomainError("--guardrail must be positive")
 
 
 def _emit(text: str, output: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _matrix_label(pt) -> str:
@@ -117,24 +108,23 @@ def _matrix_json(m: ExactMatrix) -> str:
 
 
 def cmd_theta(args: argparse.Namespace) -> int:
-    cfg = RunConfig(n=args.n, m=args.m)
-    _emit(str(theta(cfg.n, cfg.m)), None)
+    _validate(args.n, args.m)
+    _emit(str(theta(args.n, args.m)), None)
     return EXIT_OK
 
 
 def cmd_points(args: argparse.Namespace) -> int:
-    cfg = RunConfig(n=args.n, m=args.m, ordering=args.ordering,
-                    guardrail=args.guardrail, fmt=args.format, output=args.output)
-    space = enumerate_space(cfg.n, cfg.m, cfg.ordering, guardrail=cfg.guardrail)
-    if cfg.fmt == "csv":
+    _validate(args.n, args.m, args.guardrail)
+    space = enumerate_space(args.n, args.m, args.ordering, guardrail=args.guardrail)
+    if args.format == "csv":
         text = points_to_csv(space)
-    elif cfg.fmt == "json":
+    elif args.format == "json":
         text = json.dumps(
             {
-                "n": cfg.n,
-                "m": cfg.m,
+                "n": args.n,
+                "m": args.m,
                 "theta": len(space),
-                "ordering": cfg.ordering,
+                "ordering": args.ordering,
                 "points": [list(pt.coords) for pt in space.points],
             },
             indent=2,
@@ -143,26 +133,25 @@ def cmd_points(args: argparse.Namespace) -> int:
         text = "\n".join(
             f"{i} {point_label(pt)}" for i, pt in enumerate(space.points)
         ) + "\n"
-    _emit(text, cfg.output)
+    _emit(text, args.output)
     return EXIT_OK
 
 
 def cmd_matrix(args: argparse.Namespace) -> int:
-    cfg = RunConfig(n=args.n, m=args.m, ordering=args.ordering,
-                    guardrail=args.guardrail, fmt=args.format, output=args.output)
-    space = enumerate_space(cfg.n, cfg.m, cfg.ordering, guardrail=cfg.guardrail)
+    _validate(args.n, args.m, args.guardrail)
+    space = enumerate_space(args.n, args.m, args.ordering, guardrail=args.guardrail)
     mat = build_A(space)
     if args.which == "B":
         mat = build_B_product(mat)
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         text = to_csv(mat)
-    elif cfg.fmt == "matrixmarket":
+    elif args.format == "matrixmarket":
         text = to_matrix_market(mat)
-    elif cfg.fmt == "json":
+    elif args.format == "json":
         text = _matrix_json(mat)
     else:
         text = _matrix_table(mat)
-    _emit(text, cfg.output)
+    _emit(text, args.output)
     return EXIT_OK
 
 
@@ -184,44 +173,45 @@ def _spectrum_json(table) -> str:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    cfg = RunConfig(n=args.n, m=args.m, guardrail=args.guardrail,
-                    fmt=args.format, output=args.output)
-    table = spectrum_general(cfg.n, cfg.m)
+    _validate(args.n, args.m, args.guardrail)
+    table = spectrum_general(args.n, args.m)
     if args.verify:
-        space = enumerate_space(cfg.n, cfg.m, "lex", guardrail=cfg.guardrail)
-        b = build_B_product(build_A(space))
-        report = verify_spectrum(b, table)
-        _emit(report.to_json(), cfg.output)
+        report = verify_spectrum(_build_b(args.n, args.m, args.guardrail), table)
+        _emit(report.to_json(), args.output)
         return EXIT_OK if report.all_ok else EXIT_MISMATCH
-    if cfg.fmt == "json":
+    if args.format == "json":
         text = _spectrum_json(table)
     else:
         lines = [f"theta = {table.total_multiplicity}", "eigenvalue multiplicity"]
         lines += [f"{lam} {d}" for lam, d in table.merged()]
         text = "\n".join(lines) + "\n"
-    _emit(text, cfg.output)
+    _emit(text, args.output)
     return EXIT_OK
 
 
+def _build_b(n: int, m: int, guardrail: int | None = None, ordering: str = "lex") -> ExactMatrix:
+    space = enumerate_space(n, m, ordering, guardrail=guardrail)
+    return build_B_product(build_A(space))
+
+
+def tensor_similar(n: int, m1: int, m2: int, guardrail: int | None = None) -> bool:
+    """B_{n,m1*m2}, relabeled by the CRT permutation, equals B_{n,m1} (x) B_{n,m2}."""
+    perm = crt_permutation(n, m1, m2, guardrail=guardrail)
+    b = _build_b(n, m1 * m2, guardrail)
+    b1, b2 = _build_b(n, m1, guardrail), _build_b(n, m2, guardrail)
+    return apply_simultaneous_permutation(b, perm) == tensor_product(b1, b2)
+
+
 def cmd_tensor_check(args: argparse.Namespace) -> int:
-    cfg = RunConfig(n=args.n, m=args.m1 * args.m2, guardrail=args.guardrail)
     n, m1, m2 = args.n, args.m1, args.m2
-    perm = crt_permutation(n, m1, m2, guardrail=cfg.guardrail)
-    _, b = _space_and_b(n, m1 * m2, cfg.guardrail)
-    _, b1 = _space_and_b(n, m1, cfg.guardrail)
-    _, b2 = _space_and_b(n, m2, cfg.guardrail)
-    equal = apply_simultaneous_permutation(b, perm) == tensor_product(b1, b2)
+    _validate(n, m1 * m2, args.guardrail)
+    equal = tensor_similar(n, m1, m2, args.guardrail)
     verdict = "PASS" if equal else "FAIL"
     _emit(
         f"{verdict}: B_{{{n},{m1 * m2}}} ~ B_{{{n},{m1}}} (x) B_{{{n},{m2}}}\n",
         None,
     )
     return EXIT_OK if equal else EXIT_MISMATCH
-
-
-def _space_and_b(n: int, m: int, guardrail: int | None):
-    space = enumerate_space(n, m, "lex", guardrail=guardrail)
-    return space, build_B_product(build_A(space))
 
 
 def _parse_coords(text: str) -> tuple[int, ...]:
@@ -252,131 +242,151 @@ def cmd_count(args: argparse.Namespace) -> int:
     return EXIT_OK if closed == brute else EXIT_MISMATCH
 
 
-# -------------------- selftest --------------------
+# -------------------- verification battery --------------------
+#
+# One check per acceptance criterion.  Each takes its grid and returns the
+# first failing case, or None.  `zmspec selftest` runs them on the small
+# grids of SELFTEST_CHECKS; tests/test_acceptance.py runs the same checks
+# on larger grids.  Everything they call is looked up in this module's
+# namespace at call time, so a replaced binding is what gets checked.
+
+# the worked grids (n, m, ordering, entry(i, j)): B_{3,2}, and B_{3,4} in
+# the k-grouped order, where positions i and j with i = j mod 7 are
+# distinct points over the same point of P_{3,2}
+B32_WORKED = (3, 2, "lex", lambda i, j: 3 if i == j else 1)
+B34_WORKED = (3, 4, "k-grouped", lambda i, j: 6 if i == j else (2 if i % 7 == j % 7 else 1))
 
 
-def _check_b32_grid() -> bool:
-    _, b = _space_and_b(3, 2, None)
-    return all(
-        b[i, j] == (3 if i == j else 1) for i in range(7) for j in range(7)
+def check_b_grid(
+    grid: Iterable[tuple[int, int, str, Callable[[int, int], int]]],
+) -> tuple | None:
+    """Criterion 1: B_{n,m} in the given ordering equals a worked grid."""
+    for n, m, ordering, entry in grid:
+        b = _build_b(n, m, ordering=ordering)
+        size = theta(n, m)
+        if (b.rows, b.cols) != (size, size):
+            return (n, m, ordering, "order", b.rows, b.cols)
+        for i, j in itertools.product(range(size), repeat=2):
+            if b[i, j] != entry(i, j):
+                return (n, m, ordering, i, j)
+    return None
+
+
+def check_dual_construction(grid: Iterable[tuple[int, int]]) -> tuple | None:
+    """Criterion 2: the closed-form B equals A A^t, for (n, m) prime powers."""
+    for n, m in grid:
+        space = enumerate_space(n, m, "lex")
+        if build_B_analytic(space) != build_B_product(build_A(space)):
+            return (n, m)
+    return None
+
+
+def check_spectrum_verify(grid: Iterable[tuple[int, int]]) -> tuple | None:
+    """Criteria 3 and 4: verify_spectrum proves the closed-form table of B_{n,m}."""
+    return next(
+        ((n, m) for n, m in grid
+         if not verify_spectrum(_build_b(n, m), spectrum_general(n, m)).all_ok),
+        None,
     )
 
 
-def _check_b34_grid() -> bool:
-    part = k_partition(2, 2, 3)
-    space = enumerate_space(3, 4, "k-grouped")
-    b = build_B_product(build_A(space))
-    base = len(part.base_space)
-    for i in range(28):
-        for j in range(28):
-            same_block = i // base == j // base
-            same_base = i % base == j % base
-            if i == j:
-                expect = 6
-            elif same_base and not same_block:
-                expect = 2
-            else:
-                expect = 1
-            if b[i, j] != expect:
-                return False
-    return True
+def check_tensor(grid: Iterable[tuple[int, int, int]]) -> tuple | None:
+    """Criterion 5: the CRT tensor lemma on (n, m1, m2)."""
+    return next((case for case in grid if not tensor_similar(*case)), None)
 
 
-def _check_dual_construction() -> bool:
-    for n, m in ((3, 4), (3, 3), (4, 2)):
-        space = enumerate_space(n, m, "lex")
-        if build_B_analytic(space) != build_B_product(build_A(space)):
-            return False
-    return True
+def check_count_2x2(grid: Iterable[tuple[int, int]]) -> tuple | None:
+    """Criterion 6: the 2x2 closed form equals brute force on every
+    coefficient tuple mod p^e, for (p, e) in the grid."""
+    return next(
+        ((p, e, *coeffs) for p, e in grid
+         for coeffs in itertools.product(range(p**e), repeat=4)
+         if count_2x2(*coeffs, p, e) != count_2x2_brute(*coeffs, p, e)),
+        None,
+    )
 
 
-def _check_spectrum_verify() -> bool:
-    for n, m in ((3, 4), (3, 3)):
-        space, b = _space_and_b(n, m, None)
-        if not verify_spectrum(b, spectrum_general(n, m)).all_ok:
-            return False
-    return True
-
-
-def _check_tensor() -> bool:
-    for n, m1, m2 in ((2, 2, 3), (3, 2, 3)):
-        perm = crt_permutation(n, m1, m2)
-        _, b = _space_and_b(n, m1 * m2, None)
-        _, b1 = _space_and_b(n, m1, None)
-        _, b2 = _space_and_b(n, m2, None)
-        if apply_simultaneous_permutation(b, perm) != tensor_product(b1, b2):
-            return False
-    return True
-
-
-def _check_count_2x2() -> bool:
-    import itertools
-
-    for p, e in ((2, 1), (3, 1), (2, 2)):
-        q = p**e
-        for a, b, c, d in itertools.product(range(q), repeat=4):
-            if count_2x2(a, b, c, d, p, e) != count_2x2_brute(a, b, c, d, p, e):
-                return False
-    return True
-
-
-def _check_layer_counts() -> bool:
-    space = enumerate_space(3, 4, "lex")
-    for u in space.points:
-        for v in space.points:
-            for g in range(3):
-                spec = LayerSpec(g=g, p=2, e=2, n=3)
+def check_layer_counts(grid: Iterable[tuple[int, int, int, int]]) -> tuple | None:
+    """Criterion 7: the layer count equals brute force at every layer g,
+    on the pairs of every stride-th point of P_{n,p^e}, for (n, p, e, stride)."""
+    for n, p, e, stride in grid:
+        points = enumerate_space(n, p**e, "lex").points[::stride]
+        for u, v in itertools.product(points, repeat=2):
+            for g in range(e + 1):
+                spec = LayerSpec(g=g, p=p, e=e, n=n)
                 if count_layer(u, v, spec) != count_layer_brute(u, v, g):
-                    return False
-    return True
+                    return (n, p, e, point_label(u), point_label(v), g)
+    return None
 
 
-def _check_eigenvectors() -> bool:
-    space, family = eigvec_family_prime_power(3, 2, 2)
-    b = build_B_product(build_A(space))
-    for lam, vec in family:
-        if b.matvec(vec) != [lam * x for x in vec]:
-            return False
-    stacked = ExactMatrix([[vec[i] for _, vec in family] for i in range(len(space))])
-    return exact_rank(stacked) == len(space)
+def _columns(vectors: list[list[int]]) -> ExactMatrix:
+    return ExactMatrix([list(row) for row in zip(*vectors)])
 
 
-def _check_structure() -> bool:
-    if theta(3, 4) != 28 or theta(3, 6) != 91 or theta(2, 2) != 3:
-        return False
-    space = enumerate_space(3, 4, "lex")
-    phi = euler_phi(factorize(4))
-    if any(orbit_size(pt) != phi for pt in space.points):
-        return False
-    part = k_partition(2, 2, 3)
-    base_b = build_B_product(build_A(part.base_space))
-    big_b = build_B_product(build_A(part.space))
-    for a in range(part.l):
-        for bb in range(part.l):
-            if block_C(a, bb, part, big_b) != block_C_reference(a, bb, part, base_b):
-                return False
-    return True
+def check_eigenvectors(grid: Iterable[tuple[int, int]]) -> tuple | None:
+    """Criterion 8: every vector of eigvec_family_general(n, m) has zero
+    residual against B_{n,m}, the vectors of each eigenvalue have exact rank
+    equal to its claimed multiplicity, and all of them have rank theta."""
+    for n, m in grid:
+        b = _build_b(n, m)
+        by_lam: dict[int, list[list[int]]] = {}
+        for index, (lam, vec) in enumerate(eigvec_family_general(n, m)):
+            if b.matvec(vec) != [lam * x for x in vec]:
+                return (n, m, "residual", index)
+            by_lam.setdefault(lam, []).append(vec)
+        claimed = dict(spectrum_general(n, m).merged())
+        for lam, vecs in by_lam.items():
+            if not exact_rank(_columns(vecs)) == len(vecs) == claimed.get(lam):
+                return (n, m, "rank", lam)
+        if exact_rank(_columns([v for vecs in by_lam.values() for v in vecs])) != theta(n, m):
+            return (n, m, "total rank")
+    return None
+
+
+def check_structure(
+    grid: tuple[Iterable[tuple[int, int, int]], Iterable[tuple[int, int, int]]],
+) -> tuple | None:
+    """Criterion 9: the point count and the orbit sizes phi(m) on the
+    (n, m, theta) items, and the block identity C_ab = reference on the
+    K-partitions of the (n, p, e) items; ``grid`` is the pair of lists."""
+    points, blocks = grid
+    for n, m, count in points:
+        space = enumerate_space(n, m, "lex")
+        if theta(n, m) != count or len(space) != count:
+            return (n, m, "theta")
+        phi = euler_phi(m)
+        if any(orbit_size(pt) != phi for pt in space.points):
+            return (n, m, "orbit size")
+    for n, p, e in blocks:
+        part = k_partition(p, e, n)
+        big = build_B_product(build_A(part.space))
+        base = build_B_product(build_A(part.base_space))
+        for a, b in itertools.product(range(part.l), repeat=2):
+            if block_C(a, b, part, big) != block_C_reference(a, b, part, base):
+                return (n, p, e, a, b)
+    return None
 
 
 SELFTEST_CHECKS = (
-    ("B32-grid", _check_b32_grid),
-    ("B34-grid", _check_b34_grid),
-    ("dual-construction", _check_dual_construction),
-    ("spectrum-verify", _check_spectrum_verify),
-    ("tensor-similarity", _check_tensor),
-    ("count-2x2-exhaustion", _check_count_2x2),
-    ("layer-counts", _check_layer_counts),
-    ("eigenvector-families", _check_eigenvectors),
-    ("structural-identities", _check_structure),
+    ("B32-grid", check_b_grid, (B32_WORKED,)),
+    ("B34-grid", check_b_grid, (B34_WORKED,)),
+    ("dual-construction", check_dual_construction, ((3, 4), (3, 3), (4, 2))),
+    ("spectrum-verify", check_spectrum_verify, ((3, 4), (3, 3))),
+    ("tensor-similarity", check_tensor, ((2, 2, 3), (3, 2, 3))),
+    ("count-2x2-exhaustion", check_count_2x2, ((2, 1), (3, 1), (2, 2))),
+    ("layer-counts", check_layer_counts, ((3, 2, 2, 1),)),
+    ("eigenvector-families", check_eigenvectors, ((3, 4),)),
+    ("structural-identities", check_structure,
+     (((3, 4, 28), (3, 6, 91), (2, 2, 3)), ((3, 2, 2),))),
 )
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
     ok = True
-    for name, check in SELFTEST_CHECKS:
-        passed = check()
-        ok = ok and passed
-        print(f"{'PASS' if passed else 'FAIL'} {name}")
+    for name, check, grid in SELFTEST_CHECKS:
+        case = check(grid)
+        ok = ok and case is None
+        print(f"PASS {name}" if case is None else f"FAIL {name} {case}")
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
@@ -420,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectrum", help="closed-form spectrum, optionally verified")
     sp.add_argument("--verify", action="store_true",
                     help="build B and prove every multiplicity: eigenbasis "
-                    "certificate, exact Bareiss nullity as the fallback")
+                    "certificate, exact Bareiss nullity as the fallback; the "
+                    "report is JSON whatever --format is")
     add_common(sp, fmt=["table", "json"], output=True)
     sp.set_defaults(func=cmd_spectrum)
 
@@ -444,7 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="layer index g for the pair form")
     sp.set_defaults(func=cmd_count)
 
-    sp = sub.add_parser("selftest", help="run the built-in verification battery")
+    sp = sub.add_parser("selftest",
+                        help="run the acceptance checks on small fixed grids")
     sp.set_defaults(func=cmd_selftest)
 
     return parser

@@ -10,31 +10,15 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from zmspec import cli
 from zmspec.cli import main
-from zmspec.counting import (
-    LayerSpec,
-    count_2x2,
-    count_2x2_brute,
-    count_layer,
-    count_layer_brute,
-)
-from zmspec.matrices import (
-    ExactMatrix,
-    apply_simultaneous_permutation,
-    block_C,
-    block_C_reference,
-    build_A,
-    build_B_analytic,
-    build_B_product,
-    crt_permutation,
-    tensor_product,
-)
+from zmspec.counting import LayerSpec, count_layer
+from zmspec.matrices import build_A, build_B_product
 from zmspec.modular import euler_phi
 from zmspec.projective import (
     enumerate_space,
     fiber,
     k_partition,
-    orbit_size,
     point_label,
     rho_fiber_size,
     theta,
@@ -48,7 +32,6 @@ from zmspec.spectrum import (
     exact_rank,
     spectrum_general,
     spectrum_prime_power,
-    verify_spectrum,
 )
 
 # the minimum prime-power grid of criteria 2 and 3
@@ -93,14 +76,9 @@ def B_of(n, m, ordering="lex"):
 
 def test_criterion_1_reference_grids(capsys):
     with capsys.disabled(), criterion(1, "reference grids for B_{3,4} (k-grouped) and B_{3,2}", budget=1.0):
-        space, b34 = B_of(3, 4, "k-grouped")
+        space = enumerate_space(3, 4, "k-grouped")
         assert [point_label(pt) for pt in space.points] == KGROUPED_B34_LABELS
-        for i in range(28):
-            for j in range(28):
-                expect = 6 if i == j else (2 if i % 7 == j % 7 else 1)
-                assert b34[i, j] == expect
-        _, b32 = B_of(3, 2)
-        assert all(b32[i, j] == (3 if i == j else 1) for i in range(7) for j in range(7))
+        assert cli.check_b_grid([cli.B34_WORKED, cli.B32_WORKED]) is None
 
     # the same grids through the CLI surface
     code = main(["matrix", "-n", "3", "-m", "4", "--which", "B",
@@ -110,10 +88,10 @@ def test_criterion_1_reference_grids(capsys):
     rows = out.strip().splitlines()
     assert rows[0].split()[0] == "(001)"
     values = [line.split()[1:] for line in rows]
+    entry = cli.B34_WORKED[-1]
     for i in range(28):
         for j in range(28):
-            expect = 6 if i == j else (2 if i % 7 == j % 7 else 1)
-            assert values[i][j] == str(expect)
+            assert values[i][j] == str(entry(i, j))
     assert main(["matrix", "-n", "3", "-m", "2", "--which", "B"]) == 0
     rows32 = capsys.readouterr().out.strip().splitlines()
     assert rows32[0].split()[1:] == ["3", "1", "1", "1", "1", "1", "1"]
@@ -124,9 +102,8 @@ def test_criterion_2_dual_construction(capsys):
         2, "analytic entries equal the exact product on the prime-power grid",
         budget=120.0,
     ):
-        for n, p, e in PRIME_POWER_GRID + EXTRA_DUAL_GRID:
-            space = enumerate_space(n, p**e)
-            assert build_B_analytic(space) == build_B_product(build_A(space)), (n, p, e)
+        grid = [(n, p**e) for n, p, e in PRIME_POWER_GRID + EXTRA_DUAL_GRID]
+        assert cli.check_dual_construction(grid) is None
 
 
 def test_criterion_3_prime_power_spectra(capsys):
@@ -135,10 +112,10 @@ def test_criterion_3_prime_power_spectra(capsys):
     ):
         assert spectrum_prime_power(3, 2, 2).merged() == ((36, 1), (8, 6), (4, 21))
         assert spectrum_prime_power(3, 2, 1).merged() == ((9, 1), (2, 6))
+        # one prime-power factor: the general table is the prime-power table
         for n, p, e in PRIME_POWER_GRID:
-            _, b = B_of(n, p**e)
-            report = verify_spectrum(b, spectrum_prime_power(n, p, e))
-            assert report.all_ok, (n, p, e, report.to_json())
+            assert spectrum_general(n, p**e) == spectrum_prime_power(n, p, e)
+        assert cli.check_spectrum_verify([(n, p**e) for n, p, e in PRIME_POWER_GRID]) is None
 
 
 def test_criterion_4_composite_spectra(capsys):
@@ -149,25 +126,19 @@ def test_criterion_4_composite_spectra(capsys):
         table36 = spectrum_general(3, 6)
         assert table36.merged() == ((144, 1), (32, 6), (27, 12), (6, 72))
         assert table36.total_multiplicity == 91
-        for n, m in [(2, 6), (2, 10), (2, 12), (2, 15), (3, 6), (3, 12)]:
-            _, b = B_of(n, m)
-            report = verify_spectrum(b, spectrum_general(n, m))
-            assert report.all_ok, (n, m, report.to_json())
+        grid = [(2, 6), (2, 10), (2, 12), (2, 15), (3, 6), (3, 12)]
+        assert cli.check_spectrum_verify(grid) is None
+
+
+TENSOR_GRID = [(2, 2, 3), (2, 4, 3), (2, 2, 5), (3, 2, 3), (3, 4, 3)]
 
 
 def test_criterion_5_tensor_lemma(capsys):
     with capsys.disabled(), criterion(
         5, "B_{n,m1*m2} ~ B_{n,m1} (x) B_{n,m2} for the five listed cases"
     ):
-        for n, m1, m2 in [(2, 2, 3), (2, 4, 3), (2, 2, 5), (3, 2, 3), (3, 4, 3)]:
-            perm = crt_permutation(n, m1, m2)
-            _, big = B_of(n, m1 * m2)
-            _, b1 = B_of(n, m1)
-            _, b2 = B_of(n, m2)
-            assert apply_simultaneous_permutation(big, perm) == tensor_product(b1, b2), (
-                n, m1, m2,
-            )
-    for n, m1, m2 in [(2, 2, 3), (2, 4, 3), (2, 2, 5), (3, 2, 3), (3, 4, 3)]:
+        assert cli.check_tensor(TENSOR_GRID) is None
+    for n, m1, m2 in TENSOR_GRID:
         assert main(["tensor-check", "-n", str(n), "--m1", str(m1), "--m2", str(m2)]) == 0
         capsys.readouterr()
 
@@ -177,10 +148,7 @@ def test_criterion_6_count_2x2_exhaustion(capsys):
         6, "2x2 closed-form count equals brute force for p^e in {2,3,4,5,8,9}",
         budget=120.0,
     ):
-        for p, e in [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)]:
-            q = p**e
-            for a, b, c, d in itertools.product(range(q), repeat=4):
-                assert count_2x2(a, b, c, d, p, e) == count_2x2_brute(a, b, c, d, p, e)
+        assert cli.check_count_2x2([(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)]) is None
 
 
 def _batched_layer_counts(space, p, e, g):
@@ -195,11 +163,14 @@ def _batched_layer_counts(space, p, e, g):
     return hits.T.astype(np.int64) @ hits.astype(np.int64)
 
 
+LAYER_GRID = [(3, 2, 2), (3, 2, 3), (2, 3, 2), (3, 3, 2)]
+
+
 def test_criterion_7_layer_exhaustion(capsys):
     with capsys.disabled(), criterion(
         7, "layer counts equal brute-force scans on P_{3,4}, P_{3,8}, P_{2,9} (+P_{3,9})"
     ):
-        for n, p, e in [(3, 2, 2), (3, 2, 3), (2, 3, 2), (3, 3, 2)]:
+        for n, p, e in LAYER_GRID:
             space = enumerate_space(n, p**e)
             for g in range(e + 1):
                 scan = _batched_layer_counts(space, p, e, g)
@@ -207,19 +178,9 @@ def test_criterion_7_layer_exhaustion(capsys):
                 for i, u in enumerate(space.points):
                     for j, v in enumerate(space.points):
                         assert count_layer(u, v, spec) == int(scan[i, j]), (n, p, e, g, i, j)
-            # exercise the public scalar oracle directly on a sample of pairs
-            pts = space.points
-            for i in range(0, len(pts), max(1, len(pts) // 8)):
-                for j in range(0, len(pts), max(1, len(pts) // 8)):
-                    for g in range(e + 1):
-                        spec = LayerSpec(g=g, p=p, e=e, n=n)
-                        assert count_layer(pts[i], pts[j], spec) == count_layer_brute(
-                            pts[i], pts[j], g
-                        )
-
-
-def _stacked(vectors):
-    return ExactMatrix([[vec[i] for vec in vectors] for i in range(len(vectors[0]))])
+        # the public scalar oracle directly, on the pairs of about 8 points per space
+        strided = [(n, p, e, max(1, theta(n, p**e) // 8)) for n, p, e in LAYER_GRID]
+        assert cli.check_layer_counts(strided) is None
 
 
 def test_criterion_8_eigenvector_families(capsys):
@@ -246,39 +207,17 @@ def test_criterion_8_eigenvector_families(capsys):
             assert b34.matvec(col) == [4 * x for x in col]
         assert exact_rank(diffs) == 21
 
-        # full prime-power family of B_{3,4}: residuals, per-eigenvalue ranks, total rank
-        space4, family4 = eigvec_family_prime_power(3, 2, 2)
-        b4 = build_B_product(build_A(space4))
-        by_lam = {}
-        for lam, vec in family4:
-            assert b4.matvec(vec) == [lam * x for x in vec]
-            by_lam.setdefault(lam, []).append(vec)
-        claimed4 = dict(spectrum_prime_power(3, 2, 2).merged())
-        for lam, vecs in by_lam.items():
-            assert exact_rank(_stacked(vecs)) == len(vecs) == claimed4[lam]
-        assert exact_rank(_stacked([v for _, v in family4])) == 28
-
-        # tensor family of B_{3,6}: residuals, per-eigenvalue ranks, total rank
-        _, b6 = B_of(3, 6)
-        by_lam6 = {}
-        for lam, w in eigvec_family_general(3, 6):
-            assert b6.matvec(w) == [lam * x for x in w]
-            by_lam6.setdefault(lam, []).append(w)
-        claimed6 = dict(spectrum_general(3, 6).merged())
-        for lam, vecs in by_lam6.items():
-            assert exact_rank(_stacked(vecs)) == len(vecs) == claimed6[lam]
-        assert exact_rank(_stacked([w for ws in by_lam6.values() for w in ws])) == 91
+        # the full families of B_{3,4} (one prime power, so the general family
+        # is the prime-power one) and of B_{3,6} (a CRT tensor family):
+        # residuals, per-eigenvalue ranks, total rank
+        assert eigvec_family_general(3, 4) == eigvec_family_prime_power(3, 2, 2)[1]
+        assert cli.check_eigenvectors([(3, 4), (3, 6)]) is None
 
 
 def test_criterion_9_structural_properties(capsys):
     with capsys.disabled(), criterion(
         9, "orbit sizes, row sums, fiber sizes, and the block identity"
     ):
-        # orbit sizes = phi(m)
-        for n, m in [(3, 4), (2, 6), (2, 9), (3, 6)]:
-            phi = euler_phi(m)
-            assert all(orbit_size(pt) == phi for pt in enumerate_space(n, m).points)
-
         # row sums of A = theta(n-1, m)
         for n, m in [(3, 2), (3, 4), (3, 6), (2, 9), (4, 2)]:
             space = enumerate_space(n, m)
@@ -292,13 +231,8 @@ def test_criterion_9_structural_properties(capsys):
             v0 = base.points[0]
             assert rho_fiber_size(v0, p, e, n) == p**n * euler_phi(p ** (e - 1))
 
-        # block identity over the four listed parameter triples
-        for n, p, e in [(3, 2, 2), (3, 2, 3), (3, 3, 2), (4, 2, 2)]:
-            part = k_partition(p, e, n)
-            _, big = B_of(n, p**e)
-            _, base_b = B_of(n, p ** (e - 1))
-            for a in range(part.l):
-                for b in range(part.l):
-                    assert block_C(a, b, part, big) == block_C_reference(
-                        a, b, part, base_b
-                    ), (n, p, e, a, b)
+        # point counts and orbit sizes = phi(m); the block identity over the
+        # four listed parameter triples
+        points = [(3, 4, 28), (2, 6, 12), (2, 9, 12), (3, 6, 91)]
+        blocks = [(3, 2, 2), (3, 2, 3), (3, 3, 2), (4, 2, 2)]
+        assert cli.check_structure((points, blocks)) is None

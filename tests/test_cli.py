@@ -162,6 +162,21 @@ def test_output_to_file(tmp_path, capsys):
     assert target.read_text().splitlines()[0] == "index,c1,c2"
 
 
+@pytest.mark.parametrize("argv", [
+    "points -n 2 -m 3 --format json",
+    "matrix -n 2 -m 3 --format json",
+    "spectrum -n 3 -m 6 --format json",
+    "spectrum -n 3 -m 4 --verify",
+])
+def test_output_file_equals_stdout(tmp_path, capsys, argv):
+    target = tmp_path / "out"
+    code, out, _ = run(capsys, *argv.split())
+    file_code, file_out, _ = run(capsys, *argv.split(), "-o", str(target))
+    assert code == file_code == 0 and file_out == ""
+    assert out.endswith("\n")
+    assert target.read_bytes() == out.encode("utf-8")
+
+
 def test_unwritable_output_exit_code(tmp_path, capsys):
     target = tmp_path / "missing" / "x.mtx"
     code, out, err = run(capsys, "matrix", "-n", "2", "-m", "2", "-o", str(target))
@@ -265,6 +280,9 @@ GOLDEN_DIGESTS = [
      "6521416413fa5eb91c1cbd67d0f60951c2f8f65eaf844f948b2f1fdf66f6ec79"),
     ("points -n 3 -m 12 --format json",
      "3c0e4918d6fb22a7d420597a0a5f8c935475e5cdcd08fb301adf0af6d1c51043"),
+    # nine PASS lines, names and order fixed
+    ("selftest",
+     "1516f23db9275bc1628f12d2234e9e1ec2c8dfd9424c84afc05c4f6dc5cca306"),
 ]
 
 

@@ -1,0 +1,94 @@
+"""The verification battery behind `zmspec selftest` and the acceptance suite.
+
+Each negative control corrupts one check's subject through the ``cli``
+namespace, where the checks look their callees up, and requires both the
+check on its selftest grid and `zmspec selftest` to report the failure.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import zmspec
+from zmspec import cli
+from zmspec.matrices import ExactMatrix
+from zmspec.spectrum import SpectrumRow, SpectrumTable
+
+SELFTEST_GRIDS = {name: (check, grid) for name, check, grid in cli.SELFTEST_CHECKS}
+
+
+def _entry_plus_one(build):
+    """An ExactMatrix builder whose entry (0, 1) is one too large."""
+    def wrong(*args):
+        data = build(*args).to_lists()
+        data[0][1] += 1
+        return ExactMatrix(data)
+    return wrong
+
+
+def _plus_one(count):
+    return lambda *args: count(*args) + 1
+
+
+def _perturbed(spectrum):
+    """Move one unit of multiplicity from the second row to the first; the
+    total stays theta, so only the nullities can tell."""
+    def wrong(n, m):
+        table = spectrum(n, m)
+        first, second, *rest = table.rows
+        rows = (SpectrumRow(first.eigenvalue, first.multiplicity + 1, first.provenance),
+                SpectrumRow(second.eigenvalue, second.multiplicity - 1, second.provenance),
+                *rest)
+        return SpectrumTable(table.n, table.m, rows)
+    return wrong
+
+
+def _repeated_vector(family):
+    def wrong(n, m):
+        vectors = family(n, m)
+        vectors[1] = vectors[2]
+        return vectors
+    return wrong
+
+
+# (check name, cli binding, corruption)
+CORRUPTIONS = [
+    ("B32-grid", "build_B_product", _entry_plus_one),
+    ("B34-grid", "build_B_product", _entry_plus_one),
+    ("dual-construction", "build_B_analytic", _entry_plus_one),
+    ("spectrum-verify", "spectrum_general", _perturbed),
+    ("tensor-similarity", "tensor_product", _entry_plus_one),
+    ("count-2x2-exhaustion", "count_2x2", _plus_one),
+    ("layer-counts", "count_layer", _plus_one),
+    ("eigenvector-families", "eigvec_family_general", _repeated_vector),
+    ("structural-identities", "block_C_reference", _entry_plus_one),
+]
+
+
+def test_every_check_has_a_negative_control():
+    assert [name for name, _, _ in CORRUPTIONS] == list(SELFTEST_GRIDS)
+
+
+@pytest.mark.parametrize("name,binding,corrupt", CORRUPTIONS, ids=[c[0] for c in CORRUPTIONS])
+def test_corrupted_subject_fails_its_check(monkeypatch, capsys, name, binding, corrupt):
+    monkeypatch.setattr(cli, binding, corrupt(getattr(cli, binding)))
+    check, grid = SELFTEST_GRIDS[name]
+    case = check(grid)
+    assert case is not None
+    assert cli.main(["selftest"]) == cli.EXIT_MISMATCH
+    assert f"FAIL {name} {case}" in capsys.readouterr().out.splitlines()
+
+
+def test_selftest_survives_python_O():
+    # the battery guards theorems, so it must not rely on assert statements
+    src = str(Path(zmspec.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-m", "zmspec.cli", "selftest"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 9 and all(line.startswith("PASS ") for line in lines)
