@@ -30,7 +30,9 @@ from .matrices import (
     crt_permutation,
     tensor_product,
     to_csv,
+    to_json,
     to_matrix_market,
+    to_table,
 )
 from .projective import (
     canonical_rep,
@@ -76,37 +78,6 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _matrix_label(pt) -> str:
-    return f"({point_label(pt)})"
-
-
-def _matrix_table(m: ExactMatrix) -> str:
-    # the longest entry is the largest or, with its sign, the smallest
-    width = max(len(str(m.array.max())), len(str(m.array.min())))
-    if m.row_labels is not None:
-        lw = max(len(_matrix_label(pt)) for pt in m.row_labels)
-        labels = [_matrix_label(pt).ljust(lw) for pt in m.row_labels]
-    else:
-        lw = len(str(m.rows - 1))
-        labels = [str(i).ljust(lw) for i in range(m.rows)]
-    lines = [
-        label + " " + " ".join(str(x).rjust(width) for x in row.tolist())
-        for label, row in zip(labels, m.array)
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def _matrix_json(m: ExactMatrix) -> str:
-    obj = {
-        "rows": m.rows,
-        "cols": m.cols,
-        "row_labels": [point_label(pt) for pt in m.row_labels] if m.row_labels else None,
-        "col_labels": [point_label(pt) for pt in m.col_labels] if m.col_labels else None,
-        "entries": [list(map(str, row.tolist())) for row in m.array],
-    }
-    return json.dumps(obj, indent=2)
-
-
 def cmd_theta(args: argparse.Namespace) -> int:
     _validate(args.n, args.m)
     _emit(str(theta(args.n, args.m)), None)
@@ -148,9 +119,9 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     elif args.format == "matrixmarket":
         text = to_matrix_market(mat)
     elif args.format == "json":
-        text = _matrix_json(mat)
+        text = to_json(mat)
     else:
-        text = _matrix_table(mat)
+        text = to_table(mat)
     _emit(text, args.output)
     return EXIT_OK
 

@@ -8,14 +8,23 @@ prime-power factors, and the fiber-aligned blocks of B over a
 K-partition.  All arithmetic is exact: every operation is one numpy
 expression, evaluated in int64 when a checked bound proves it cannot
 wrap and on Python ints (an object array) otherwise.
+
+The four export formats (Matrix Market, CSV, JSON, aligned table) are
+rendered from one token table per matrix: each distinct entry value is
+formatted once, as a full token with its separators, every entry picks
+its token with one gather, and the text is one join.  The output is
+byte-identical to earlier releases, which formatted every entry on its
+own.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -405,27 +414,100 @@ def block_C_reference(
 # -------------------- export --------------------
 
 
+def _token_grid(
+    arr: np.ndarray, token: Callable[[str], str], first="", last=""
+) -> np.ndarray:
+    """A rows x (cols + 2) object array: column 0 holds ``first`` (one string
+    per row, or one for all rows), columns 1..cols hold token(str(arr[i, j])),
+    and the last column holds ``last``.
+
+    The gather index is ``arr - min`` when the values span at most
+    ``arr.size`` (every B: its entries lie in [0, theta]), and the inverse
+    of ``np.unique`` otherwise (object arrays, wide-ranging int64)."""
+    lo = hi = 0
+    if arr.dtype != object and arr.size:
+        lo, hi = int(arr.min()), int(arr.max())
+    if arr.dtype != object and hi - lo <= arr.size:
+        values, index = range(lo, hi + 1), arr - lo
+    else:
+        distinct, inverse = np.unique(arr.ravel(), return_inverse=True)
+        values, index = distinct.tolist(), inverse.reshape(arr.shape)
+    table = np.array([token(str(v)) for v in values], dtype=object)
+    grid = np.empty((arr.shape[0], arr.shape[1] + 2), dtype=object)
+    grid[:, 0] = first
+    grid[:, 1:-1] = table[index]
+    grid[:, -1] = last
+    return grid
+
+
+def _join(grid: np.ndarray) -> str:
+    return "".join(grid.ravel().tolist())
+
+
+def _labels(labels: tuple[ProjectivePoint, ...] | None, count: int) -> list[str]:
+    """Point labels, or the indices 0..count-1 when there are none."""
+    if labels is not None:
+        return [point_label(pt) for pt in labels]
+    return [str(i) for i in range(count)]
+
+
 def to_matrix_market(m: ExactMatrix) -> str:
     """Matrix Market dense array format (column-major), exact integers."""
-    lines = ["%%MatrixMarket matrix array integer general", f"{m.rows} {m.cols}"]
-    for col in m.array.T:
-        lines.extend(map(str, col.tolist()))
-    return "\n".join(lines) + "\n"
+    header = f"%%MatrixMarket matrix array integer general\n{m.rows} {m.cols}\n"
+    return header + _join(_token_grid(m.array.T, lambda s: s + "\n"))
 
 
 def to_csv(m: ExactMatrix) -> str:
     """CSV dump with point labels (or indices) as row/column headers."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if m.col_labels is not None:
-        header = [""] + [point_label(pt) for pt in m.col_labels]
-    else:
-        header = [""] + [str(j) for j in range(m.cols)]
-    writer.writerow(header)
-    for i, row in enumerate(m.array):
-        label = point_label(m.row_labels[i]) if m.row_labels else str(i)
-        writer.writerow([label] + row.tolist())
-    return buf.getvalue()
+    writer.writerow([""] + _labels(m.col_labels, m.cols))
+    # one single-field row per row label, so that csv quotes the labels
+    # holding a comma; no label is empty or holds a newline
+    writer.writerows([label] for label in _labels(m.row_labels, m.rows))
+    header, *row_labels, _ = buf.getvalue().split("\n")
+    return header + "\n" + _join(_token_grid(m.array, lambda s: "," + s, row_labels, "\n"))
+
+
+def to_json(m: ExactMatrix) -> str:
+    """JSON object with the shape, the point labels (or null) and the
+    entries as decimal strings, which round-trip beyond 64 bits; laid out
+    exactly as ``json.dumps(..., indent=2)`` lays out the full object."""
+    obj = {
+        "rows": m.rows,
+        "cols": m.cols,
+        "row_labels": [point_label(pt) for pt in m.row_labels] if m.row_labels else None,
+        "col_labels": [point_label(pt) for pt in m.col_labels] if m.col_labels else None,
+        # with no entries json renders the (empty) rows itself; otherwise
+        # the entries are spliced in where this null ends the text
+        "entries": None if m.array.size else [[] for _ in range(m.rows)],
+    }
+    text = json.dumps(obj, indent=2)
+    if not m.array.size:
+        return text
+    grid = _token_grid(m.array, lambda s: f'      "{s}",\n', "    [\n", "    ],\n")
+    # no comma after the last entry of a row, nor after the last row
+    grid[:, -2] = _token_grid(m.array[:, -1:], lambda s: f'      "{s}"\n')[:, 1]
+    # the text around the entries goes into the first and last cells, so
+    # that the one join builds the whole export
+    grid[0, 0] = text[: -len("null\n}")] + "[\n" + grid[0, 0]
+    grid[-1, -1] = "    ]\n  ]\n}"
+    return _join(grid)
+
+
+def to_table(m: ExactMatrix) -> str:
+    """Aligned text: one line per row, the row label (or index) padded to
+    the longest label, then every entry right-justified to the longest
+    entry, each after one space.  A matrix without rows gives ""."""
+    arr = m.array
+    # the longest entry is the largest or, with its sign, the smallest
+    width = max(len(str(arr.max())), len(str(arr.min()))) if arr.size else 0
+    labels = _labels(m.row_labels, m.rows)
+    if m.row_labels is not None:
+        labels = [f"({label})" for label in labels]
+    lw = max(map(len, labels), default=0)
+    labels = [label.ljust(lw) for label in labels]
+    return _join(_token_grid(arr, lambda s: " " + s.rjust(width), labels, "\n"))
 
 
 __all__ = [
@@ -441,5 +523,7 @@ __all__ = [
     "entry_b_uv",
     "tensor_product",
     "to_csv",
+    "to_json",
     "to_matrix_market",
+    "to_table",
 ]

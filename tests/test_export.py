@@ -1,0 +1,149 @@
+"""The four matrix exports against the per-entry rendering of earlier releases.
+
+The golden CLI digests only reach B and A of small spaces: non-negative
+int64 entries in a narrow range.  These cases reach the other paths of the
+token renderer (negative entries, Python-int entries, a value range wider
+than the matrix, 1x1 and empty shapes) and compare every byte with an
+oracle that formats each entry on its own.
+"""
+
+import csv
+import io
+import json
+
+import numpy as np
+import pytest
+
+from zmspec.matrices import (
+    ExactMatrix,
+    build_A,
+    build_B_product,
+    to_csv,
+    to_json,
+    to_matrix_market,
+    to_table,
+)
+from zmspec.projective import enumerate_space, point_label
+
+# -------------------- oracle: one str per entry --------------------
+
+
+def oracle_matrix_market(m):
+    lines = ["%%MatrixMarket matrix array integer general", f"{m.rows} {m.cols}"]
+    for col in m.array.T:
+        lines.extend(map(str, col.tolist()))
+    return "\n".join(lines) + "\n"
+
+
+def oracle_csv(m):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if m.col_labels is not None:
+        header = [""] + [point_label(pt) for pt in m.col_labels]
+    else:
+        header = [""] + [str(j) for j in range(m.cols)]
+    writer.writerow(header)
+    for i, row in enumerate(m.array):
+        label = point_label(m.row_labels[i]) if m.row_labels else str(i)
+        writer.writerow([label] + row.tolist())
+    return buf.getvalue()
+
+
+def oracle_json(m):
+    obj = {
+        "rows": m.rows,
+        "cols": m.cols,
+        "row_labels": [point_label(pt) for pt in m.row_labels] if m.row_labels else None,
+        "col_labels": [point_label(pt) for pt in m.col_labels] if m.col_labels else None,
+        "entries": [list(map(str, row.tolist())) for row in m.array],
+    }
+    return json.dumps(obj, indent=2)
+
+
+def oracle_table(m):
+    # each line is the padded label followed by " " + entry per entry, so a
+    # matrix without columns gives bare labels and one without rows gives ""
+    width = max((len(str(x)) for x in m.array.flat), default=0)
+    if m.row_labels is not None:
+        labels = [f"({point_label(pt)})" for pt in m.row_labels]
+    else:
+        labels = [str(i) for i in range(m.rows)]
+    lw = max(map(len, labels), default=0)
+    return "".join(
+        label.ljust(lw) + "".join(" " + str(x).rjust(width) for x in row.tolist()) + "\n"
+        for label, row in zip(labels, m.array)
+    )
+
+
+FORMATS = {
+    "matrixmarket": (to_matrix_market, oracle_matrix_market),
+    "csv": (to_csv, oracle_csv),
+    "json": (to_json, oracle_json),
+    "table": (to_table, oracle_table),
+}
+
+
+# -------------------- cases --------------------
+
+
+def _labelled_b(n, m, shift=0):
+    """B_{n,m} - shift * I, keeping the point labels."""
+    b = build_B_product(build_A(enumerate_space(n, m)))
+    return b - shift * ExactMatrix.identity(b.rows) if shift else b
+
+
+POINTS_3 = enumerate_space(2, 12).points[:3]  # comma-joined labels
+
+WIDE = np.array([[0, 10**12, -7], [5, -3, 2**61]], dtype=np.int64)
+
+CASES = {
+    "negative": ExactMatrix([[-5, 3, 0], [12, -100, 7], [0, 0, -1]]),
+    "negative-labelled": _labelled_b(2, 12, shift=9),
+    "object-dtype": ExactMatrix([[10**30, -(2**70), 1], [0, 10**30, -1]]),
+    "object-dtype-labelled": ExactMatrix(
+        [[2**62, -1, 0], [-(2**62), 3, 2**100], [7, 7, -(10**20)]], POINTS_3, POINTS_3
+    ),
+    "int64-wide-span": ExactMatrix(WIDE),
+    "1x1": ExactMatrix([[7]]),
+    "1x1-negative": ExactMatrix([[-42]]),
+    "1x1-labelled": ExactMatrix([[3]], POINTS_3[:1], POINTS_3[:1]),
+    "row-vector": ExactMatrix([[1, -2, 3, -4]]),
+    "column-vector": ExactMatrix([[1], [-2], [30]]),
+    "constant": ExactMatrix(np.full((3, 4), 5, dtype=np.int64)),
+    "B_{3,4}-unlabelled": ExactMatrix(_labelled_b(3, 4).array),  # the CLI always labels
+    "0x0": ExactMatrix(np.zeros((0, 0), dtype=np.int64)),
+    "3x0": ExactMatrix(np.zeros((3, 0), dtype=np.int64)),
+    "0x3": ExactMatrix(np.zeros((0, 3), dtype=np.int64)),
+    "3x0-labelled": ExactMatrix(np.zeros((3, 0), dtype=np.int64), POINTS_3, ()),
+    "0x3-labelled": ExactMatrix(np.zeros((0, 3), dtype=np.int64), (), POINTS_3),
+}
+
+
+def test_cases_reach_every_gather_route():
+    # the wide int64 case spans more values than it has entries, so it
+    # misses the offset route and takes np.unique, as object arrays do
+    wide = CASES["int64-wide-span"].array
+    assert wide.dtype == np.int64 and int(wide.max()) - int(wide.min()) > wide.size
+    assert CASES["object-dtype"].array.dtype == object
+    assert CASES["object-dtype-labelled"].array.dtype == object
+    assert CASES["negative"].array.dtype == np.int64
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("case", CASES)
+def test_export_equals_per_entry_oracle(case, fmt):
+    export, oracle = FORMATS[fmt]
+    m = CASES[case]
+    assert export(m) == oracle(m)
+
+
+def test_exports_of_empty_matrices():
+    empty_cols = CASES["3x0"]
+    assert to_table(empty_cols) == "0\n1\n2\n"
+    assert to_table(CASES["0x3"]) == to_table(CASES["0x0"]) == ""
+    assert to_csv(empty_cols) == '""\n0\n1\n2\n'
+    assert to_matrix_market(empty_cols) == (
+        "%%MatrixMarket matrix array integer general\n3 0\n"
+    )
+    assert '  "entries": [\n    [],\n    [],\n    []\n  ]\n}' in to_json(empty_cols)
+    assert to_json(CASES["0x3"]).endswith('  "entries": []\n}')
