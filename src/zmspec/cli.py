@@ -15,12 +15,17 @@ import argparse
 import itertools
 import json
 import sys
+from collections import Counter
 from collections.abc import Callable, Iterable
+from contextlib import nullcontext
+
+import numpy as np
 
 from .counting import LayerSpec, count_2x2, count_2x2_brute, count_layer, count_layer_brute
 from .errors import DomainError, GuardrailError
 from .matrices import (
     ExactMatrix,
+    _exact_dtype,
     apply_simultaneous_permutation,
     block_C,
     block_C_reference,
@@ -69,13 +74,12 @@ def _validate(n: int, m: int, guardrail: int | None = None) -> None:
 
 
 def _emit(text: str, output: str | None) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write ``text`` to stdout or the output file, then a newline if it
+    lacks one: a second write, as appending would copy the whole text."""
+    with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as fh:
+        fh.write(text)
+        if not text.endswith("\n"):
+            fh.write("\n")
 
 
 def cmd_theta(args: argparse.Namespace) -> int:
@@ -290,26 +294,24 @@ def check_layer_counts(grid: Iterable[tuple[int, int, int, int]]) -> tuple | Non
     return None
 
 
-def _columns(vectors: list[list[int]]) -> ExactMatrix:
-    return ExactMatrix([list(row) for row in zip(*vectors)])
-
-
 def check_eigenvectors(grid: Iterable[tuple[int, int]]) -> tuple | None:
-    """Criterion 8: every vector of eigvec_family_general(n, m) has zero
-    residual against B_{n,m}, the vectors of each eigenvalue have exact rank
-    equal to its claimed multiplicity, and all of them have rank theta."""
+    """Criterion 8: every column of the family V of eigvec_family_general(n, m)
+    has zero residual against B_{n,m}, the columns of each eigenvalue have
+    exact rank equal to its claimed multiplicity, and V has rank theta."""
     for n, m in grid:
         b = _build_b(n, m)
-        by_lam: dict[int, list[list[int]]] = {}
-        for index, (lam, vec) in enumerate(eigvec_family_general(n, m)):
-            if b.matvec(vec) != [lam * x for x in vec]:
-                return (n, m, "residual", index)
-            by_lam.setdefault(lam, []).append(vec)
+        tags, v = eigvec_family_general(n, m)
+        lmax = max(map(abs, tags), default=0)
+        scale = np.array(tags, dtype=_exact_dtype(lmax, lmax * v.max_abs()))
+        wrong = np.flatnonzero(((b @ v).array != v.array * scale).any(axis=0))
+        if wrong.size:
+            return (n, m, "residual", int(wrong[0]))
         claimed = dict(spectrum_general(n, m).merged())
-        for lam, vecs in by_lam.items():
-            if not exact_rank(_columns(vecs)) == len(vecs) == claimed.get(lam):
+        for lam, count in Counter(tags).items():
+            cols = [j for j, tag in enumerate(tags) if tag == lam]
+            if not exact_rank(ExactMatrix(v.array[:, cols])) == count == claimed.get(lam):
                 return (n, m, "rank", lam)
-        if exact_rank(_columns([v for vecs in by_lam.values() for v in vecs])) != theta(n, m):
+        if exact_rank(v) != theta(n, m):
             return (n, m, "total rank")
     return None
 

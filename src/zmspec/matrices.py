@@ -279,19 +279,26 @@ def build_B_product(a: ExactMatrix) -> ExactMatrix:
     return a @ a.transpose()
 
 
-def entry_b_uv(u: ProjectivePoint, v: ProjectivePoint) -> int:
-    """Closed-form entry of B over a prime power:
-    (p^(nu+e(n-2)) - p^(min(nu,e-1)+(e-1)(n-2))) / phi(p^e) with nu = nu_p(xi)."""
-    data = xi_data(u, v)
-    p, e = data.p, data.e
-    n = u.dimension
-    nu = data.nu_xi
-    num = p ** (nu + e * (n - 2)) - p ** (min(nu, e - 1) + (e - 1) * (n - 2))
+def _entry_table(p: int, e: int, n: int) -> list[int]:
+    """The closed-form entries of B over p^e by valuation: entry nu is
+    (p^(nu+e(n-2)) - p^(min(nu,e-1)+(e-1)(n-2))) / phi(p^e), nu = 0..e.
+    Raises DomainError when a quotient is not an integer."""
     phi = euler_phi(p**e)
-    q, r = divmod(num, phi)
-    if r:
-        raise DomainError(f"entry formula is not integral: {num} / {phi}")
-    return q
+    table = []
+    for nu in range(e + 1):
+        num = p ** (nu + e * (n - 2)) - p ** (min(nu, e - 1) + (e - 1) * (n - 2))
+        q, r = divmod(num, phi)
+        if r:
+            raise DomainError(f"entry formula is not integral: {num} / {phi}")
+        table.append(q)
+    return table
+
+
+def entry_b_uv(u: ProjectivePoint, v: ProjectivePoint) -> int:
+    """Closed-form entry of B over a prime power: entry nu_p(xi) of
+    ``_entry_table``."""
+    data = xi_data(u, v)
+    return _entry_table(data.p, data.e, u.dimension)[data.nu_xi]
 
 
 def build_B_analytic(space: ProjectiveSpace) -> ExactMatrix:
@@ -309,27 +316,21 @@ def build_B_analytic(space: ProjectiveSpace) -> ExactMatrix:
     q = p**e
     coords = np.array([pt.coords for pt in space.points], dtype=np.int64)
 
-    # gcd of all 2x2 minors with p^e, then its valuation, vectorized over
-    # all point pairs; minors are below m^2 so int64 is exact
+    # g = gcd of p^e and all 2x2 minors, vectorized over all point pairs and
+    # updated in place; minors are below m^2 so int64 is exact
     g = np.full((len(space), len(space)), q, dtype=np.int64)
     for i in range(n):
         for j in range(i + 1, n):
-            minor = np.outer(coords[:, i], coords[:, j]) - np.outer(coords[:, j], coords[:, i])
-            g = np.gcd(g, np.abs(minor))
-    nu = np.zeros_like(g)
-    t = g.copy()
-    for _ in range(e):
-        mask = (t % p == 0) & (t > 0)
-        nu[mask] += 1
-        t[mask] //= p
+            minor = np.multiply.outer(coords[:, i], coords[:, j])
+            minor -= np.multiply.outer(coords[:, j], coords[:, i])
+            np.abs(minor, out=minor)
+            np.gcd(g, minor, out=g)
 
-    phi = euler_phi(q)
-    entry_by_nu = [
-        (p ** (k + e * (n - 2)) - p ** (min(k, e - 1) + (e - 1) * (n - 2))) // phi
-        for k in range(e + 1)
-    ]
-    lookup = np.array(entry_by_nu, dtype=_exact_dtype(max(entry_by_nu)))
-    return ExactMatrix(lookup[nu], space.points, space.points)
+    # g divides p^e, so it is p^nu and indexes the entry table directly
+    entries = _entry_table(p, e, n)
+    by_g = np.zeros(q + 1, dtype=_exact_dtype(max(entries)))
+    by_g[[p**k for k in range(e + 1)]] = entries
+    return ExactMatrix(by_g[g], space.points, space.points)
 
 
 def tensor_product(m1: ExactMatrix, m2: ExactMatrix) -> ExactMatrix:

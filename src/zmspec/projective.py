@@ -332,7 +332,7 @@ def k_partition(p: int, e: int, n: int, guardrail: int | None = None) -> KPartit
     size = p ** (n - 1)
     for pos, members in fibers.items():
         if len(members) != size:
-            raise AssertionError(
+            raise DomainError(
                 f"fiber over base point {pos} has size {len(members)}, expected {size}"
             )
         members.sort(key=lambda pt: pt.coords)

@@ -11,7 +11,11 @@ multiplicity.
 The module constructs every eigenvector family the theory exhibits: the
 all-ones vector, the prime-case difference columns, the fiber-difference
 vectors, fiber-constant lifts from the previous prime-power level, and
-CRT-permuted Kronecker products.
+CRT-permuted Kronecker products.  A family is one pair (tags, V): V is
+an int64 matrix whose column j is an eigenvector with eigenvalue
+tags[j], and every level is built with array operations (a lift is one
+row gather through the reduction map, a composite modulus one Kronecker
+product with its rows scattered by the CRT permutation).
 
 Verification first certifies the whole spectrum at once from that
 eigenbasis V: B V == V diag(lambda) exactly, and V has full rank modulo
@@ -32,12 +36,13 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .matrices import ExactMatrix, Permutation, _exact_dtype, crt_permutation
+from .matrices import ExactMatrix, _exact_dtype, crt_permutation, tensor_product
 from .modular import Modulus, as_modulus, is_prime
 from .projective import KPartition, ProjectiveSpace, enumerate_space, k_partition, theta
 
@@ -248,12 +253,12 @@ def exact_nullity(m: ExactMatrix, lam: int) -> int:
 # -------------------- eigenbasis certificate --------------------
 
 def eigenbasis_nullities(
-    m: ExactMatrix, family: list[tuple[int, list[int]]]
+    m: ExactMatrix, family: tuple[tuple[int, ...], ExactMatrix]
 ) -> dict[int, int] | None:
     """Every nullity of M - lambda*I at once, proved from a tagged eigenbasis.
 
-    Stack the vectors of ``family`` as the columns of V and let D be the
-    diagonal of their tags.  Two exact checks:
+    ``family`` is the pair (tags, V) of ``eigvec_family_general``: let D
+    be the diagonal of the tags of the columns of V.  Two exact checks:
 
     1. M V == V D, computed in int64 after checking max|M| * max|V| *
        order < 2^62 and max|lambda| * max|V| < 2^62, so no entry of either
@@ -268,29 +273,29 @@ def eigenbasis_nullities(
     vectors came from; a wrong family can only make a check fail.
 
     Returns {lambda: number of tags equal to lambda}, or None when a step
-    declines: the family is not order vectors of length order, a bound is
+    declines: V is not order x order with one tag per column, a bound is
     exceeded, the residual is nonzero or V is singular mod p.  A decline
     proves nothing either way.
     """
     if not m.is_square:
         raise DomainError("nullity needs a square matrix")
+    tags, v = family
     order = m.rows
-    if len(family) != order or any(len(vec) != order for _, vec in family):
+    if len(tags) != order or (v.rows, v.cols) != (order, order):
         return None
-    vmax = max(abs(x) for _, vec in family for x in vec)
-    lmax = max(abs(lam) for lam, _ in family)
+    vmax = v.max_abs()
+    lmax = max(map(abs, tags), default=0)
     if vmax == 0 or _exact_dtype(m.max_abs() * vmax * order, lmax * vmax) is object:
         return None
-    v = np.array([vec for _, vec in family], dtype=np.int64).T
-    tags = np.array([lam for lam, _ in family], dtype=np.int64)
-    if not np.array_equal(m.array @ v, v * tags):
+    # numpy has no BLAS for int64, and its product loop is several times
+    # faster with the right operand column-major; the rank elimination
+    # below is faster on the row-major V
+    product = m.array @ np.asfortranarray(v.array)
+    if not np.array_equal(product, v.array * np.array(tags, dtype=np.int64)):
         return None
-    if _rank_mod_p(v, _CERTIFICATE_PRIME) != order:
+    if _rank_mod_p(v.array, _CERTIFICATE_PRIME) != order:
         return None
-    counts: dict[int, int] = {}
-    for lam, _ in family:
-        counts[lam] = counts.get(lam, 0) + 1
-    return counts
+    return dict(Counter(tags))
 
 
 # -------------------- verification --------------------
@@ -438,89 +443,64 @@ def eigvec_differences(partition: KPartition) -> ExactMatrix:
     return ExactMatrix(data)
 
 
-def eigvec_lift(base_vec: list[int], partition: KPartition) -> list[int]:
-    """Extend a vector over P_{n,p^(e-1)} to the fiber-constant vector over
-    P_{n,p^e}: the value at x is the base value at the reduction of x.
-    Maps an eigenvector with eigenvalue mu to one with p^(2n-4) * mu."""
-    if len(base_vec) != len(partition.base_space):
-        raise DomainError(
-            f"base vector length {len(base_vec)} does not match the base space"
-        )
-    return [
-        base_vec[partition.base_position[pt]] for pt in partition.space.points
-    ]
+def _family_prime_power(
+    n: int, p: int, e: int, guardrail: int | None = None
+) -> tuple[ProjectiveSpace, tuple[int, ...], ExactMatrix]:
+    """The lex-ordered P_{n,p^e}, the eigenvalue tags and the family V of
+    B_{n,p^e}, built level by level.
 
-
-def eigvec_tensor(vecs: list[list[int]], perm: Permutation) -> list[int]:
-    """Kronecker product of per-factor eigenvectors, re-indexed by the CRT
-    permutation into P_{n,m} order; eigenvalue is the product of the
-    factors' eigenvalues."""
-    if not vecs:
-        raise DomainError("need at least one vector")
-    kron = [1]
-    for v in vecs:
-        kron = [a * b for a in kron for b in v]
-    if len(kron) != perm.size:
-        raise DomainError(
-            f"tensor length {len(kron)} does not match the permutation size {perm.size}"
-        )
-    out = [0] * perm.size
-    for src, dst in enumerate(perm.forward):
-        out[dst] = kron[src]
-    return out
+    Level 1 is all-ones beside the difference columns.  Level k >= 2 is
+    the fiber-constant lift of level k-1 (one gather through the
+    reduction map; the tags scale by p^(2n-4)) beside the fiber
+    differences."""
+    space = enumerate_space(n, p, "lex", guardrail=guardrail)
+    tags = (theta(n - 1, p) ** 2,) + (p ** (n - 2),) * (len(space) - 1)
+    v = np.hstack([np.ones((len(space), 1), dtype=np.int64), eigvec_R_d(space).array])
+    for k in range(2, e + 1):
+        partition = k_partition(p, k, n, guardrail=guardrail)
+        space = partition.space
+        lift = np.array([partition.base_position[pt] for pt in space.points])
+        diffs = eigvec_differences(partition).array
+        tags = tuple(p ** (2 * n - 4) * lam for lam in tags)
+        tags += (p ** (k * (n - 2)),) * diffs.shape[1]
+        v = np.hstack([v[lift], diffs])
+    return space, tags, ExactMatrix(v)
 
 
 def eigvec_family_prime_power(
     n: int, p: int, e: int, guardrail: int | None = None
 ) -> tuple[ProjectiveSpace, list[tuple[int, list[int]]]]:
-    """Assemble the complete eigenvector family of B_{n,p^e}.
-
-    e = 1: all-ones plus the difference columns.  e >= 2: fiber-constant
-    lifts of the level-(e-1) family plus the fiber-difference vectors.
-    Returns the (lex-ordered) space and theta vectors tagged with their
-    eigenvalues.
-    """
-    if e == 1:
-        space = enumerate_space(n, p, "lex", guardrail=guardrail)
-        family = [(theta(n - 1, p) ** 2, eigvec_all_ones(space))]
-        family += [(p ** (n - 2), col) for col in eigvec_R_d(space).array.T.tolist()]
-        return space, family
-    partition = k_partition(p, e, n, guardrail=guardrail)
-    _, base_family = eigvec_family_prime_power(n, p, e - 1, guardrail=guardrail)
-    family = [
-        (p ** (2 * n - 4) * lam, eigvec_lift(vec, partition))
-        for lam, vec in base_family
-    ]
-    family += [
-        (p ** (e * (n - 2)), col) for col in eigvec_differences(partition).array.T.tolist()
-    ]
-    return partition.space, family
+    """The eigenvector family of B_{n,p^e} as a list: the (lex-ordered)
+    space and theta (eigenvalue, vector) pairs, in the column order of
+    ``eigvec_family_general(n, p**e)``."""
+    space, tags, v = _family_prime_power(n, p, e, guardrail=guardrail)
+    return space, list(zip(tags, v.array.T.tolist()))
 
 
 def eigvec_family_general(
     n: int, m: int | Modulus, guardrail: int | None = None
-) -> list[tuple[int, list[int]]]:
-    """The complete eigenvector family of B_{n,m}: theta vectors over the
-    lex-ordered P_{n,m}, each tagged with its eigenvalue.
+) -> tuple[tuple[int, ...], ExactMatrix]:
+    """The complete eigenvector family of B_{n,m} as the pair (tags, V):
+    V is theta x theta over the lex-ordered P_{n,m}, and column j is an
+    eigenvector with eigenvalue tags[j].
 
     The prime-power families of the factors of m are folded together one
-    factor at a time: Kronecker products re-indexed by
-    ``crt_permutation(n, m_so_far, p^e)``, tagged with the product of the
-    factors' eigenvalues.
+    factor at a time: the Kronecker product of the two V, its rows
+    re-indexed by ``crt_permutation(n, m_so_far, p^e)``, tagged with the
+    products of the factors' eigenvalues in the same order.
     """
     mod = as_modulus(m)
     m_so_far = 1
-    family: list[tuple[int, list[int]]] = []
     for p, e in mod.factors:
-        _, factor_family = eigvec_family_prime_power(n, p, e, guardrail=guardrail)
+        _, factor_tags, factor_v = _family_prime_power(n, p, e, guardrail=guardrail)
         if m_so_far == 1:
-            family = factor_family
+            tags, v = factor_tags, factor_v
         else:
             perm = crt_permutation(n, m_so_far, p**e, guardrail=guardrail)
-            family = [
-                (lam1 * lam2, eigvec_tensor([vec1, vec2], perm))
-                for lam1, vec1 in family
-                for lam2, vec2 in factor_family
-            ]
+            kron = tensor_product(v, factor_v).array
+            rows = np.empty_like(kron)
+            rows[np.asarray(perm.forward)] = kron
+            tags = tuple(lam1 * lam2 for lam1 in tags for lam2 in factor_tags)
+            v = ExactMatrix(rows)
         m_so_far *= p**e
-    return family
+    return tags, v

@@ -249,6 +249,20 @@ def test_k_partition_3_2_2():
     assert theta(2, 9) == 12
 
 
+def test_k_partition_rejects_wrong_fiber_sizes(monkeypatch, capsys):
+    # a reduction map that sends every point to one base point empties
+    # every other fiber; the guard is a DomainError, exit 2 through the CLI
+    from zmspec import cli, projective
+
+    target = enumerate_space(3, 2).points[0]
+    monkeypatch.setattr(projective, "delta_map", lambda u, p, e: target)
+    with pytest.raises(DomainError, match="fiber over base point"):
+        k_partition(2, 2, 3)
+    argv = ["matrix", "-n", "3", "-m", "4", "--ordering", "k-grouped"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "fiber over base point" in capsys.readouterr().err
+
+
 def test_orbit_sizes_equal_totient():
     for n, m in [(3, 4), (2, 6), (2, 9), (3, 6)]:
         phi = euler_phi(m)

@@ -47,10 +47,12 @@ def _perturbed(spectrum):
 
 
 def _repeated_vector(family):
+    """Column 1 and its tag replaced by column 2 and its tag."""
     def wrong(n, m):
-        vectors = family(n, m)
-        vectors[1] = vectors[2]
-        return vectors
+        tags, v = family(n, m)
+        data = v.array.copy()
+        data[:, 1] = data[:, 2]
+        return tags[:1] + tags[2:3] + tags[2:], ExactMatrix(data)
     return wrong
 
 

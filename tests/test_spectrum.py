@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +13,6 @@ from zmspec.matrices import (
     ExactMatrix,
     build_A,
     build_B_product,
-    crt_permutation,
 )
 from zmspec.projective import enumerate_space, k_partition, theta
 from zmspec.spectrum import (
@@ -25,8 +26,6 @@ from zmspec.spectrum import (
     eigvec_differences,
     eigvec_family_general,
     eigvec_family_prime_power,
-    eigvec_lift,
-    eigvec_tensor,
     exact_nullity,
     exact_rank,
     spectrum_general,
@@ -221,7 +220,7 @@ def test_perturbed_table_fails_under_both_routes(monkeypatch):
     assert not certified.all_ok
     assert {c.method for c in certified.entries} == {"eigenbasis"}
 
-    _force_family(monkeypatch, [])
+    _force_family(monkeypatch, ((), ExactMatrix.zeros(0, 0)))
     fallback = verify_spectrum(b, table)
     assert not fallback.all_ok
     assert {c.method for c in fallback.entries} == {"bareiss"}
@@ -240,10 +239,11 @@ def test_certificate_declines_on_k_grouped_matrix():
 
 def test_certificate_declines_on_corrupted_vector(monkeypatch):
     _, b = B_of(3, 4)
-    family = eigvec_family_general(3, 4)
-    lam, vec = family[5]
-    i = next(i for i, x in enumerate(vec) if x)
-    family[5] = (lam, vec[:i] + [-vec[i]] + vec[i + 1 :])
+    tags, v = eigvec_family_general(3, 4)
+    data = v.array.copy()
+    i = np.flatnonzero(data[:, 5])[0]
+    data[i, 5] = -data[i, 5]
+    family = (tags, ExactMatrix(data))
     assert eigenbasis_nullities(b, family) is None
     _force_family(monkeypatch, family)
     _assert_decided_by_bareiss(b, spectrum_general(3, 4))
@@ -251,11 +251,13 @@ def test_certificate_declines_on_corrupted_vector(monkeypatch):
 
 def test_certificate_declines_on_duplicated_column(monkeypatch):
     _, b = B_of(3, 4)
-    family = eigvec_family_general(3, 4)
-    same = [i for i, (lam, _) in enumerate(family) if lam == family[-1][0]]
-    family[same[0]] = family[same[1]]
-    # every vector is still an eigenvector, so only the rank check can decline
-    assert all(b.matvec(vec) == [lam * x for x in vec] for lam, vec in family)
+    tags, v = eigvec_family_general(3, 4)
+    same = [j for j, lam in enumerate(tags) if lam == tags[-1]]
+    data = v.array.copy()
+    data[:, same[0]] = data[:, same[1]]
+    family = (tags, ExactMatrix(data))
+    # every column is still an eigenvector, so only the rank check can decline
+    assert np.array_equal((b @ family[1]).array, data * np.array(tags))
     assert eigenbasis_nullities(b, family) is None
     _force_family(monkeypatch, family)
     _assert_decided_by_bareiss(b, spectrum_general(3, 4))
@@ -263,14 +265,18 @@ def test_certificate_declines_on_duplicated_column(monkeypatch):
 
 def test_certificate_declines_past_the_int64_bound():
     _, b = B_of(3, 2)
-    family = eigvec_family_general(3, 2)
-    assert eigenbasis_nullities(b, family) == {9: 1, 2: 6}
+    tags, v = eigvec_family_general(3, 2)
+    assert eigenbasis_nullities(b, (tags, v)) == {9: 1, 2: 6}
     big = b * (1 << 60)
-    scaled = [(lam << 60, vec) for lam, vec in family]
-    assert eigenbasis_nullities(big, scaled) is None
-    huge_tags = [(lam << 61, vec) for lam, vec in family]
-    assert eigenbasis_nullities(b, huge_tags) is None
-    assert eigenbasis_nullities(b, family[:-1]) is None
+    scaled = tuple(lam << 60 for lam in tags)
+    assert eigenbasis_nullities(big, (scaled, v)) is None
+    huge_tags = tuple(lam << 61 for lam in tags)
+    assert eigenbasis_nullities(b, (huge_tags, v)) is None
+    # V itself past the bound is held as Python ints and never cast
+    assert eigenbasis_nullities(b, (tags, v * (1 << 62))) is None
+    # shape mismatches: a tag or a column short
+    assert eigenbasis_nullities(b, (tags[:-1], v)) is None
+    assert eigenbasis_nullities(b, (tags, ExactMatrix(v.array[:, :-1]))) is None
 
 
 def test_rank_mod_p_against_fraction_oracle():
@@ -409,55 +415,80 @@ def test_difference_vectors():
 
 
 def test_lift_examples():
+    # the first theta(3,2) columns of the (3,4) family lift the (3,2) family
     part = k_partition(2, 2, 3)
     _, b4 = B_of(3, 4)
-    base_space, b2 = B_of(3, 2)
-
-    ones = eigvec_all_ones(base_space)
-    assert eigvec_lift(ones, part) == [1] * 28  # lift of all-ones is all-ones
-
-    rd = eigvec_R_d(base_space)
-    lifted_cols = []
-    for j in range(rd.cols):
-        col = [rd[i, j] for i in range(rd.rows)]
-        lifted = eigvec_lift(col, part)
-        assert b4.matvec(lifted) == [8 * x for x in lifted]
-        lifted_cols.append(lifted)
-    stacked = ExactMatrix([[c[i] for c in lifted_cols] for i in range(28)])
-    assert exact_rank(stacked) == rd.cols  # lifting preserves independence
+    tags2, v2 = eigvec_family_general(3, 2)
+    tags4, v4 = eigvec_family_general(3, 4)
+    lifted = v4.array[:, : v2.cols]
+    assert lifted[:, 0].tolist() == [1] * 28  # lift of all-ones is all-ones
+    for x, pt in enumerate(part.space.points):
+        assert lifted[x].tolist() == v2.array[part.base_position[pt]].tolist()
+    assert tags4[: v2.cols] == tuple(2**2 * lam for lam in tags2) == (36,) + (8,) * 6
+    assert np.array_equal((b4 @ ExactMatrix(lifted)).array, lifted * np.array(tags4[:7]))
+    assert exact_rank(ExactMatrix(lifted)) == v2.cols  # lifting preserves independence
 
 
 def test_tensor_eigenvectors():
-    perm = crt_permutation(3, 2, 3)
     _, b6 = B_of(3, 6)
-    space2, _ = B_of(3, 2)
-    space3, _ = B_of(3, 3)
-
-    ones2 = eigvec_all_ones(space2)
-    ones3 = eigvec_all_ones(space3)
-    w = eigvec_tensor([ones2, ones3], perm)
-    assert w == [1] * 91
-    assert b6.matvec(w) == [144 * x for x in w]
-
-    rd3 = eigvec_R_d(space3)
-    col = [rd3[i, 0] for i in range(rd3.rows)]
-    w2 = eigvec_tensor([ones2, col], perm)
-    assert b6.matvec(w2) == [27 * x for x in w2]
+    tags2, _ = eigvec_family_general(3, 2)
+    tags3, _ = eigvec_family_general(3, 3)
+    tags6, v6 = eigvec_family_general(3, 6)
+    assert tags6 == tuple(a * b for a in tags2 for b in tags3)
+    assert v6.array[:, 0].tolist() == [1] * 91  # all-ones (x) all-ones
+    assert tags6[:2] == (144, 27)  # 9 * 16, and 9 * 3 for ones (x) a difference column
+    assert np.array_equal((b6 @ v6).array, v6.array * np.array(tags6))
 
 
 def test_full_family_general():
     for n, m in [(3, 6), (2, 30), (3, 4)]:
-        family = eigvec_family_general(n, m)
+        tags, v = eigvec_family_general(n, m)
         _, b = B_of(n, m)
-        assert len(family) == theta(n, m)
-        for lam, vec in family:
-            assert b.matvec(vec) == [lam * x for x in vec]
-        counts = {}
-        for lam, _ in family:
-            counts[lam] = counts.get(lam, 0) + 1
-        assert counts == dict(spectrum_general(n, m).merged())
-    # a prime power is its own factor family
-    assert eigvec_family_general(3, 4) == eigvec_family_prime_power(3, 2, 2)[1]
+        assert len(tags) == v.rows == v.cols == theta(n, m)
+        assert v.array.dtype == np.int64
+        assert np.array_equal((b @ v).array, v.array * np.array(tags))
+        assert Counter(tags) == dict(spectrum_general(n, m).merged())
+    # a prime power is its own factor family, and the list form is its view
+    tags, v = eigvec_family_general(3, 4)
+    assert list(zip(tags, v.array.T.tolist())) == eigvec_family_prime_power(3, 2, 2)[1]
+
+
+def _family_digest(data) -> str:
+    return hashlib.sha256(json.dumps(data).encode()).hexdigest()
+
+
+# sha256 of json [tags, rows of V], recorded from the list-building families
+# of earlier releases: the pair has their column order, signs and tags
+FAMILY_DIGESTS = {
+    (3, 4): "981a349eb43fc126bea7666e5ae9727aa905be2a01734cbf803299fa916e3b46",
+    (3, 6): "308ddd83b7718b0c21ea652d2575092deacaca8c94b219dee3e5f7509c8db099",
+    (2, 30): "37bfbfcfdac928fd985e1711a5c1def18520c9881595f63cea087df0b966e72a",
+    (3, 12): "4e55d44c98894f9193883c03ae43361ab7305bfa8be84437a0e8e68871ecc069",
+    (4, 6): "7df1bd03a3f090e47df33bb7005aeaf4b5b34899ef774fab4292eb1fbd848ea1",
+    (2, 105): "16043665588b4f42f6e1fd5f5c6dee5ef3d3fd1955966e910d2742a542eea5a6",
+}
+
+
+@pytest.mark.parametrize("n, m", list(FAMILY_DIGESTS))
+def test_family_digest(n, m):
+    tags, v = eigvec_family_general(n, m)
+    assert type(tags) is tuple and all(type(lam) is int for lam in tags)
+    assert _family_digest([list(tags), v.array.tolist()]) == FAMILY_DIGESTS[n, m]
+
+
+def test_prime_power_family_list_digest():
+    _, family = eigvec_family_prime_power(3, 2, 4)
+    assert _family_digest([[lam, vec] for lam, vec in family]) == (
+        "60c1f1d8faf275bded774b942ee28595ec0d1d647862af5a366dff93fd485b73"
+    )
+
+
+@pytest.mark.parametrize("n, m", [(3, 12), (4, 6), (2, 105)])
+def test_verify_is_certified_by_the_eigenbasis(n, m):
+    _, b = B_of(n, m)
+    report = verify_spectrum(b, spectrum_general(n, m))
+    assert report.all_ok
+    assert {c.method for c in report.entries} == {"eigenbasis"}
 
 
 def test_full_family_prime_power():
