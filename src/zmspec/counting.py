@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, GuardrailError
-from .modular import Valuation, factorize, is_prime, nu_p
+from .modular import factorize, is_prime, nu_p
 from .projective import ProjectivePoint
 
 BRUTE_MODULUS_LIMIT = 64
@@ -81,16 +81,13 @@ class XiData:
     """The 2x2 minors of a point pair and their p-adic data.
 
     ``minors`` maps 1-based index pairs (i, j), i < j, to
-    u_i*v_j - u_j*v_i; ``alpha`` is the minimum of their valuations,
-    ``xi`` = p^min(alpha, e) is the gcd of all minors and p^e, and
-    ``nu_xi`` = min(alpha, e) is its valuation.
+    u_i*v_j - u_j*v_i; ``nu_xi`` is min(e, the least valuation of a
+    nonzero minor), and ``xi`` = p^nu_xi is the gcd of all minors and p^e.
     """
 
     p: int
     e: int
     minors: dict[tuple[int, int], int]
-    valuations: dict[tuple[int, int], Valuation]
-    alpha: Valuation
     xi: int
     nu_xi: int
 
@@ -104,23 +101,15 @@ def _check_pair(u: ProjectivePoint, v: ProjectivePoint) -> tuple[int, int]:
 
 
 def xi_data(u: ProjectivePoint, v: ProjectivePoint) -> XiData:
-    """Minors, alpha and xi = p^min(alpha, e) for a pair over Z_{p^e}."""
+    """Minors, nu_xi and xi = p^nu_xi for a pair over Z_{p^e}."""
     p, e = _check_pair(u, v)
     minors: dict[tuple[int, int], int] = {}
-    valuations: dict[tuple[int, int], Valuation] = {}
-    alpha = Valuation.INFINITE
     n = u.dimension
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            m_ij = u.coords[i - 1] * v.coords[j - 1] - u.coords[j - 1] * v.coords[i - 1]
-            val = nu_p(p, m_ij)
-            minors[(i, j)] = m_ij
-            valuations[(i, j)] = val
-            if val < alpha:
-                alpha = val
-    nu_xi = alpha.cap(e)
-    return XiData(p=p, e=e, minors=minors, valuations=valuations, alpha=alpha,
-                  xi=p**nu_xi, nu_xi=nu_xi)
+            minors[(i, j)] = u.coords[i - 1] * v.coords[j - 1] - u.coords[j - 1] * v.coords[i - 1]
+    nu_xi = min([e] + [nu_p(p, m_ij) for m_ij in minors.values() if m_ij])
+    return XiData(p=p, e=e, minors=minors, xi=p**nu_xi, nu_xi=nu_xi)
 
 
 def good_pair(u: ProjectivePoint, v: ProjectivePoint) -> tuple[int, int]:
@@ -154,8 +143,9 @@ def count_layer(u: ProjectivePoint, v: ProjectivePoint, layer: LayerSpec) -> int
         raise DomainError(f"layer is for {layer.p}^{layer.e}, points are mod {p}^{e}")
     if layer.n != u.dimension:
         raise DomainError(f"layer dimension {layer.n} does not match the points")
-    data = xi_data(u, v)
-    beta = data.alpha.cap(e - layer.g)
+    # nu_xi caps the least valuation of a nonzero minor at e >= e - g, so
+    # this is min(that valuation, e - g)
+    beta = min(xi_data(u, v).nu_xi, e - layer.g)
     return p ** (beta + (e - layer.g) * (u.dimension - 2))
 
 

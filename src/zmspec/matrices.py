@@ -209,15 +209,20 @@ class ExactMatrix:
             )
         a, b = self._max_abs, other._max_abs
         dtype = _exact_dtype(a, b, a * b * self.cols)
-        return ExactMatrix(self._as(dtype) @ other._as(dtype), self.row_labels, other.col_labels)
+        right = other._as(dtype)
+        if dtype is np.int64:
+            # numpy has no BLAS for int64, and its product loop is several
+            # times faster with the right operand column-major
+            right = np.asfortranarray(right)
+        return ExactMatrix(self._as(dtype) @ right, self.row_labels, other.col_labels)
 
     def matvec(self, vec: list[int] | tuple[int, ...]) -> list[int]:
-        """Exact matrix-vector product."""
+        """Exact matrix-vector product; the entries of ``vec`` must be
+        integers, as the constructor's are."""
         if len(vec) != self.cols:
             raise DomainError(f"vector length {len(vec)} does not match {self.cols} columns")
-        vmax = max(map(abs, vec), default=0)
-        dtype = _exact_dtype(self._max_abs, vmax, self._max_abs * vmax * self.cols)
-        return (self._as(dtype) @ np.array(vec, dtype=dtype)).tolist()
+        column = ExactMatrix([list(vec)]).transpose()
+        return (self @ column).array[:, 0].tolist()
 
     def trace(self) -> int:
         if not self.is_square:

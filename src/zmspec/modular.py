@@ -1,9 +1,9 @@
 """Exact integer and modular arithmetic primitives.
 
 Factorization (trial division, desk scale), Euler's totient, p-adic
-valuations with an infinite marker for 0, modular inverses, CRT
-recombination and unit-group enumeration.  Everything is plain
-arbitrary-precision integer arithmetic; nothing here is approximate.
+valuations of nonzero integers, modular inverses, CRT recombination and
+unit-group enumeration.  Everything is plain arbitrary-precision integer
+arithmetic; nothing here is approximate.
 """
 
 from __future__ import annotations
@@ -107,115 +107,18 @@ def as_modulus(m: int | Modulus) -> Modulus:
     return m if isinstance(m, Modulus) else factorize(m)
 
 
-class Valuation:
-    """A p-adic valuation: a nonnegative integer or the infinite marker.
-
-    The infinite value arises exactly for input 0 and compares greater
-    than every finite valuation, so min() and comparisons against plain
-    ints behave the way the arithmetic needs (min(INFINITE, e) == e).
-    """
-
-    __slots__ = ("_value",)
-
-    INFINITE: "Valuation"
-
-    def __init__(self, value: int | None):
-        if value is not None and value < 0:
-            raise DomainError(f"valuation must be nonnegative, got {value}")
-        object.__setattr__(self, "_value", value)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self._value is None
-
-    @property
-    def finite(self) -> int:
-        """The integer value; raises on the infinite marker."""
-        if self._value is None:
-            raise DomainError("valuation is infinite")
-        return self._value
-
-    def cap(self, bound: int) -> int:
-        """min(self, bound) as a plain integer."""
-        if self._value is None:
-            return bound
-        return min(self._value, bound)
-
-    @staticmethod
-    def _raw(other: "Valuation | int") -> int | None:
-        if isinstance(other, Valuation):
-            return other._value
-        if isinstance(other, int):
-            return other
-        return NotImplemented  # type: ignore[return-value]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Valuation):
-            return self._value == other._value
-        if isinstance(other, int):
-            return self._value == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._value)
-
-    def __lt__(self, other: "Valuation | int") -> bool:
-        o = self._raw(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if self._value is None:
-            return False
-        if o is None:
-            return True
-        return self._value < o
-
-    def __le__(self, other: "Valuation | int") -> bool:
-        o = self._raw(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if o is None:
-            return True
-        if self._value is None:
-            return False
-        return self._value <= o
-
-    def __gt__(self, other: "Valuation | int") -> bool:
-        le = self.__le__(other)
-        return NotImplemented if le is NotImplemented else not le
-
-    def __ge__(self, other: "Valuation | int") -> bool:
-        lt = self.__lt__(other)
-        return NotImplemented if lt is NotImplemented else not lt
-
-    def __add__(self, other: "Valuation | int") -> "Valuation":
-        o = self._raw(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if self._value is None or o is None:
-            return Valuation.INFINITE
-        return Valuation(self._value + o)
-
-    __radd__ = __add__
-
-    def __repr__(self) -> str:
-        return "Valuation.INFINITE" if self._value is None else f"Valuation({self._value})"
-
-
-Valuation.INFINITE = Valuation(None)
-
-
-def nu_p(p: int, t: int) -> Valuation:
-    """Largest e with p^e | t; the infinite marker for t = 0."""
+def nu_p(p: int, t: int) -> int:
+    """Largest e with p^e | t, for t != 0."""
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     if t == 0:
-        return Valuation.INFINITE
+        raise DomainError("the valuation of 0 is infinite")
     t = abs(t)
     e = 0
     while t % p == 0:
         t //= p
         e += 1
-    return Valuation(e)
+    return e
 
 
 def euler_phi(m: int | Modulus) -> int:

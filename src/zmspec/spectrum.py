@@ -18,9 +18,12 @@ row gather through the reduction map, a composite modulus one Kronecker
 product with its rows scattered by the CRT permutation).
 
 Verification first certifies the whole spectrum at once from that
-eigenbasis V: B V == V diag(lambda) exactly, and V has full rank modulo
-a word-size prime, which proves V invertible over the rationals and so
-fixes every multiplicity (see ``eigenbasis_nullities``).  When the
+eigenbasis V: for each eigenvalue lambda, B V_lambda == lambda V_lambda
+on the block V_lambda of V's columns tagged lambda, as exact
+``ExactMatrix`` expressions, and V has full rank modulo a word-size
+prime, which proves V invertible over the rationals and so fixes every
+multiplicity (see ``eigenbasis_nullities``).  The certificate is also
+acceptance criterion 8 of the verification battery.  When the
 certificate declines, each multiplicity is checked by exact nullity:
 the kernel dimension of B - lambda*I over the rationals, computed with
 fraction-free (Bareiss) elimination using full pivoting on the
@@ -36,13 +39,12 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .matrices import ExactMatrix, _exact_dtype, crt_permutation, tensor_product
+from .matrices import ExactMatrix, crt_permutation, tensor_product
 from .modular import Modulus, as_modulus, is_prime
 from .projective import KPartition, ProjectiveSpace, enumerate_space, k_partition, theta
 
@@ -257,12 +259,14 @@ def eigenbasis_nullities(
 ) -> dict[int, int] | None:
     """Every nullity of M - lambda*I at once, proved from a tagged eigenbasis.
 
-    ``family`` is the pair (tags, V) of ``eigvec_family_general``: let D
-    be the diagonal of the tags of the columns of V.  Two exact checks:
+    ``family`` is the pair (tags, V) of ``eigvec_family_general``: for each
+    distinct tag lambda, V_lambda is the matrix of the columns of V tagged
+    lambda.  Two exact checks:
 
-    1. M V == V D, computed in int64 after checking max|M| * max|V| *
-       order < 2^62 and max|lambda| * max|V| < 2^62, so no entry of either
-       side can overflow;
+    1. M V_lambda == lambda * V_lambda for every distinct tag, as
+       ``ExactMatrix`` expressions: exact in any dtype, since they run in
+       int64 only under a checked bound and in Python ints past it.
+       Together these say M V == V D, with D the diagonal of the tags;
     2. V has full rank modulo the prime 2^31 - 1.
 
     A nonzero determinant mod p is a nonzero integer, so rank_p(V) <=
@@ -273,9 +277,9 @@ def eigenbasis_nullities(
     vectors came from; a wrong family can only make a check fail.
 
     Returns {lambda: number of tags equal to lambda}, or None when a step
-    declines: V is not order x order with one tag per column, a bound is
-    exceeded, the residual is nonzero or V is singular mod p.  A decline
-    proves nothing either way.
+    declines: V is not order x order with one tag per column, a residual
+    is nonzero or V is singular mod p.  A decline proves nothing either
+    way.
     """
     if not m.is_square:
         raise DomainError("nullity needs a square matrix")
@@ -283,19 +287,16 @@ def eigenbasis_nullities(
     order = m.rows
     if len(tags) != order or (v.rows, v.cols) != (order, order):
         return None
-    vmax = v.max_abs()
-    lmax = max(map(abs, tags), default=0)
-    if vmax == 0 or _exact_dtype(m.max_abs() * vmax * order, lmax * vmax) is object:
-        return None
-    # numpy has no BLAS for int64, and its product loop is several times
-    # faster with the right operand column-major; the rank elimination
-    # below is faster on the row-major V
-    product = m.array @ np.asfortranarray(v.array)
-    if not np.array_equal(product, v.array * np.array(tags, dtype=np.int64)):
-        return None
+    columns: dict[int, list[int]] = {}
+    for j, lam in enumerate(tags):
+        columns.setdefault(lam, []).append(j)
+    for lam, cols in columns.items():
+        block = ExactMatrix(v.array[:, cols])
+        if m @ block != lam * block:
+            return None
     if _rank_mod_p(v.array, _CERTIFICATE_PRIME) != order:
         return None
-    return dict(Counter(tags))
+    return {lam: len(cols) for lam, cols in columns.items()}
 
 
 # -------------------- verification --------------------

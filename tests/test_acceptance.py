@@ -208,8 +208,8 @@ def test_criterion_8_eigenvector_families(capsys):
         assert exact_rank(diffs) == 21
 
         # the full families of B_{3,4} (one prime power, so the general family
-        # is the prime-power one) and of B_{3,6} (a CRT tensor family):
-        # residuals, per-eigenvalue ranks, total rank
+        # is the prime-power one) and of B_{3,6} (a CRT tensor family): the
+        # eigenbasis certificate proves exactly the claimed multiplicities
         tags, v = eigvec_family_general(3, 4)
         assert list(zip(tags, v.array.T.tolist())) == eigvec_family_prime_power(3, 2, 2)[1]
         assert cli.check_eigenvectors([(3, 4), (3, 6)]) is None

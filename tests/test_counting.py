@@ -15,7 +15,7 @@ from zmspec.counting import (
     xi_data,
 )
 from zmspec.errors import DomainError, GuardrailError
-from zmspec.modular import Valuation, euler_phi
+from zmspec.modular import euler_phi
 from zmspec.projective import canonical_rep, enumerate_space
 
 
@@ -55,7 +55,8 @@ def test_count_2x2_sampled_large_moduli(quad, pe):
 def test_xi_data_equal_points():
     u = canonical_rep((1, 0, 0), 4)
     data = xi_data(u, u)
-    assert data.alpha == Valuation.INFINITE
+    # every minor is 0, so nu_xi is capped at e
+    assert set(data.minors.values()) == {0}
     assert data.xi == 4 and data.nu_xi == 2
 
 
@@ -64,12 +65,12 @@ def test_xi_data_examples():
     v = canonical_rep((0, 1, 0), 4)
     data = xi_data(u, v)
     assert data.minors[(2, 3)] == -1
-    assert data.alpha == 0 and data.xi == 1
+    assert data.nu_xi == 0 and data.xi == 1
 
     w = canonical_rep((0, 2, 1), 4)
     data2 = xi_data(u, w)
     assert sorted(data2.minors.values()) == [-2, 0, 0]
-    assert data2.alpha == 1 and data2.xi == 2
+    assert data2.nu_xi == 1 and data2.xi == 2
 
 
 def test_xi_is_gcd_of_minors_and_pe():

@@ -53,6 +53,15 @@ def test_exact_matrix_big_values():
     assert m.matvec([1, 2]) == [big, 2 * big]
 
 
+@pytest.mark.parametrize("vec", [[1.5, 0], ["7", 1], [2.0, 1]])
+def test_matvec_rejects_non_integer_entries_as_the_constructor_does(vec):
+    m = ExactMatrix([[1, 2], [3, 4]])
+    with pytest.raises(DomainError):
+        ExactMatrix([vec])
+    with pytest.raises(DomainError):
+        m.matvec(vec)
+
+
 # entries from 2^61 to 2^62 - 1 fit int64 storage, but their products and
 # sums of three do not: int64 arithmetic would wrap silently on them
 BOUNDARY = [

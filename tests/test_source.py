@@ -33,3 +33,17 @@ def test_no_assertion_errors_raised_in_the_package():
         }
     ]
     assert found == []
+
+
+def test_no_private_names_imported_across_package_modules():
+    # each module keeps its own private helpers; the int64 decision, for
+    # one, is made only in matrices
+    found = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == []

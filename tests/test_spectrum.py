@@ -263,17 +263,27 @@ def test_certificate_declines_on_duplicated_column(monkeypatch):
     _assert_decided_by_bareiss(b, spectrum_general(3, 4))
 
 
-def test_certificate_declines_past_the_int64_bound():
+def test_certificate_is_exact_past_the_int64_bound():
     _, b = B_of(3, 2)
     tags, v = eigvec_family_general(3, 2)
     assert eigenbasis_nullities(b, (tags, v)) == {9: 1, 2: 6}
+    # B and the tags scaled by 2^60: the residual runs on Python ints
     big = b * (1 << 60)
+    assert (big @ v).array.dtype == object
     scaled = tuple(lam << 60 for lam in tags)
-    assert eigenbasis_nullities(big, (scaled, v)) is None
+    assert eigenbasis_nullities(big, (scaled, v)) == {9 << 60: 1, 2 << 60: 6}
+    # V itself past the bound is held as Python ints and still certified
+    huge_v = v * (1 << 62)
+    assert huge_v.array.dtype == object
+    assert eigenbasis_nullities(b, (tags, huge_v)) == {9: 1, 2: 6}
+    # V is still invertible here, so the residual is what declines
     huge_tags = tuple(lam << 61 for lam in tags)
     assert eigenbasis_nullities(b, (huge_tags, v)) is None
-    # V itself past the bound is held as Python ints and never cast
-    assert eigenbasis_nullities(b, (tags, v * (1 << 62))) is None
+    # one entry's sign flipped in the scaled family
+    data = huge_v.array.copy()
+    i = np.flatnonzero(data[:, 3])[0]
+    data[i, 3] = -data[i, 3]
+    assert eigenbasis_nullities(b, (tags, ExactMatrix(data))) is None
     # shape mismatches: a tag or a column short
     assert eigenbasis_nullities(b, (tags[:-1], v)) is None
     assert eigenbasis_nullities(b, (tags, ExactMatrix(v.array[:, :-1]))) is None
