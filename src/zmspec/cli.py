@@ -18,7 +18,8 @@ import sys
 from collections.abc import Callable, Iterable
 from contextlib import nullcontext
 
-from .counting import LayerSpec, count_2x2, count_2x2_brute, count_layer, count_layer_brute
+from .counting import (BRUTE_LAYER_LIMIT, LayerSpec, count_2x2, count_2x2_brute, count_layer,
+                       count_layer_brute, layer_scan_size)
 from .errors import DomainError, GuardrailError
 from .matrices import (
     ExactMatrix,
@@ -96,7 +97,7 @@ def cmd_points(args: argparse.Namespace) -> int:
                 "m": args.m,
                 "theta": len(space),
                 "ordering": args.ordering,
-                "points": [list(pt.coords) for pt in space.points],
+                "points": space.coords.tolist(),
             },
             indent=2,
         )
@@ -201,12 +202,14 @@ def cmd_count(args: argparse.Namespace) -> int:
     else:
         if args.pair is None or args.layer is None:
             raise DomainError("count needs either --coeffs or --pair with --layer")
-        m = p**e
-        u = canonical_rep(_parse_coords(args.pair[0]), m)
-        v = canonical_rep(_parse_coords(args.pair[1]), m)
-        if not 0 <= args.layer <= e:
-            raise DomainError(f"--layer must lie in [0, {e}], got {args.layer}")
-        spec = LayerSpec(g=args.layer, p=p, e=e, n=u.dimension)
+        first, second = _parse_coords(args.pair[0]), _parse_coords(args.pair[1])
+        spec = LayerSpec(g=args.layer, p=p, e=e, n=len(first))
+        # canonicalizing walks the phi(p^e) units, so refuse before that
+        size, phi = layer_scan_size(spec), euler_phi(p**e)
+        if max(size, phi) > BRUTE_LAYER_LIMIT:
+            raise GuardrailError(f"the layer scan ({size} tuples) or the units of "
+                                 f"{p}^{e} ({phi}) exceed the oracle scale {BRUTE_LAYER_LIMIT}")
+        u, v = canonical_rep(first, p**e), canonical_rep(second, p**e)
         closed = count_layer(u, v, spec)
         brute = count_layer_brute(u, v, args.layer)
     _emit(f"closed={closed} brute={brute}\n", None)

@@ -149,15 +149,18 @@ def count_layer(u: ProjectivePoint, v: ProjectivePoint, layer: LayerSpec) -> int
     return p ** (beta + (e - layer.g) * (u.dimension - 2))
 
 
+def layer_scan_size(layer: LayerSpec) -> int:
+    """Number of tuples the brute-force scan of a layer visits:
+    p^(e-g) values per coordinate."""
+    return (layer.p ** (layer.e - layer.g)) ** layer.n
+
+
 def count_layer_brute(u: ProjectivePoint, v: ProjectivePoint, g: int) -> int:
     """Exhaustive scan of the layer (oracle for count_layer)."""
     p, e = _check_pair(u, v)
-    if not 0 <= g <= e:
-        raise DomainError(f"layer index must satisfy 0 <= g <= e, got g = {g}")
+    size = layer_scan_size(LayerSpec(g=g, p=p, e=e, n=u.dimension))
     q = p**e
     step = p**g
-    per_coord = q // step if g < e else 1
-    size = per_coord**u.dimension
     if size > BRUTE_LAYER_LIMIT:
         raise GuardrailError(f"layer scan of {size} tuples exceeds the oracle scale")
     values = np.arange(0, q, step, dtype=np.int64) if g < e else np.array([0], dtype=np.int64)

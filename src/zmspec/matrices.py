@@ -31,12 +31,11 @@ import numpy as np
 
 from .counting import xi_data
 from .errors import DomainError, UnsupportedError
-from .modular import crt_combine, euler_phi
+from .modular import euler_phi
 from .projective import (
     KPartition,
     ProjectivePoint,
     ProjectiveSpace,
-    canonical_rep,
     enumerate_space,
     point_label,
 )
@@ -266,8 +265,7 @@ class Permutation:
 def build_A(space: ProjectiveSpace) -> ExactMatrix:
     """0/1 incidence matrix: entry 1 iff the points' inner product is 0 mod m."""
     m = space.m.value
-    coords = np.array([pt.coords for pt in space.points], dtype=np.int64)
-    gram = (coords @ coords.T) % m
+    gram = (space.coords @ space.coords.T) % m
     return ExactMatrix((gram == 0).astype(np.int64), space.points, space.points)
 
 
@@ -319,7 +317,7 @@ def build_B_analytic(space: ProjectiveSpace) -> ExactMatrix:
     p, e = space.m.prime_power()
     n = space.n
     q = p**e
-    coords = np.array([pt.coords for pt in space.points], dtype=np.int64)
+    coords = space.coords
 
     # g = gcd of p^e and all 2x2 minors, vectorized over all point pairs and
     # updated in place; minors are below m^2 so int64 is exact
@@ -350,24 +348,22 @@ def crt_permutation(
 ) -> Permutation:
     """Bijection from pair indices of P_{n,m1} x P_{n,m2} (pair-lex order,
     flat index i1*theta2 + i2) onto indices of the lex-ordered P_{n,m1*m2},
-    sending (u, v) to the class of the coordinatewise CRT lift."""
+    sending (u, v) to the class of the coordinatewise CRT lift.
+
+    The lift of residues c1 mod m1 and c2 mod m2 is c1*e1 + c2*e2 with the
+    idempotents e1 = m2 * (m2^-1 mod m1) and e2 = m1 * (m1^-1 mod m2); all
+    theta1 * theta2 lifts are formed at once and located with one lookup
+    in the position table of P_{n,m1*m2}."""
     if math.gcd(m1, m2) != 1:
         raise DomainError(f"{m1} and {m2} are not coprime")
     s1 = enumerate_space(n, m1, "lex", guardrail=guardrail)
     s2 = enumerate_space(n, m2, "lex", guardrail=guardrail)
     big = enumerate_space(n, m1 * m2, "lex", guardrail=guardrail)
-    forward = []
-    for u in s1.points:
-        for v in s2.points:
-            w = canonical_rep(
-                tuple(
-                    crt_combine([(a, m1), (b, m2)])
-                    for a, b in zip(u.coords, v.coords)
-                ),
-                m1 * m2,
-            )
-            forward.append(big.position(w))
-    return Permutation(tuple(forward), len(big))
+    e1 = m2 * pow(m2, -1, m1)
+    e2 = m1 * pow(m1, -1, m2)
+    lifts = s1.coords[:, None, :] * e1 + s2.coords[None, :, :] * e2
+    forward = big.positions(lifts.reshape(-1, n))
+    return Permutation(tuple(forward.tolist()), len(big))
 
 
 def apply_simultaneous_permutation(m: ExactMatrix, perm: Permutation) -> ExactMatrix:
@@ -391,10 +387,10 @@ def block_C(a: int, b: int, partition: KPartition, big_b: ExactMatrix) -> ExactM
         raise DomainError("matrix order does not match the partitioned space")
     if big_b.row_labels is not None:
         pos = {label: i for i, label in enumerate(big_b.row_labels)}
+        row_idx = [pos[pt] for pt in partition.classes[a]]
+        col_idx = [pos[pt] for pt in partition.classes[b]]
     else:
-        pos = partition.space.index
-    row_idx = [pos[pt] for pt in partition.classes[a]]
-    col_idx = [pos[pt] for pt in partition.classes[b]]
+        row_idx, col_idx = partition.positions[a], partition.positions[b]
     block = big_b.array[np.ix_(row_idx, col_idx)]
     return ExactMatrix(block, partition.classes[a], partition.classes[b])
 

@@ -6,6 +6,14 @@ point set, fixes canonical orbit representatives, computes the point
 count, and implements the reduction map between prime-power levels
 together with its fibers and the partition of P_{n,p^e} into fiber
 transversals K_1, ..., K_{p^(n-1)}.
+
+Which point a coordinate tuple represents is answered by one position
+table per space: the enumeration scan visits every tuple of every orbit
+and writes the orbit's position there, so ``ProjectiveSpace.positions``
+maps any array of tuples to points with one gather.  The reduction map
+behind the K-partition and the CRT map behind the tensor lemma are such
+gathers.  ``canonical_rep``, ``delta_map`` and ``fiber`` compute the same
+answers one point at a time and are kept as independent oracles.
 """
 
 from __future__ import annotations
@@ -15,7 +23,10 @@ import io
 import itertools
 import math
 import os
+from array import array
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import DomainError, GuardrailError
 from .modular import Modulus, as_modulus, units
@@ -125,13 +136,21 @@ def canonical_rep(coords: tuple[int, ...] | list[int], m: int) -> ProjectivePoin
 
 @dataclass(frozen=True, eq=False)
 class ProjectiveSpace:
-    """The ordered point list of P_{n,m} plus index lookup."""
+    """The ordered point list of P_{n,m} plus its position table.
+
+    ``coords`` is the read-only theta x n int64 array whose row i is
+    ``points[i].coords``.  ``table`` is the read-only flat array over the
+    m^n tuples of Z_m^n in lex order: entry t holds 1 + the position of
+    the point that tuple t represents, and 0 when t is not primitive.
+    It is 2-byte while theta < 2^15 and 4-byte above that.
+    """
 
     n: int
     m: Modulus
     ordering: str
     points: tuple[ProjectivePoint, ...]
-    index: dict[ProjectivePoint, int] = field(repr=False)
+    coords: np.ndarray = field(repr=False)
+    table: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -140,40 +159,59 @@ class ProjectiveSpace:
         return iter(self.points)
 
     def __contains__(self, pt: ProjectivePoint) -> bool:
-        return pt in self.index
+        # a ProjectivePoint is canonical and primitive by construction
+        return pt.modulus == self.m.value and pt.dimension == self.n
 
     def position(self, pt: ProjectivePoint) -> int:
-        try:
-            return self.index[pt]
-        except KeyError:
+        if pt not in self:
             raise DomainError(f"{pt.coords} is not a point of P_{{{self.n},{self.m.value}}}")
+        return int(self.positions([pt.coords])[0])
+
+    def positions(self, rows) -> np.ndarray:
+        """Positions of the points that the rows of an integer array
+        represent, as an int64 array.
+
+        A row may be any representative of its point: it is reduced mod m
+        here.  A row that is not primitive raises DomainError."""
+        m = self.m.value
+        reduced = np.asarray(rows, dtype=np.int64) % m
+        if reduced.ndim != 2 or reduced.shape[1] != self.n:
+            raise DomainError(f"rows of {self.n} coordinates expected, got shape {reduced.shape}")
+        flat = reduced @ m ** np.arange(self.n - 1, -1, -1, dtype=np.int64)
+        out = self.table[flat] - 1
+        if out.size and out.min() < 0:
+            bad = tuple(reduced[np.argmin(out)].tolist())
+            raise DomainError(f"{bad} is not primitive mod {m}")
+        return out.astype(np.int64, copy=False)
 
 
-def _lex_points(n: int, m: int) -> list[ProjectivePoint]:
-    """All canonical representatives in lexicographic order.
+def _lex_points(n: int, m: int) -> tuple[tuple[ProjectivePoint, ...], np.ndarray]:
+    """All canonical representatives in lexicographic order, and the
+    position table over the m^n tuples.
 
     Scans the m^n tuples in lex order; the first tuple seen from each
-    orbit is its lex minimum, so canonicalization is free and the rest
-    of the orbit is marked off in a flat bitmap.
+    orbit is its lex minimum, so canonicalization is free, and every
+    tuple of the orbit gets 1 + the orbit's position in the table.
     """
     us = units(m)
     weights = [m ** (n - 1 - k) for k in range(n)]
-    seen = bytearray(m**n)
+    table = array("h" if theta(n, m) < 1 << 15 else "i", [0]) * m**n
     points: list[ProjectivePoint] = []
     idx = -1
     for tup in itertools.product(range(m), repeat=n):
         idx += 1
-        if seen[idx]:
+        if table[idx]:
             continue
         if not is_primitive(tup, m):
             continue
         points.append(ProjectivePoint(tup, m))
+        pos = len(points)
         for lam in us:
             flat = 0
             for c, w in zip(tup, weights):
                 flat += (lam * c % m) * w
-            seen[flat] = 1
-    return points
+            table[flat] = pos
+    return tuple(points), np.frombuffer(table, dtype=f"i{table.itemsize}")
 
 
 def enumerate_space(
@@ -206,16 +244,23 @@ def enumerate_space(
         if e < 2:
             raise DomainError("k-grouped ordering needs a prime power p^e with e >= 2")
         partition = k_partition(p, e, n, guardrail=limit)
-        points = tuple(pt for cls in partition.classes for pt in cls)
+        lex, order = partition.space, partition.positions.ravel()
+        points = tuple(map(lex.points.__getitem__, order.tolist()))
+        coords = lex.coords[order]
+        # compose the lex table with the inverse of the order; 0 stays 0
+        inverse = np.zeros(len(order) + 1, dtype=lex.table.dtype)
+        inverse[order + 1] = np.arange(1, len(order) + 1)
+        table = inverse[lex.table]
     else:
-        points = tuple(_lex_points(n, mod.value))
+        points, table = _lex_points(n, mod.value)
+        coords = np.array([pt.coords for pt in points], dtype=np.int64)
 
     if len(points) != count:
         raise DomainError(
             f"enumerated {len(points)} points of P_{{{n},{mod.value}}}, theta is {count}"
         )
-    index = {pt: i for i, pt in enumerate(points)}
-    return ProjectiveSpace(n=n, m=mod, ordering=ordering, points=points, index=index)
+    coords.flags.writeable = table.flags.writeable = False
+    return ProjectiveSpace(n, mod, ordering, points, coords, table)
 
 
 def neighborhood(u: ProjectivePoint, space: ProjectiveSpace) -> list[ProjectivePoint]:
@@ -297,6 +342,11 @@ class KPartition:
     order, the h-th member (lex rank) of the fiber over u.  Each class
     therefore meets every fiber exactly once, and within a class points
     are aligned with the lex order of their reductions.
+
+    ``positions`` is the read-only l x theta_{n,p^(e-1)} array whose row h
+    holds the positions in ``space`` of the points of K_h, and
+    ``base_position[i]`` is the position in ``base_space`` of the
+    reduction of point i of ``space``.
     """
 
     p: int
@@ -305,7 +355,8 @@ class KPartition:
     classes: tuple[tuple[ProjectivePoint, ...], ...]
     base_space: ProjectiveSpace
     space: ProjectiveSpace
-    base_position: dict[ProjectivePoint, int] = field(repr=False)
+    positions: np.ndarray = field(repr=False)
+    base_position: np.ndarray = field(repr=False)
 
     @property
     def l(self) -> int:
@@ -313,7 +364,10 @@ class KPartition:
 
 
 def k_partition(p: int, e: int, n: int, guardrail: int | None = None) -> KPartition:
-    """Build the canonical fiber-transversal partition of P_{n,p^e}."""
+    """Build the canonical fiber-transversal partition of P_{n,p^e}.
+
+    The reduction map is one gather: the base space's position table read
+    at the coordinates of every point of P_{n,p^e}."""
     if e < 2:
         raise DomainError(f"the partition needs e >= 2, got e = {e}")
     if n < 2:
@@ -321,34 +375,23 @@ def k_partition(p: int, e: int, n: int, guardrail: int | None = None) -> KPartit
     limit = effective_guardrail(guardrail)
     base_space = enumerate_space(n, p ** (e - 1), "lex", guardrail=limit)
     space = enumerate_space(n, p**e, "lex", guardrail=limit)
-
-    fibers: dict[int, list[ProjectivePoint]] = {i: [] for i in range(len(base_space))}
-    base_position: dict[ProjectivePoint, int] = {}
-    for pt in space.points:
-        pos = base_space.position(delta_map(pt, p, e))
-        fibers[pos].append(pt)
-        base_position[pt] = pos
+    base_position = base_space.positions(space.coords)
 
     size = p ** (n - 1)
-    for pos, members in fibers.items():
-        if len(members) != size:
-            raise DomainError(
-                f"fiber over base point {pos} has size {len(members)}, expected {size}"
-            )
-        members.sort(key=lambda pt: pt.coords)
+    sizes = np.bincount(base_position, minlength=len(base_space))
+    if (sizes != size).any():
+        pos = int(np.argmax(sizes != size))
+        raise DomainError(
+            f"fiber over base point {pos} has size {sizes[pos]}, expected {size}"
+        )
 
-    classes = tuple(
-        tuple(fibers[pos][h] for pos in range(len(base_space))) for h in range(size)
-    )
-    return KPartition(
-        p=p,
-        e=e,
-        n=n,
-        classes=classes,
-        base_space=base_space,
-        space=space,
-        base_position=base_position,
-    )
+    # a stable sort keeps each fiber in lex order; column u of the reshape
+    # is the fiber over base point u, so row h is K_h
+    order = np.argsort(base_position, kind="stable")
+    positions = np.ascontiguousarray(order.reshape(len(base_space), size).T)
+    classes = tuple(tuple(map(space.points.__getitem__, row)) for row in positions.tolist())
+    positions.flags.writeable = base_position.flags.writeable = False
+    return KPartition(p, e, n, classes, base_space, space, positions, base_position)
 
 
 def points_to_csv(space: ProjectiveSpace) -> str:

@@ -429,16 +429,11 @@ def eigvec_differences(partition: KPartition) -> ExactMatrix:
     """Fiber-difference vectors: +1 at u in K_a, -1 at the K_l point with
     the same reduction, for a < l; eigenvalue p^(e(n-2)).  Coordinates
     follow the partition's (lex-ordered) space."""
-    space = partition.space
-    last = partition.classes[-1]
-    pairs = [
-        (space.position(u), space.position(v))
-        for a in range(partition.l - 1)
-        for u, v in zip(partition.classes[a], last)
-    ]
-    plus, minus = np.array(pairs).T
-    cols = np.arange(len(pairs))
-    data = np.zeros((len(space), len(pairs)), dtype=np.int64)
+    positions = partition.positions
+    plus = positions[:-1].ravel()
+    minus = np.tile(positions[-1], partition.l - 1)
+    cols = np.arange(plus.size)
+    data = np.zeros((len(partition.space), plus.size), dtype=np.int64)
     data[plus, cols] = 1
     data[minus, cols] = -1
     return ExactMatrix(data)
@@ -460,11 +455,10 @@ def _family_prime_power(
     for k in range(2, e + 1):
         partition = k_partition(p, k, n, guardrail=guardrail)
         space = partition.space
-        lift = np.array([partition.base_position[pt] for pt in space.points])
         diffs = eigvec_differences(partition).array
         tags = tuple(p ** (2 * n - 4) * lam for lam in tags)
         tags += (p ** (k * (n - 2)),) * diffs.shape[1]
-        v = np.hstack([v[lift], diffs])
+        v = np.hstack([v[partition.base_position], diffs])
     return space, tags, ExactMatrix(v)
 
 

@@ -149,6 +149,21 @@ def test_count_invalid_layer(capsys):
     assert code == 2 and "layer" in err
 
 
+@pytest.mark.parametrize("e,layer", [(16, 0), (22, 22)])
+def test_count_pair_refuses_before_canonicalizing(monkeypatch, capsys, e, layer):
+    # the layer scan (e = 16) or the phi(2^e) units that canonicalizing
+    # walks (e = 22) exceed the oracle scale: exit 3 before any work
+    from zmspec import cli
+
+    def canonicalize(*args):
+        pytest.fail("count --pair canonicalized before its scale check")
+
+    monkeypatch.setattr(cli, "canonical_rep", canonicalize)
+    code, _, err = run(capsys, "count", "--p", "2", "--e", str(e),
+                       "--pair", "1,0", "0,1", "--layer", str(layer))
+    assert code == 3 and "oracle scale" in err
+
+
 def test_count_requires_a_mode(capsys):
     code, _, err = run(capsys, "count", "--p", "2", "--e", "2")
     assert code == 2

@@ -242,6 +242,27 @@ def test_crt_permutation_examples():
     assert perm.forward[src2] == big.position(canonical_rep((1, 5), 6))
 
 
+@pytest.mark.parametrize(
+    "n,m1,m2", [(2, 2, 3), (3, 2, 9), (3, 3, 8), (2, 4, 15), (4, 2, 3)]
+)
+def test_crt_permutation_matches_per_pair_crt(n, m1, m2):
+    # oracle: canonicalize the coordinatewise CRT lift of every pair
+    s1 = enumerate_space(n, m1)
+    s2 = enumerate_space(n, m2)
+    big = enumerate_space(n, m1 * m2)
+    forward = [
+        big.points.index(
+            canonical_rep(
+                [crt_combine([(a, m1), (b, m2)]) for a, b in zip(u.coords, v.coords)],
+                m1 * m2,
+            )
+        )
+        for u in s1.points
+        for v in s2.points
+    ]
+    assert crt_permutation(n, m1, m2).forward == tuple(forward)
+
+
 def test_crt_permutation_rejects_non_coprime():
     with pytest.raises(DomainError):
         crt_permutation(2, 2, 4)

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -131,6 +132,50 @@ def test_enumerate_space_sizes():
         assert len(enumerate_space(n, m)) == theta(n, m)
 
 
+@pytest.mark.parametrize(
+    "n,m,ordering",
+    [
+        (2, 6, "lex"), (3, 4, "lex"), (3, 6, "lex"), (2, 12, "lex"), (3, 9, "lex"),
+        (3, 4, "k-grouped"), (3, 8, "k-grouped"), (2, 9, "k-grouped"),
+    ],
+)
+def test_positions_match_canonical_rep(n, m, ordering):
+    space = enumerate_space(n, m, ordering)
+    order = {pt: i for i, pt in enumerate(space.points)}
+    assert space.coords.tolist() == [list(pt.coords) for pt in space.points]
+    tuples = list(itertools.product(range(m), repeat=n))
+    primitive = [t for t in tuples if is_primitive(t, m)]
+    expected = [space.position(canonical_rep(t, m)) for t in primitive]
+    assert expected == [order[canonical_rep(t, m)] for t in primitive]
+    assert space.positions(primitive).tolist() == expected
+    # any representative of the point is accepted
+    shifted = np.array(primitive) - m * np.arange(1, n + 1)
+    assert space.positions(shifted).tolist() == expected
+    for t in tuples:
+        if not is_primitive(t, m):
+            with pytest.raises(DomainError, match="not primitive"):
+                space.positions([t])
+
+
+def test_position_table_width():
+    # 1 + position fits 2 bytes while theta < 2^15; P_{16,2} has 2^16 - 1 points
+    assert enumerate_space(3, 9).table.itemsize == 2
+    wide = enumerate_space(16, 2, guardrail=1 << 16)
+    assert wide.table.itemsize == 4
+    assert wide.positions(wide.coords).tolist() == list(range(len(wide)))
+
+
+def test_position_rejects_foreign_points():
+    space = enumerate_space(3, 4)
+    assert canonical_rep((0, 0, 1), 4) in space
+    for pt in (canonical_rep((0, 0, 1), 2), canonical_rep((0, 1), 4)):
+        assert pt not in space
+        with pytest.raises(DomainError, match="not a point"):
+            space.position(pt)
+    with pytest.raises(DomainError, match="coordinates"):
+        space.positions([[0, 1]])
+
+
 def test_enumerate_space_guardrail():
     with pytest.raises(GuardrailError):
         enumerate_space(3, 4, guardrail=27)
@@ -242,6 +287,27 @@ def test_k_partition_properties():
             assert len(set(images)) == len(images)
 
 
+@pytest.mark.parametrize("n,p,e", [(2, 2, 3), (2, 3, 3), (3, 2, 2), (2, 2, 2)])
+def test_k_partition_matches_delta_map(n, p, e):
+    # oracle: fibers collected point by point through delta_map, each in
+    # lex order; K_h takes the h-th member of every fiber
+    part = k_partition(p, e, n)
+    fibers = {v: [] for v in part.base_space.points}
+    for pt in part.space.points:
+        fibers[delta_map(pt, p, e)].append(pt)
+    classes = tuple(zip(*fibers.values()))
+    assert part.classes == classes
+    assert [[part.space.points[i] for i in row] for row in part.positions.tolist()] == [
+        list(cls) for cls in classes
+    ]
+    assert part.base_position.tolist() == [
+        part.base_space.position(delta_map(pt, p, e)) for pt in part.space.points
+    ]
+    grouped = enumerate_space(n, p**e, "k-grouped")
+    assert grouped.points == tuple(pt for cls in classes for pt in cls)
+    assert [grouped.position(pt) for pt in grouped.points] == list(range(len(grouped)))
+
+
 def test_k_partition_3_2_2():
     part = k_partition(3, 2, 2)
     assert part.l == 3
@@ -250,12 +316,15 @@ def test_k_partition_3_2_2():
 
 
 def test_k_partition_rejects_wrong_fiber_sizes(monkeypatch, capsys):
-    # a reduction map that sends every point to one base point empties
+    # a reduction map that sends every point to base point 0 empties
     # every other fiber; the guard is a DomainError, exit 2 through the CLI
     from zmspec import cli, projective
 
-    target = enumerate_space(3, 2).points[0]
-    monkeypatch.setattr(projective, "delta_map", lambda u, p, e: target)
+    monkeypatch.setattr(
+        projective.ProjectiveSpace,
+        "positions",
+        lambda self, rows: np.zeros(len(rows), dtype=np.int64),
+    )
     with pytest.raises(DomainError, match="fiber over base point"):
         k_partition(2, 2, 3)
     argv = ["matrix", "-n", "3", "-m", "4", "--ordering", "k-grouped"]

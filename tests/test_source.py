@@ -47,3 +47,21 @@ def test_no_private_names_imported_across_package_modules():
         if alias.name.startswith("_")
     ]
     assert found == []
+
+
+def _called_name(call: ast.Call) -> str | None:
+    func = call.func
+    return getattr(func, "id", None) or getattr(func, "attr", None)
+
+
+def test_matrices_and_spectrum_locate_points_through_the_position_table():
+    # tuple -> point questions go through ProjectiveSpace.positions; the
+    # per-point canonicalizers remain only as independent oracles
+    per_point = {"canonical_rep", "delta_map", "crt_combine", "position"}
+    found = [
+        f"{name}:{node.lineno} {_called_name(node)}"
+        for name in ("matrices.py", "spectrum.py")
+        for node in ast.walk(ast.parse((PACKAGE / name).read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and _called_name(node) in per_point
+    ]
+    assert found == []

@@ -14,7 +14,7 @@ from zmspec.matrices import (
     build_A,
     build_B_product,
 )
-from zmspec.projective import enumerate_space, k_partition, theta
+from zmspec.projective import delta_map, enumerate_space, k_partition, theta
 from zmspec.spectrum import (
     SpectrumRow,
     SpectrumTable,
@@ -433,7 +433,8 @@ def test_lift_examples():
     lifted = v4.array[:, : v2.cols]
     assert lifted[:, 0].tolist() == [1] * 28  # lift of all-ones is all-ones
     for x, pt in enumerate(part.space.points):
-        assert lifted[x].tolist() == v2.array[part.base_position[pt]].tolist()
+        base = part.base_space.position(delta_map(pt, 2, 2))
+        assert lifted[x].tolist() == v2.array[base].tolist()
     assert tags4[: v2.cols] == tuple(2**2 * lam for lam in tags2) == (36,) + (8,) * 6
     assert np.array_equal((b4 @ ExactMatrix(lifted)).array, lifted * np.array(tags4[:7]))
     assert exact_rank(ExactMatrix(lifted)) == v2.cols  # lifting preserves independence
