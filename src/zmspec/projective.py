@@ -22,6 +22,7 @@ import csv
 import io
 import itertools
 import math
+import operator
 import os
 from array import array
 from dataclasses import dataclass, field
@@ -87,6 +88,15 @@ class ProjectivePoint:
 
     The representative is the lexicographically smallest tuple in the
     orbit {lambda * u mod m : lambda a unit}, entries in [0, m).
+
+    Proving that a tuple is canonical walks only the units that could
+    lower it.  Let d be its first nonzero entry.  The units send d to
+    exactly the residues x with gcd(x, m) = gcd(d, m), the least of which
+    is gcd(d, m), so a canonical tuple has d | m.  A unit lambda with
+    lambda != 1 (mod m/d) moves d to a larger such residue and so makes
+    the tuple larger; only the at most d units with lambda = 1 (mod m/d)
+    remain to check, and none besides 1 when d = 1, which covers every
+    point over a prime modulus.
     """
 
     coords: tuple[int, ...]
@@ -102,11 +112,13 @@ class ProjectivePoint:
             raise DomainError(f"coordinates {self.coords} not reduced mod {m}")
         if not is_primitive(self.coords, m):
             raise DomainError(f"{self.coords} is not primitive mod {m}")
-        for lam in units(m):
-            if tuple(lam * c % m for c in self.coords) < self.coords:
-                raise DomainError(
-                    f"{self.coords} is not the canonical representative mod {m}"
-                )
+        d = next(c for c in self.coords if c)
+        step = m // d
+        if m % d or any(
+            math.gcd(lam, m) == 1 and tuple(lam * c % m for c in self.coords) < self.coords
+            for lam in range(1 + step, m, step)
+        ):
+            raise DomainError(f"{self.coords} is not the canonical representative mod {m}")
 
     @property
     def dimension(self) -> int:
@@ -172,9 +184,20 @@ class ProjectiveSpace:
         represent, as an int64 array.
 
         A row may be any representative of its point: it is reduced mod m
-        here.  A row that is not primitive raises DomainError."""
+        here, Python ints before the int64 cast.  Integer and bool entries
+        are accepted; a float, a string or any other entry, and a row that
+        is not primitive, raise DomainError."""
         m = self.m.value
-        reduced = np.asarray(rows, dtype=np.int64) % m
+        try:
+            arr = np.asarray(rows)
+            if arr.dtype.kind not in "biu":
+                # big Python ints, or something that is not an integer at all
+                obj = np.array(rows, dtype=object)
+                flat = [operator.index(c) % m for c in obj.flat]
+                arr = np.array(flat, dtype=np.int64).reshape(obj.shape)
+        except (TypeError, ValueError) as exc:
+            raise DomainError("coordinates must be integers") from exc
+        reduced = (arr % m).astype(np.int64, copy=False)
         if reduced.ndim != 2 or reduced.shape[1] != self.n:
             raise DomainError(f"rows of {self.n} coordinates expected, got shape {reduced.shape}")
         flat = reduced @ m ** np.arange(self.n - 1, -1, -1, dtype=np.int64)

@@ -20,25 +20,24 @@ product with its rows scattered by the CRT permutation).
 Verification first certifies the whole spectrum at once from that
 eigenbasis V: for each eigenvalue lambda, B V_lambda == lambda V_lambda
 on the block V_lambda of V's columns tagged lambda, as exact
-``ExactMatrix`` expressions, and V has full rank modulo a word-size
-prime, which proves V invertible over the rationals and so fixes every
-multiplicity (see ``eigenbasis_nullities``).  The certificate is also
-acceptance criterion 8 of the verification battery.  When the
-certificate declines, each multiplicity is checked by exact nullity:
-the kernel dimension of B - lambda*I over the rationals, computed with
-fraction-free (Bareiss) elimination using full pivoting on the
-magnitude-smallest nonzero entry, which keeps every intermediate an
-exact integer minor.
+``ExactMatrix`` expressions, and V has full rank over the rationals,
+which fixes every multiplicity (see ``eigenbasis_nullities``).  The
+certificate is also acceptance criterion 8 of the verification battery.
+When the certificate declines, each multiplicity is checked by exact
+nullity, the kernel dimension of B - lambda*I over the rationals.
 
-Exact rank uses the same modular elimination (``_rank_mod_p``): full rank
-modulo 2^31 - 1 proves full rank over the rationals, and Bareiss is the
-fallback only when the rank mod p falls short (see ``exact_rank``).
+Every rank and nullity goes through one function, ``exact_rank``: the
+rank modulo a word-size prime proves full rank, and fraction-free
+(Bareiss) elimination decides the rest exactly.  Only a singular matrix,
+such as B - lambda*I at an eigenvalue lambda, reaches Bareiss, so
+``exact_nullity`` stays an independent oracle for the certificate.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,19 +188,19 @@ def _bareiss_rank(data: list[list[int]]) -> int:
     return rank
 
 
-# residues modulo this prime stay below 2^31, so every product of two of
-# them stays below 2^62 and int64 elimination is exact
-_CERTIFICATE_PRIME = 2**31 - 1
-
-
 def _rank_mod_p(a: np.ndarray, p: int) -> int:
     """Rank of the integer matrix ``a`` modulo the prime p < 2^31.
 
     Row-echelon elimination on int64 residues in [0, p); object arrays of
-    Python ints are reduced with ``% p`` before the cast.  Each pivot
-    updates only the rows with a nonzero entry in its column.  ``a`` is
-    not modified."""
-    a = (a % p).astype(np.int64, copy=False)
+    Python ints are reduced with ``% p`` before the cast.  The columns are
+    eliminated sparsest first (a stable sort by nonzero count), which
+    leaves the rank unchanged and puts dense columns, such as the
+    all-ones vector of a family, last, where they update few rows.  Each
+    pivot updates only the rows with a nonzero entry in its column.
+    ``a`` is not modified."""
+    a = a[:, np.argsort(np.count_nonzero(a, axis=0), kind="stable")]
+    a %= p
+    a = a.astype(np.int64, copy=False)
     rows, cols = a.shape
     rank = 0
     for col in range(cols):
@@ -226,14 +225,17 @@ def _rank_mod_p(a: np.ndarray, p: int) -> int:
 def exact_rank(m: ExactMatrix) -> int:
     """Rank of an integer matrix over the rationals (exact).
 
-    First the rank r modulo the prime 2^31 - 1.  An r x r minor that is
-    nonzero mod p is a nonzero integer, so r <= rank over Q <= min(rows,
-    cols); when r reaches min(rows, cols) it is the rank.  Otherwise the
-    matrix is rank deficient or p divides every maximal minor, which
-    the residues cannot tell apart, and Bareiss elimination decides.
+    First the rank r modulo the prime p = 2^31 - 1, whose residues keep
+    every product of two below 2^62, so the elimination is exact in
+    int64.  An r x r minor that is nonzero mod p is a nonzero integer, so
+    r <= rank over Q <= min(rows, cols); when r reaches min(rows, cols)
+    it is the rank.  Otherwise the matrix is rank deficient or p divides
+    every maximal minor, which the residues cannot tell apart, and
+    Bareiss elimination decides.  This is the one place the package
+    proves a rank or a nullity.
     """
     full = min(m.rows, m.cols)
-    if _rank_mod_p(m.array, _CERTIFICATE_PRIME) == full:
+    if _rank_mod_p(m.array, 2**31 - 1) == full:
         return full
     return _bareiss_rank(m.to_lists())
 
@@ -242,14 +244,14 @@ def exact_nullity(m: ExactMatrix, lam: int) -> int:
     """Kernel dimension of (M - lam*I) over the rationals.
 
     For symmetric integer M this is the multiplicity of lam as an
-    eigenvalue; 0 means lam is not an eigenvalue at all.
+    eigenvalue; 0 means lam is not an eigenvalue at all.  It is
+    ``m.rows - exact_rank(M - lam*I)``: for a lam that is not an
+    eigenvalue the rank mod p proves nullity 0 unless p divides
+    det(M - lam*I); for an eigenvalue Bareiss decides.
     """
     if not m.is_square:
         raise DomainError("nullity needs a square matrix")
-    data = m.to_lists()
-    for i in range(m.rows):
-        data[i][i] -= lam
-    return m.rows - _bareiss_rank(data)
+    return m.rows - exact_rank(m - operator.index(lam) * ExactMatrix.identity(m.rows))
 
 
 # -------------------- eigenbasis certificate --------------------
@@ -267,19 +269,17 @@ def eigenbasis_nullities(
        ``ExactMatrix`` expressions: exact in any dtype, since they run in
        int64 only under a checked bound and in Python ints past it.
        Together these say M V == V D, with D the diagonal of the tags;
-    2. V has full rank modulo the prime 2^31 - 1.
+    2. V has full rank over the rationals (``exact_rank``).
 
-    A nonzero determinant mod p is a nonzero integer, so rank_p(V) <=
-    rank_Q(V) and (2) makes V invertible over the rationals.  Then (1)
-    gives M = V D V^-1, so M - lambda*I = V (D - lambda*I) V^-1 and the
-    nullity of M - lambda*I is the number of tags equal to lambda, for
-    every integer lambda.  Nothing is assumed about M or about where the
-    vectors came from; a wrong family can only make a check fail.
+    By (2) V is invertible, so (1) gives M = V D V^-1, hence
+    M - lambda*I = V (D - lambda*I) V^-1 and the nullity of M - lambda*I
+    is the number of tags equal to lambda, for every integer lambda.
+    Nothing is assumed about M or about where the vectors came from; a
+    wrong family can only make a check fail.
 
     Returns {lambda: number of tags equal to lambda}, or None when a step
     declines: V is not order x order with one tag per column, a residual
-    is nonzero or V is singular mod p.  A decline proves nothing either
-    way.
+    is nonzero or V is singular.  A decline proves nothing either way.
     """
     if not m.is_square:
         raise DomainError("nullity needs a square matrix")
@@ -294,7 +294,7 @@ def eigenbasis_nullities(
         block = ExactMatrix(v.array[:, cols])
         if m @ block != lam * block:
             return None
-    if _rank_mod_p(v.array, _CERTIFICATE_PRIME) != order:
+    if exact_rank(v) != order:
         return None
     return {lam: len(cols) for lam, cols in columns.items()}
 

@@ -110,6 +110,29 @@ def test_projective_point_validates():
         ProjectivePoint((0, 5), 4)  # not reduced
 
 
+def _accepted(coords, m):
+    try:
+        ProjectivePoint(coords, m)
+    except DomainError:
+        return False
+    return True
+
+
+def test_projective_point_accepts_exactly_the_orbit_minima():
+    # the constructor walks only the units that fix the first nonzero entry
+    # mod m; a full walk over all units here is the oracle
+    checked = 0
+    for n, m in [(2, 12), (3, 8), (3, 12), (2, 36), (3, 9), (4, 6), (2, 30), (3, 16), (2, 72)]:
+        us = units(m)
+        for t in itertools.product(range(m), repeat=n):
+            if not is_primitive(t, m):
+                continue
+            canonical = all(tuple(lam * c % m for c in t) >= t for lam in us)
+            assert _accepted(t, m) == canonical, (n, m, t)
+            checked += 1
+    assert checked == 12382
+
+
 def test_enumerate_space_p32():
     space = enumerate_space(3, 2)
     assert [point_label(pt) for pt in space.points] == [
@@ -174,6 +197,23 @@ def test_position_rejects_foreign_points():
             space.position(pt)
     with pytest.raises(DomainError, match="coordinates"):
         space.positions([[0, 1]])
+
+
+def test_positions_refuse_float_entries():
+    # a float was truncated to the integer below it
+    with pytest.raises(DomainError, match="integers"):
+        enumerate_space(3, 4).positions([[0, 2.7, 1]])
+
+
+def test_positions_refuse_string_entries():
+    # digit strings were parsed as integers
+    with pytest.raises(DomainError, match="integers"):
+        enumerate_space(3, 4).positions([["0", "2", "1"]])
+
+
+def test_positions_reduce_python_ints_before_the_int64_cast():
+    # a representative of 021 past 2^63 overflowed the cast
+    assert enumerate_space(3, 4).positions([[0, 2 + 4 * 10**20, 1]]).tolist() == [5]
 
 
 def test_enumerate_space_guardrail():

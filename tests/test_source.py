@@ -65,3 +65,32 @@ def test_matrices_and_spectrum_locate_points_through_the_position_table():
         if isinstance(node, ast.Call) and _called_name(node) in per_point
     ]
     assert found == []
+
+
+def _calls_by_function(node, owner=None):
+    """(innermost enclosing function, called name) for every call under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _calls_by_function(child, child.name)
+            continue
+        if isinstance(child, ast.Call):
+            yield owner, _called_name(child)
+        yield from _calls_by_function(child, owner)
+
+
+def test_every_rank_is_proved_by_exact_rank():
+    # the modular and the Bareiss elimination have one caller, so ranks and
+    # nullities share one policy
+    kernels = {"_rank_mod_p", "_bareiss_rank"}
+    found = sorted(
+        {
+            (path.name, owner, name)
+            for path in sorted(PACKAGE.rglob("*.py"))
+            for owner, name in _calls_by_function(ast.parse(path.read_text(encoding="utf-8")))
+            if name in kernels
+        }
+    )
+    assert found == [
+        ("spectrum.py", "exact_rank", "_bareiss_rank"),
+        ("spectrum.py", "exact_rank", "_rank_mod_p"),
+    ]

@@ -1,11 +1,14 @@
 import hashlib
 import json
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zmspec import spectrum
 from zmspec.errors import DomainError
@@ -113,6 +116,22 @@ def test_exact_nullity_examples():
     assert exact_nullity(b32, 9) == 1
     assert exact_nullity(b32, 5) == 0
     assert exact_nullity(ExactMatrix.identity(5), 1) == 5
+
+
+def test_exact_nullity_of_a_non_eigenvalue_is_proved_mod_p(monkeypatch):
+    _, b32 = B_of(3, 2)
+
+    def no_bareiss(data):
+        raise AssertionError("Bareiss ran")
+
+    monkeypatch.setattr(spectrum, "_bareiss_rank", no_bareiss)
+    assert exact_nullity(b32, 5) == 0
+
+
+def test_exact_nullity_accepts_numpy_integers():
+    _, b32 = B_of(3, 2)
+    for lam in (2, 9, 5):
+        assert exact_nullity(b32, np.int64(lam)) == exact_nullity(b32, lam)
 
 
 def test_exact_rank_small_cases():
@@ -287,6 +306,40 @@ def test_certificate_is_exact_past_the_int64_bound():
     # shape mismatches: a tag or a column short
     assert eigenbasis_nullities(b, (tags[:-1], v)) is None
     assert eigenbasis_nullities(b, (tags, ExactMatrix(v.array[:, :-1]))) is None
+
+
+def test_certificate_proves_a_family_that_is_singular_mod_p_only():
+    _, b = B_of(3, 2)
+    tags, v = eigvec_family_general(3, 2)
+    scaled = v * (2**31 - 1)
+    assert _rank_mod_p(scaled.array, 2**31 - 1) == 0  # so Bareiss decides
+    assert eigenbasis_nullities(b, (tags, scaled)) == {9: 1, 2: 6}
+
+
+@settings(derandomize=True, max_examples=100)
+@given(
+    st.sampled_from([2, 5, 2**31 - 1]),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.data(),
+)
+def test_rank_mod_p_ignores_column_order(p, rows, cols, data):
+    entries = data.draw(st.lists(st.integers(-3, 3), min_size=rows * cols, max_size=rows * cols))
+    order = data.draw(st.permutations(range(cols)))
+    arr = np.array(entries, dtype=np.int64).reshape(rows, cols)
+    before = arr.copy()
+    assert _rank_mod_p(arr[:, order], p) == _rank_mod_p(arr, p)
+    assert np.array_equal(arr, before)
+
+
+def test_exact_rank_of_a_prime_family_within_budget():
+    # elimination sparsest column first: the all-ones column comes last
+    _, v = eigvec_family_general(3, 31)
+    budget = 1.0
+    start = time.perf_counter()
+    assert exact_rank(v) == v.rows == 993
+    elapsed = time.perf_counter() - start
+    assert elapsed < budget, f"exact_rank took {elapsed:.2f} s, budget {budget} s"
 
 
 def test_rank_mod_p_against_fraction_oracle():
