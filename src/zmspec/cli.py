@@ -37,6 +37,7 @@ from .matrices import (
     to_table,
 )
 from .projective import (
+    ProjectiveSpace,
     canonical_rep,
     enumerate_space,
     k_partition,
@@ -148,7 +149,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     _validate(args.n, args.m, args.guardrail)
     table = spectrum_general(args.n, args.m)
     if args.verify:
-        report = verify_spectrum(_build_b(args.n, args.m, args.guardrail), table)
+        space = enumerate_space(args.n, args.m, guardrail=args.guardrail)
+        report = verify_spectrum(_build_b(space), table)
         _emit(report.to_json(), args.output)
         return EXIT_OK if report.all_ok else EXIT_MISMATCH
     if args.format == "json":
@@ -161,17 +163,19 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _build_b(n: int, m: int, guardrail: int | None = None, ordering: str = "lex") -> ExactMatrix:
-    space = enumerate_space(n, m, ordering, guardrail=guardrail)
+def _build_b(space: ProjectiveSpace) -> ExactMatrix:
     return build_B_product(build_A(space))
 
 
 def tensor_similar(n: int, m1: int, m2: int, guardrail: int | None = None) -> bool:
-    """B_{n,m1*m2}, relabeled by the CRT permutation, equals B_{n,m1} (x) B_{n,m2}."""
-    perm = crt_permutation(n, m1, m2, guardrail=guardrail)
-    b = _build_b(n, m1 * m2, guardrail)
-    b1, b2 = _build_b(n, m1, guardrail), _build_b(n, m2, guardrail)
-    return apply_simultaneous_permutation(b, perm) == tensor_product(b1, b2)
+    """B_{n,m1*m2}, relabeled by the CRT permutation, equals B_{n,m1} (x) B_{n,m2}.
+
+    Each space is enumerated once; the permutation, which refuses moduli
+    that are not coprime, comes before any B is built."""
+    s1, s2, big = (enumerate_space(n, m, guardrail=guardrail) for m in (m1, m2, m1 * m2))
+    perm = crt_permutation(s1, s2, big)
+    b1, b2 = _build_b(s1), _build_b(s2)
+    return apply_simultaneous_permutation(_build_b(big), perm) == tensor_product(b1, b2)
 
 
 def cmd_tensor_check(args: argparse.Namespace) -> int:
@@ -236,7 +240,7 @@ def check_b_grid(
 ) -> tuple | None:
     """Criterion 1: B_{n,m} in the given ordering equals a worked grid."""
     for n, m, ordering, entry in grid:
-        b = _build_b(n, m, ordering=ordering)
+        b = _build_b(enumerate_space(n, m, ordering))
         size = theta(n, m)
         if (b.rows, b.cols) != (size, size):
             return (n, m, ordering, "order", b.rows, b.cols)
@@ -259,7 +263,7 @@ def check_spectrum_verify(grid: Iterable[tuple[int, int]]) -> tuple | None:
     """Criteria 3 and 4: verify_spectrum proves the closed-form table of B_{n,m}."""
     return next(
         ((n, m) for n, m in grid
-         if not verify_spectrum(_build_b(n, m), spectrum_general(n, m)).all_ok),
+         if not verify_spectrum(_build_b(enumerate_space(n, m)), spectrum_general(n, m)).all_ok),
         None,
     )
 
@@ -295,16 +299,16 @@ def check_layer_counts(grid: Iterable[tuple[int, int, int, int]]) -> tuple | Non
 
 def check_eigenvectors(grid: Iterable[tuple[int, int]]) -> tuple | None:
     """Criterion 8: the eigenbasis certificate on the family of
-    eigvec_family_general(n, m) proves exactly the multiplicities of the
-    closed-form table of B_{n,m}.  The certificate checks every column's
-    residual and the full rank of V over Q, which gives the columns of
-    each eigenvalue full column rank."""
-    return next(
-        ((n, m) for n, m in grid
-         if eigenbasis_nullities(_build_b(n, m), eigvec_family_general(n, m))
-         != dict(spectrum_general(n, m).merged())),
-        None,
-    )
+    eigvec_family_general over P_{n,m} proves exactly the multiplicities of
+    the closed-form table of B_{n,m}, built over the same space.  The
+    certificate checks every column's residual and the full rank of V over
+    Q, which gives the columns of each eigenvalue full column rank."""
+    for n, m in grid:
+        space = enumerate_space(n, m)
+        claimed = dict(spectrum_general(n, m).merged())
+        if eigenbasis_nullities(_build_b(space), eigvec_family_general(space)) != claimed:
+            return (n, m)
+    return None
 
 
 def check_structure(
@@ -322,9 +326,8 @@ def check_structure(
         if any(orbit_size(pt) != phi for pt in space.points):
             return (n, m, "orbit size")
     for n, p, e in blocks:
-        part = k_partition(p, e, n)
-        big = build_B_product(build_A(part.space))
-        base = build_B_product(build_A(part.base_space))
+        part = k_partition(enumerate_space(n, p**e))
+        big, base = _build_b(part.space), _build_b(part.base_space)
         for a, b in itertools.product(range(part.l), repeat=2):
             if block_C(a, b, part, big) != block_C_reference(a, b, part, base):
                 return (n, p, e, a, b)

@@ -32,13 +32,7 @@ import numpy as np
 from .counting import xi_data
 from .errors import DomainError, UnsupportedError
 from .modular import euler_phi
-from .projective import (
-    KPartition,
-    ProjectivePoint,
-    ProjectiveSpace,
-    enumerate_space,
-    point_label,
-)
+from .projective import KPartition, ProjectivePoint, ProjectiveSpace, point_label
 
 # below this, a sum of two values still fits int64
 _INT64_LIMIT = 1 << 62
@@ -344,25 +338,25 @@ def tensor_product(m1: ExactMatrix, m2: ExactMatrix) -> ExactMatrix:
 
 
 def crt_permutation(
-    n: int, m1: int, m2: int, guardrail: int | None = None
+    s1: ProjectiveSpace, s2: ProjectiveSpace, big: ProjectiveSpace
 ) -> Permutation:
-    """Bijection from pair indices of P_{n,m1} x P_{n,m2} (pair-lex order,
-    flat index i1*theta2 + i2) onto indices of the lex-ordered P_{n,m1*m2},
-    sending (u, v) to the class of the coordinatewise CRT lift.
+    """Bijection from pair indices of s1 x s2, where s1 = P_{n,m1} and
+    s2 = P_{n,m2} (pair-lex order, flat index i1*theta2 + i2), onto
+    indices of big = P_{n,m1*m2}, sending (u, v) to the class of the
+    coordinatewise CRT lift.
 
-    The lift of residues c1 mod m1 and c2 mod m2 is c1*e1 + c2*e2 with the
-    idempotents e1 = m2 * (m2^-1 mod m1) and e2 = m1 * (m1^-1 mod m2); all
-    theta1 * theta2 lifts are formed at once and located with one lookup
-    in the position table of P_{n,m1*m2}."""
+    Nothing is enumerated: each point of ``big`` reduces mod m1 and mod
+    m2 to its pair, located with one gather in the position tables of s1
+    and s2, which gives the inverse map directly.  Every space keeps its
+    own ordering."""
+    m1, m2 = s1.m.value, s2.m.value
     if math.gcd(m1, m2) != 1:
         raise DomainError(f"{m1} and {m2} are not coprime")
-    s1 = enumerate_space(n, m1, "lex", guardrail=guardrail)
-    s2 = enumerate_space(n, m2, "lex", guardrail=guardrail)
-    big = enumerate_space(n, m1 * m2, "lex", guardrail=guardrail)
-    e1 = m2 * pow(m2, -1, m1)
-    e2 = m1 * pow(m1, -1, m2)
-    lifts = s1.coords[:, None, :] * e1 + s2.coords[None, :, :] * e2
-    forward = big.positions(lifts.reshape(-1, n))
+    if big.m.value != m1 * m2 or not s1.n == s2.n == big.n:
+        raise DomainError(f"P_{{{big.n},{big.m.value}}} is not the CRT product of "
+                          f"P_{{{s1.n},{m1}}} and P_{{{s2.n},{m2}}}")
+    forward = np.full(len(big), -1)
+    forward[s1.positions(big.coords) * len(s2) + s2.positions(big.coords)] = np.arange(len(big))
     return Permutation(tuple(forward.tolist()), len(big))
 
 

@@ -14,6 +14,11 @@ maps any array of tuples to points with one gather.  The reduction map
 behind the K-partition and the CRT map behind the tensor lemma are such
 gathers.  ``canonical_rep``, ``delta_map`` and ``fiber`` compute the same
 answers one point at a time and are kept as independent oracles.
+
+Each space is scanned once per command: whatever needs a space takes the
+space itself.  ``k_partition`` takes P_{n,p^e} and enumerates only its
+base P_{n,p^(e-1)}, with the size of the space it came from as the
+limit, so a user's limit enters only through ``enumerate_space``.
 """
 
 from __future__ import annotations
@@ -261,29 +266,28 @@ def enumerate_space(
         raise GuardrailError(
             f"theta({n},{mod.value}) = {count} exceeds the guardrail {limit}"
         )
+    if ordering == "k-grouped" and mod.prime_power()[1] < 2:  # raises for composite m
+        raise DomainError("k-grouped ordering needs a prime power p^e with e >= 2")
 
-    if ordering == "k-grouped":
-        p, e = mod.prime_power()  # raises DomainError for composite m
-        if e < 2:
-            raise DomainError("k-grouped ordering needs a prime power p^e with e >= 2")
-        partition = k_partition(p, e, n, guardrail=limit)
-        lex, order = partition.space, partition.positions.ravel()
-        points = tuple(map(lex.points.__getitem__, order.tolist()))
-        coords = lex.coords[order]
-        # compose the lex table with the inverse of the order; 0 stays 0
-        inverse = np.zeros(len(order) + 1, dtype=lex.table.dtype)
-        inverse[order + 1] = np.arange(1, len(order) + 1)
-        table = inverse[lex.table]
-    else:
-        points, table = _lex_points(n, mod.value)
-        coords = np.array([pt.coords for pt in points], dtype=np.int64)
-
+    points, table = _lex_points(n, mod.value)
     if len(points) != count:
         raise DomainError(
             f"enumerated {len(points)} points of P_{{{n},{mod.value}}}, theta is {count}"
         )
+    coords = np.array([pt.coords for pt in points], dtype=np.int64)
     coords.flags.writeable = table.flags.writeable = False
-    return ProjectiveSpace(n, mod, ordering, points, coords, table)
+    space = ProjectiveSpace(n, mod, "lex", points, coords, table)
+    if ordering == "lex":
+        return space
+
+    order = k_partition(space).positions.ravel()
+    # compose the lex table with the inverse of the order; 0 stays 0
+    inverse = np.zeros(count + 1, dtype=table.dtype)
+    inverse[order + 1] = np.arange(1, count + 1)
+    coords, table = coords[order], inverse[table]
+    coords.flags.writeable = table.flags.writeable = False
+    return ProjectiveSpace(n, mod, ordering, tuple(map(points.__getitem__, order.tolist())),
+                           coords, table)
 
 
 def neighborhood(u: ProjectivePoint, space: ProjectiveSpace) -> list[ProjectivePoint]:
@@ -386,18 +390,20 @@ class KPartition:
         return len(self.classes)
 
 
-def k_partition(p: int, e: int, n: int, guardrail: int | None = None) -> KPartition:
-    """Build the canonical fiber-transversal partition of P_{n,p^e}.
+def k_partition(space: ProjectiveSpace) -> KPartition:
+    """Build the canonical fiber-transversal partition of the space
+    P_{n,p^e}, with positions in the space's own order.
 
-    The reduction map is one gather: the base space's position table read
-    at the coordinates of every point of P_{n,p^e}."""
+    Only the base space P_{n,p^(e-1)} is enumerated, in lex order, with
+    the space's size as its limit.  The reduction map is one gather: the
+    base space's position table read at the coordinates of every point.
+    A stable sort keeps each fiber in the space's order, which is its lex
+    order in both the lex and the k-grouped ordering."""
+    p, e = space.m.prime_power()
     if e < 2:
         raise DomainError(f"the partition needs e >= 2, got e = {e}")
-    if n < 2:
-        raise DomainError(f"dimension must be >= 2, got {n}")
-    limit = effective_guardrail(guardrail)
-    base_space = enumerate_space(n, p ** (e - 1), "lex", guardrail=limit)
-    space = enumerate_space(n, p**e, "lex", guardrail=limit)
+    n = space.n
+    base_space = enumerate_space(n, p ** (e - 1), "lex", guardrail=len(space))
     base_position = base_space.positions(space.coords)
 
     size = p ** (n - 1)
@@ -408,8 +414,7 @@ def k_partition(p: int, e: int, n: int, guardrail: int | None = None) -> KPartit
             f"fiber over base point {pos} has size {sizes[pos]}, expected {size}"
         )
 
-    # a stable sort keeps each fiber in lex order; column u of the reshape
-    # is the fiber over base point u, so row h is K_h
+    # column u of the reshape is the fiber over base point u, so row h is K_h
     order = np.argsort(base_position, kind="stable")
     positions = np.ascontiguousarray(order.reshape(len(base_space), size).T)
     classes = tuple(tuple(map(space.points.__getitem__, row)) for row in positions.tolist())

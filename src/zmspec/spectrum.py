@@ -15,7 +15,11 @@ CRT-permuted Kronecker products.  A family is one pair (tags, V): V is
 an int64 matrix whose column j is an eigenvector with eigenvalue
 tags[j], and every level is built with array operations (a lift is one
 row gather through the reduction map, a composite modulus one Kronecker
-product with its rows scattered by the CRT permutation).
+product with its rows scattered by the CRT permutation).  The family is
+built over a space the caller passes in, with its rows in that space's
+order; the K-partitions are taken top down from it, so each level's
+space is the base of the level above, and each factor and partial-product
+space is enumerated once.
 
 Verification first certifies the whole spectrum at once from that
 eigenbasis V: for each eigenvalue lambda, B V_lambda == lambda V_lambda
@@ -369,8 +373,9 @@ def verify_spectrum(m: ExactMatrix, table: SpectrumTable) -> VerificationReport:
     report content, not exceptions.
 
     The claims are first decided together by ``eigenbasis_nullities`` on
-    the family of ``eigvec_family_general(table.n, table.m)``, which is an
-    exact proof for any matrix passed in.  If it declines (for instance
+    the family of ``eigvec_family_general`` over the lex-ordered P_{n,m},
+    enumerated here with the matrix order as the limit, which is an exact
+    proof for any matrix passed in.  If it declines (for instance
     when M is not B_{n,m} in lex order) every claim is decided by
     ``exact_nullity`` instead.  Each row records its method."""
     if not m.is_square:
@@ -381,7 +386,7 @@ def verify_spectrum(m: ExactMatrix, table: SpectrumTable) -> VerificationReport:
             f"multiplicity {table.total_multiplicity}"
         )
     merged = table.merged()
-    family = eigvec_family_general(table.n, table.m, guardrail=m.rows)
+    family = eigvec_family_general(enumerate_space(table.n, table.m, guardrail=m.rows))
     certified = eigenbasis_nullities(m, family)
     if certified is not None:
         entries = tuple(
@@ -439,63 +444,65 @@ def eigvec_differences(partition: KPartition) -> ExactMatrix:
     return ExactMatrix(data)
 
 
-def _family_prime_power(
-    n: int, p: int, e: int, guardrail: int | None = None
-) -> tuple[ProjectiveSpace, tuple[int, ...], ExactMatrix]:
-    """The lex-ordered P_{n,p^e}, the eigenvalue tags and the family V of
-    B_{n,p^e}, built level by level.
+def _family_prime_power(space: ProjectiveSpace) -> tuple[tuple[int, ...], ExactMatrix]:
+    """The eigenvalue tags and the family V of B_{n,p^e} over the given
+    space P_{n,p^e}, in that space's order.
 
-    Level 1 is all-ones beside the difference columns.  Level k >= 2 is
-    the fiber-constant lift of level k-1 (one gather through the
+    The K-partitions are taken top down, each partition's base space
+    being the next level, down to P_{n,p}; the family is then built
+    bottom up.  Level 1 is all-ones beside the difference columns.  Level
+    k >= 2 is the fiber-constant lift of level k-1 (one gather through the
     reduction map; the tags scale by p^(2n-4)) beside the fiber
     differences."""
-    space = enumerate_space(n, p, "lex", guardrail=guardrail)
+    partitions: list[KPartition] = []
+    while space.m.prime_power()[1] > 1:
+        partitions.append(k_partition(space))
+        space = partitions[-1].base_space
+    n, p = space.n, space.m.value
     tags = (theta(n - 1, p) ** 2,) + (p ** (n - 2),) * (len(space) - 1)
     v = np.hstack([np.ones((len(space), 1), dtype=np.int64), eigvec_R_d(space).array])
-    for k in range(2, e + 1):
-        partition = k_partition(p, k, n, guardrail=guardrail)
-        space = partition.space
+    for partition in reversed(partitions):
         diffs = eigvec_differences(partition).array
         tags = tuple(p ** (2 * n - 4) * lam for lam in tags)
-        tags += (p ** (k * (n - 2)),) * diffs.shape[1]
+        tags += (p ** (partition.e * (n - 2)),) * diffs.shape[1]
         v = np.hstack([v[partition.base_position], diffs])
-    return space, tags, ExactMatrix(v)
+    return tags, ExactMatrix(v)
 
 
 def eigvec_family_prime_power(
-    n: int, p: int, e: int, guardrail: int | None = None
+    n: int, p: int, e: int
 ) -> tuple[ProjectiveSpace, list[tuple[int, list[int]]]]:
-    """The eigenvector family of B_{n,p^e} as a list: the (lex-ordered)
+    """The eigenvector family of B_{n,p^e} as a list: the lex-ordered
     space and theta (eigenvalue, vector) pairs, in the column order of
-    ``eigvec_family_general(n, p**e)``."""
-    space, tags, v = _family_prime_power(n, p, e, guardrail=guardrail)
+    ``eigvec_family_general`` over that space."""
+    space = enumerate_space(n, p**e, "lex")
+    tags, v = _family_prime_power(space)
     return space, list(zip(tags, v.array.T.tolist()))
 
 
-def eigvec_family_general(
-    n: int, m: int | Modulus, guardrail: int | None = None
-) -> tuple[tuple[int, ...], ExactMatrix]:
-    """The complete eigenvector family of B_{n,m} as the pair (tags, V):
-    V is theta x theta over the lex-ordered P_{n,m}, and column j is an
-    eigenvector with eigenvalue tags[j].
+def eigvec_family_general(space: ProjectiveSpace) -> tuple[tuple[int, ...], ExactMatrix]:
+    """The complete eigenvector family of B_{n,m} over the given space
+    P_{n,m} as the pair (tags, V): V is theta x theta, its rows in the
+    space's order, and column j is an eigenvector with eigenvalue tags[j].
 
     The prime-power families of the factors of m are folded together one
     factor at a time: the Kronecker product of the two V, its rows
-    re-indexed by ``crt_permutation(n, m_so_far, p^e)``, tagged with the
-    products of the factors' eigenvalues in the same order.
-    """
-    mod = as_modulus(m)
-    m_so_far = 1
-    for p, e in mod.factors:
-        _, factor_tags, factor_v = _family_prime_power(n, p, e, guardrail=guardrail)
-        if m_so_far == 1:
-            tags, v = factor_tags, factor_v
-        else:
-            perm = crt_permutation(n, m_so_far, p**e, guardrail=guardrail)
-            kron = tensor_product(v, factor_v).array
-            rows = np.empty_like(kron)
-            rows[np.asarray(perm.forward)] = kron
-            tags = tuple(lam1 * lam2 for lam1 in tags for lam2 in factor_tags)
-            v = ExactMatrix(rows)
-        m_so_far *= p**e
+    re-indexed by the CRT permutation onto the space of the product of the
+    factors so far, tagged with the products of the factors' eigenvalues
+    in the same order.  Each proper factor space and each partial-product
+    space is enumerated once, in lex order, with the size of ``space`` as
+    the limit; ``space`` itself is not enumerated again."""
+    def space_of(m: int) -> ProjectiveSpace:
+        return space if m == space.m.value else enumerate_space(space.n, m, guardrail=len(space))
+
+    so_far, *factors = [space_of(p**e) for p, e in space.m.factors]
+    tags, v = _family_prime_power(so_far)
+    for factor in factors:
+        factor_tags, factor_v = _family_prime_power(factor)
+        target = space_of(so_far.m.value * factor.m.value)
+        kron = tensor_product(v, factor_v).array
+        rows = np.empty_like(kron)
+        rows[np.asarray(crt_permutation(so_far, factor, target).forward)] = kron
+        tags = tuple(lam1 * lam2 for lam1 in tags for lam2 in factor_tags)
+        so_far, v = target, ExactMatrix(rows)
     return tags, v

@@ -198,7 +198,7 @@ def test_criterion_8_eigenvector_families(capsys):
         assert exact_rank(rd) == theta(3, 2) - 1
 
         # e >= 2: difference vectors over the partition
-        part = k_partition(2, 2, 3)
+        part = k_partition(enumerate_space(3, 4))
         _, b34 = B_of(3, 4)
         diffs = eigvec_differences(part)
         assert diffs.cols == (2**2 - 1) * theta(3, 2) == 21
@@ -210,7 +210,7 @@ def test_criterion_8_eigenvector_families(capsys):
         # the full families of B_{3,4} (one prime power, so the general family
         # is the prime-power one) and of B_{3,6} (a CRT tensor family): the
         # eigenbasis certificate proves exactly the claimed multiplicities
-        tags, v = eigvec_family_general(3, 4)
+        tags, v = eigvec_family_general(enumerate_space(3, 4))
         assert list(zip(tags, v.array.T.tolist())) == eigvec_family_prime_power(3, 2, 2)[1]
         assert cli.check_eigenvectors([(3, 4), (3, 6)]) is None
 

@@ -1,8 +1,10 @@
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
+from zmspec import cli, projective
 from zmspec.cli import main
 
 
@@ -125,6 +127,40 @@ def test_tensor_check_command(capsys):
 
     code, _, err = run(capsys, "tensor-check", "-n", "2", "--m1", "2", "--m2", "4")
     assert code == 2 and "coprime" in err
+
+
+def test_each_space_is_scanned_once_per_command(monkeypatch, capsys):
+    real, scans = projective._lex_points, Counter()
+
+    def counted(n, m):
+        scans[n, m] += 1
+        return real(n, m)
+
+    monkeypatch.setattr(projective, "_lex_points", counted)
+    assert run(capsys, "tensor-check", "-n", "3", "--m1", "2", "--m2", "9")[0] == 0
+    assert scans == {(3, 2): 1, (3, 9): 1, (3, 18): 1}
+    scans.clear()
+    assert run(capsys, "spectrum", "-n", "2", "-m", "30", "--verify")[0] == 0
+    # P_{2,30} once for B in the command and once for the family in verify_spectrum
+    assert scans == {(2, 2): 1, (2, 3): 1, (2, 5): 1, (2, 6): 1, (2, 30): 2}
+    scans.clear()
+    assert cli.check_eigenvectors([(3, 4)]) is None
+    assert scans == {(3, 4): 1, (3, 2): 1}
+
+
+def test_an_explicit_guardrail_reaches_every_subspace(monkeypatch, capsys):
+    # sub-spaces take their limit from the space they came from, never
+    # from the environment, which only the command's own space consults
+    monkeypatch.setenv("ZMSPEC_GUARDRAIL", "10")
+    code, out, _ = run(capsys, "spectrum", "-n", "3", "-m", "6", "--verify", "--guardrail", "200")
+    report = json.loads(out)
+    assert code == 0 and {c["method"] for c in report["entries"]} == {"eigenbasis"}
+    argv = ["tensor-check", "-n", "3", "--m1", "2", "--m2", "3", "--guardrail", "200"]
+    assert run(capsys, *argv)[0] == 0
+    argv = ["points", "-n", "3", "-m", "8", "--ordering", "k-grouped", "--guardrail", "200"]
+    assert run(capsys, *argv)[0] == 0
+    code, _, err = run(capsys, "spectrum", "-n", "3", "-m", "6", "--verify")
+    assert code == 3 and "guardrail 10" in err
 
 
 def test_count_coeffs(capsys):

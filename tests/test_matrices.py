@@ -29,6 +29,11 @@ def B_of(n, m, ordering="lex"):
     return space, build_B_product(build_A(space))
 
 
+def _crt(n, m1, m2):
+    """The CRT permutation over the lex-ordered P_{n,m1}, P_{n,m2} and P_{n,m1*m2}."""
+    return crt_permutation(*(enumerate_space(n, m) for m in (m1, m2, m1 * m2)))
+
+
 def test_exact_matrix_basics():
     m = ExactMatrix([[1, 2], [3, 4]])
     assert m[0, 1] == 2 and m.rows == m.cols == 2
@@ -221,7 +226,7 @@ def test_permutation_validation():
 
 
 def test_crt_permutation_examples():
-    perm = crt_permutation(2, 2, 3)
+    perm = _crt(2, 2, 3)
     s1 = enumerate_space(2, 2)
     s2 = enumerate_space(2, 3)
     big = enumerate_space(2, 6)
@@ -260,12 +265,29 @@ def test_crt_permutation_matches_per_pair_crt(n, m1, m2):
         for u in s1.points
         for v in s2.points
     ]
-    assert crt_permutation(n, m1, m2).forward == tuple(forward)
+    assert _crt(n, m1, m2).forward == tuple(forward)
 
 
 def test_crt_permutation_rejects_non_coprime():
     with pytest.raises(DomainError):
-        crt_permutation(2, 2, 4)
+        _crt(2, 2, 4)
+
+
+def test_crt_permutation_rejects_a_wrong_target():
+    s1, s2 = enumerate_space(2, 2), enumerate_space(2, 3)
+    for big in (enumerate_space(2, 5), enumerate_space(3, 6)):
+        with pytest.raises(DomainError, match="not the CRT product"):
+            crt_permutation(s1, s2, big)
+
+
+def test_crt_permutation_follows_each_space_order():
+    # a k-grouped factor or target relabels the pair or the point index
+    s1, s2 = enumerate_space(3, 4, "k-grouped"), enumerate_space(3, 3)
+    lex1, big = enumerate_space(3, 4), enumerate_space(3, 12)
+    to_lex = np.array([lex1.position(pt) for pt in s1.points])
+    pair = (to_lex[:, None] * len(s2) + np.arange(len(s2))).ravel()
+    lex = np.array(crt_permutation(lex1, s2, big).forward)
+    assert crt_permutation(s1, s2, big).forward == tuple(lex[pair].tolist())
 
 
 def test_apply_simultaneous_permutation_identity_and_invariants():
@@ -273,7 +295,7 @@ def test_apply_simultaneous_permutation_identity_and_invariants():
     ident = Permutation.identity(b.rows)
     assert apply_simultaneous_permutation(b, ident) == b
 
-    perm = crt_permutation(2, 2, 3)
+    perm = _crt(2, 2, 3)
     conj = apply_simultaneous_permutation(b, perm)
     flat = sorted(x for row in b.to_lists() for x in row)
     assert sorted(x for row in conj.to_lists() for x in row) == flat
@@ -289,12 +311,12 @@ def test_tensor_similarity(n, m1, m2):
     _, big = B_of(n, m1 * m2)
     _, b1 = B_of(n, m1)
     _, b2 = B_of(n, m2)
-    perm = crt_permutation(n, m1, m2)
+    perm = _crt(n, m1, m2)
     assert apply_simultaneous_permutation(big, perm) == tensor_product(b1, b2)
 
 
 def test_blocks_match_worked_example():
-    part = k_partition(2, 2, 3)
+    part = k_partition(enumerate_space(3, 4))
     _, b = B_of(3, 4)
     for a in range(4):
         for c in range(4):
@@ -310,7 +332,7 @@ def test_blocks_match_worked_example():
 
 
 def test_block_reference_identity():
-    part = k_partition(2, 2, 3)
+    part = k_partition(enumerate_space(3, 4))
     _, b = B_of(3, 4)
     _, base_b = B_of(3, 2)
     # the off-diagonal prediction is B_{3,2} - I: diagonal 2, off-diagonal 1
@@ -322,7 +344,7 @@ def test_block_reference_identity():
 
 
 def test_block_reference_rejects_n2():
-    part = k_partition(2, 2, 2)
+    part = k_partition(enumerate_space(2, 4))
     _, base_b = B_of(2, 2)
     with pytest.raises(UnsupportedError):
         block_C_reference(0, 0, part, base_b)

@@ -305,7 +305,7 @@ def test_rho_fiber_size():
 
 
 def test_k_partition_matches_worked_example():
-    part = k_partition(2, 2, 3)
+    part = k_partition(enumerate_space(3, 4))
     assert part.l == 4
     rows = [[point_label(pt) for pt in cls] for cls in part.classes]
     assert rows[0] == ["001", "010", "011", "100", "101", "110", "111"]
@@ -316,7 +316,7 @@ def test_k_partition_matches_worked_example():
 
 def test_k_partition_properties():
     for p, e, n in [(2, 2, 3), (3, 2, 2), (2, 3, 2)]:
-        part = k_partition(p, e, n)
+        part = k_partition(enumerate_space(n, p**e))
         assert part.l == p ** (n - 1)
         all_pts = [pt for cls in part.classes for pt in cls]
         assert len(all_pts) == len(set(all_pts)) == theta(n, p**e)
@@ -331,7 +331,7 @@ def test_k_partition_properties():
 def test_k_partition_matches_delta_map(n, p, e):
     # oracle: fibers collected point by point through delta_map, each in
     # lex order; K_h takes the h-th member of every fiber
-    part = k_partition(p, e, n)
+    part = k_partition(enumerate_space(n, p**e))
     fibers = {v: [] for v in part.base_space.points}
     for pt in part.space.points:
         fibers[delta_map(pt, p, e)].append(pt)
@@ -349,7 +349,7 @@ def test_k_partition_matches_delta_map(n, p, e):
 
 
 def test_k_partition_3_2_2():
-    part = k_partition(3, 2, 2)
+    part = k_partition(enumerate_space(2, 9))
     assert part.l == 3
     assert all(len(cls) == 4 for cls in part.classes)
     assert theta(2, 9) == 12
@@ -366,7 +366,7 @@ def test_k_partition_rejects_wrong_fiber_sizes(monkeypatch, capsys):
         lambda self, rows: np.zeros(len(rows), dtype=np.int64),
     )
     with pytest.raises(DomainError, match="fiber over base point"):
-        k_partition(2, 2, 3)
+        k_partition(enumerate_space(3, 4))
     argv = ["matrix", "-n", "3", "-m", "4", "--ordering", "k-grouped"]
     assert cli.main(argv) == cli.EXIT_USAGE
     assert "fiber over base point" in capsys.readouterr().err

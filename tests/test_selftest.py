@@ -48,8 +48,8 @@ def _perturbed(spectrum):
 
 def _repeated_vector(family):
     """Column 1 and its tag replaced by column 2 and its tag."""
-    def wrong(n, m):
-        tags, v = family(n, m)
+    def wrong(space):
+        tags, v = family(space)
         data = v.array.copy()
         data[:, 1] = data[:, 2]
         return tags[:1] + tags[2:3] + tags[2:], ExactMatrix(data)

@@ -94,3 +94,28 @@ def test_every_rank_is_proved_by_exact_rank():
         ("spectrum.py", "exact_rank", "_bareiss_rank"),
         ("spectrum.py", "exact_rank", "_rank_mod_p"),
     ]
+
+
+def test_only_enumeration_takes_a_guardrail():
+    # a space is passed in, not rebuilt from (n, m, guardrail), so a user's
+    # limit enters only where a space is enumerated
+    allowed = {"enumerate_space", "effective_guardrail"}
+    found = [
+        f"{name}:{node.lineno} {node.name}"
+        for name in ("projective.py", "matrices.py", "spectrum.py")
+        for node in ast.walk(ast.parse((PACKAGE / name).read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name not in allowed
+        and "guardrail" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+    ]
+    assert found == []
+
+
+def test_matrices_enumerates_no_space():
+    tree = ast.parse((PACKAGE / "matrices.py").read_text(encoding="utf-8"))
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _called_name(node) == "enumerate_space"
+    ]
+    assert found == []

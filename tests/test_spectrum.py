@@ -204,9 +204,7 @@ def _perturbed(table):
 
 
 def _force_family(monkeypatch, family):
-    monkeypatch.setattr(
-        spectrum, "eigvec_family_general", lambda n, m, guardrail=None: family
-    )
+    monkeypatch.setattr(spectrum, "eigvec_family_general", lambda space: family)
 
 
 def _assert_decided_by_bareiss(b, table):
@@ -252,13 +250,13 @@ def test_perturbed_table_fails_under_both_routes(monkeypatch):
 def test_certificate_declines_on_k_grouped_matrix():
     space = enumerate_space(3, 4, "k-grouped")
     b = build_B_product(build_A(space))
-    assert eigenbasis_nullities(b, eigvec_family_general(3, 4)) is None
+    assert eigenbasis_nullities(b, eigvec_family_general(enumerate_space(3, 4))) is None
     _assert_decided_by_bareiss(b, spectrum_general(3, 4))
 
 
 def test_certificate_declines_on_corrupted_vector(monkeypatch):
     _, b = B_of(3, 4)
-    tags, v = eigvec_family_general(3, 4)
+    tags, v = eigvec_family_general(enumerate_space(3, 4))
     data = v.array.copy()
     i = np.flatnonzero(data[:, 5])[0]
     data[i, 5] = -data[i, 5]
@@ -270,7 +268,7 @@ def test_certificate_declines_on_corrupted_vector(monkeypatch):
 
 def test_certificate_declines_on_duplicated_column(monkeypatch):
     _, b = B_of(3, 4)
-    tags, v = eigvec_family_general(3, 4)
+    tags, v = eigvec_family_general(enumerate_space(3, 4))
     same = [j for j, lam in enumerate(tags) if lam == tags[-1]]
     data = v.array.copy()
     data[:, same[0]] = data[:, same[1]]
@@ -284,7 +282,7 @@ def test_certificate_declines_on_duplicated_column(monkeypatch):
 
 def test_certificate_is_exact_past_the_int64_bound():
     _, b = B_of(3, 2)
-    tags, v = eigvec_family_general(3, 2)
+    tags, v = eigvec_family_general(enumerate_space(3, 2))
     assert eigenbasis_nullities(b, (tags, v)) == {9: 1, 2: 6}
     # B and the tags scaled by 2^60: the residual runs on Python ints
     big = b * (1 << 60)
@@ -310,7 +308,7 @@ def test_certificate_is_exact_past_the_int64_bound():
 
 def test_certificate_proves_a_family_that_is_singular_mod_p_only():
     _, b = B_of(3, 2)
-    tags, v = eigvec_family_general(3, 2)
+    tags, v = eigvec_family_general(enumerate_space(3, 2))
     scaled = v * (2**31 - 1)
     assert _rank_mod_p(scaled.array, 2**31 - 1) == 0  # so Bareiss decides
     assert eigenbasis_nullities(b, (tags, scaled)) == {9: 1, 2: 6}
@@ -334,7 +332,7 @@ def test_rank_mod_p_ignores_column_order(p, rows, cols, data):
 
 def test_exact_rank_of_a_prime_family_within_budget():
     # elimination sparsest column first: the all-ones column comes last
-    _, v = eigvec_family_general(3, 31)
+    _, v = eigvec_family_general(enumerate_space(3, 31))
     budget = 1.0
     start = time.perf_counter()
     assert exact_rank(v) == v.rows == 993
@@ -465,7 +463,7 @@ def test_R_d_columns():
 
 
 def test_difference_vectors():
-    part = k_partition(2, 2, 3)
+    part = k_partition(enumerate_space(3, 4))
     _, b = B_of(3, 4)
     diffs = eigvec_differences(part)
     assert diffs.cols == 21 == (2**2 - 1) * theta(3, 2)
@@ -479,10 +477,10 @@ def test_difference_vectors():
 
 def test_lift_examples():
     # the first theta(3,2) columns of the (3,4) family lift the (3,2) family
-    part = k_partition(2, 2, 3)
+    part = k_partition(enumerate_space(3, 4))
     _, b4 = B_of(3, 4)
-    tags2, v2 = eigvec_family_general(3, 2)
-    tags4, v4 = eigvec_family_general(3, 4)
+    tags2, v2 = eigvec_family_general(enumerate_space(3, 2))
+    tags4, v4 = eigvec_family_general(enumerate_space(3, 4))
     lifted = v4.array[:, : v2.cols]
     assert lifted[:, 0].tolist() == [1] * 28  # lift of all-ones is all-ones
     for x, pt in enumerate(part.space.points):
@@ -495,9 +493,9 @@ def test_lift_examples():
 
 def test_tensor_eigenvectors():
     _, b6 = B_of(3, 6)
-    tags2, _ = eigvec_family_general(3, 2)
-    tags3, _ = eigvec_family_general(3, 3)
-    tags6, v6 = eigvec_family_general(3, 6)
+    tags2, _ = eigvec_family_general(enumerate_space(3, 2))
+    tags3, _ = eigvec_family_general(enumerate_space(3, 3))
+    tags6, v6 = eigvec_family_general(enumerate_space(3, 6))
     assert tags6 == tuple(a * b for a in tags2 for b in tags3)
     assert v6.array[:, 0].tolist() == [1] * 91  # all-ones (x) all-ones
     assert tags6[:2] == (144, 27)  # 9 * 16, and 9 * 3 for ones (x) a difference column
@@ -506,15 +504,28 @@ def test_tensor_eigenvectors():
 
 def test_full_family_general():
     for n, m in [(3, 6), (2, 30), (3, 4)]:
-        tags, v = eigvec_family_general(n, m)
+        tags, v = eigvec_family_general(enumerate_space(n, m))
         _, b = B_of(n, m)
         assert len(tags) == v.rows == v.cols == theta(n, m)
         assert v.array.dtype == np.int64
         assert np.array_equal((b @ v).array, v.array * np.array(tags))
         assert Counter(tags) == dict(spectrum_general(n, m).merged())
     # a prime power is its own factor family, and the list form is its view
-    tags, v = eigvec_family_general(3, 4)
+    tags, v = eigvec_family_general(enumerate_space(3, 4))
     assert list(zip(tags, v.array.T.tolist())) == eigvec_family_prime_power(3, 2, 2)[1]
+
+
+@pytest.mark.parametrize("n, m", [(3, 4), (3, 8), (2, 9)])
+def test_family_follows_a_k_grouped_space(n, m):
+    space = enumerate_space(n, m, "k-grouped")
+    b = build_B_product(build_A(space))
+    tags, v = eigvec_family_general(space)
+    assert eigenbasis_nullities(b, (tags, v)) == dict(spectrum_general(n, m).merged())
+    # the lex family with its rows relabelled into the space's order
+    lex = enumerate_space(n, m)
+    lex_tags, lex_v = eigvec_family_general(lex)
+    assert tags == lex_tags
+    assert np.array_equal(v.array, lex_v.array[lex.positions(space.coords)])
 
 
 def _family_digest(data) -> str:
@@ -535,7 +546,7 @@ FAMILY_DIGESTS = {
 
 @pytest.mark.parametrize("n, m", list(FAMILY_DIGESTS))
 def test_family_digest(n, m):
-    tags, v = eigvec_family_general(n, m)
+    tags, v = eigvec_family_general(enumerate_space(n, m))
     assert type(tags) is tuple and all(type(lam) is int for lam in tags)
     assert _family_digest([list(tags), v.array.tolist()]) == FAMILY_DIGESTS[n, m]
 
