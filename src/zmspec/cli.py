@@ -16,7 +16,7 @@ import itertools
 import json
 import sys
 from collections.abc import Callable, Iterable
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 
 from .counting import (BRUTE_LAYER_LIMIT, LayerSpec, count_2x2, count_2x2_brute, count_layer,
                        count_layer_brute, layer_scan_size)
@@ -80,9 +80,22 @@ def _emit(text: str, output: str | None) -> None:
             fh.write("\n")
 
 
+@contextmanager
+def _printable():
+    """Refuse, as a domain error, output holding an integer with more
+    digits than the interpreter converts to decimal.  The limit stays in
+    place: the conversion takes quadratic time in the digit count."""
+    try:
+        yield
+    except ValueError as exc:
+        raise DomainError(f"more than {sys.get_int_max_str_digits()} digits to print") from exc
+
+
 def cmd_theta(args: argparse.Namespace) -> int:
     _validate(args.n, args.m)
-    _emit(str(theta(args.n, args.m)), None)
+    with _printable():
+        text = str(theta(args.n, args.m))
+    _emit(text, None)
     return EXIT_OK
 
 
@@ -153,12 +166,13 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         report = verify_spectrum(_build_b(space), table)
         _emit(report.to_json(), args.output)
         return EXIT_OK if report.all_ok else EXIT_MISMATCH
-    if args.format == "json":
-        text = _spectrum_json(table)
-    else:
-        lines = [f"theta = {table.total_multiplicity}", "eigenvalue multiplicity"]
-        lines += [f"{lam} {d}" for lam, d in table.merged()]
-        text = "\n".join(lines) + "\n"
+    with _printable():
+        if args.format == "json":
+            text = _spectrum_json(table)
+        else:
+            lines = [f"theta = {table.total_multiplicity}", "eigenvalue multiplicity"]
+            lines += [f"{lam} {d}" for lam, d in table.merged()]
+            text = "\n".join(lines) + "\n"
     _emit(text, args.output)
     return EXIT_OK
 

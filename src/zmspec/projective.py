@@ -7,13 +7,15 @@ count, and implements the reduction map between prime-power levels
 together with its fibers and the partition of P_{n,p^e} into fiber
 transversals K_1, ..., K_{p^(n-1)}.
 
-Which point a coordinate tuple represents is answered by one position
-table per space: the enumeration scan visits every tuple of every orbit
-and writes the orbit's position there, so ``ProjectiveSpace.positions``
-maps any array of tuples to points with one gather.  The reduction map
-behind the K-partition and the CRT map behind the tensor lemma are such
-gathers.  ``canonical_rep``, ``delta_map`` and ``fiber`` compute the same
-answers one point at a time and are kept as independent oracles.
+The enumeration scan visits only the tuples whose first nonzero entry
+divides m, in lex order, and keeps the orbit minima among them.  Which
+point a coordinate tuple represents is answered by one position table
+per space, filled from the space's ordered points by one scatter per
+unit, so ``ProjectiveSpace.positions`` maps any array of tuples to
+points with one gather.  The reduction map behind the K-partition and
+the CRT map behind the tensor lemma are such gathers.  ``canonical_rep``,
+``delta_map`` and ``fiber`` compute the same answers one point at a time
+and are kept as independent oracles.
 
 Each space is scanned once per command: whatever needs a space takes the
 space itself.  ``k_partition`` takes P_{n,p^e} and enumerates only its
@@ -29,7 +31,6 @@ import itertools
 import math
 import operator
 import os
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,12 +80,7 @@ def theta(n: int, m: int | Modulus) -> int:
 
 def is_primitive(coords: tuple[int, ...], m: int) -> bool:
     """True iff gcd(coords..., m) == 1."""
-    g = m
-    for c in coords:
-        g = math.gcd(g, c)
-        if g == 1:
-            return True
-    return g == 1
+    return math.gcd(m, *coords) == 1
 
 
 @dataclass(frozen=True)
@@ -94,14 +90,7 @@ class ProjectivePoint:
     The representative is the lexicographically smallest tuple in the
     orbit {lambda * u mod m : lambda a unit}, entries in [0, m).
 
-    Proving that a tuple is canonical walks only the units that could
-    lower it.  Let d be its first nonzero entry.  The units send d to
-    exactly the residues x with gcd(x, m) = gcd(d, m), the least of which
-    is gcd(d, m), so a canonical tuple has d | m.  A unit lambda with
-    lambda != 1 (mod m/d) moves d to a larger such residue and so makes
-    the tuple larger; only the at most d units with lambda = 1 (mod m/d)
-    remain to check, and none besides 1 when d = 1, which covers every
-    point over a prime modulus.
+    Canonicity is proved by ``_is_orbit_minimum``.
     """
 
     coords: tuple[int, ...]
@@ -117,12 +106,7 @@ class ProjectivePoint:
             raise DomainError(f"coordinates {self.coords} not reduced mod {m}")
         if not is_primitive(self.coords, m):
             raise DomainError(f"{self.coords} is not primitive mod {m}")
-        d = next(c for c in self.coords if c)
-        step = m // d
-        if m % d or any(
-            math.gcd(lam, m) == 1 and tuple(lam * c % m for c in self.coords) < self.coords
-            for lam in range(1 + step, m, step)
-        ):
+        if not _is_orbit_minimum(self.coords, m):
             raise DomainError(f"{self.coords} is not the canonical representative mod {m}")
 
     @property
@@ -131,6 +115,26 @@ class ProjectivePoint:
 
     def __str__(self) -> str:
         return point_label(self)
+
+
+def _is_orbit_minimum(coords: tuple[int, ...], m: int) -> bool:
+    """True iff no unit multiple of the primitive reduced tuple ``coords``
+    is lex smaller.
+
+    Only the units that could lower the tuple are walked.  Let d be its
+    first nonzero entry.  The units send d to exactly the residues x with
+    gcd(x, m) = gcd(d, m), the least of which is gcd(d, m), so an orbit
+    minimum has d | m.  A unit lambda with lambda != 1 (mod m/d) moves d
+    to a larger such residue and so makes the tuple larger; only the at
+    most d units with lambda = 1 (mod m/d) remain to check, and none
+    besides 1 when d = 1, which covers every point over a prime modulus.
+    """
+    d = next(c for c in coords if c)
+    step = m // d
+    return m % d == 0 and not any(
+        math.gcd(lam, m) == 1 and tuple(lam * c % m for c in coords) < coords
+        for lam in range(1 + step, m, step)
+    )
 
 
 def point_label(pt: ProjectivePoint) -> str:
@@ -159,7 +163,9 @@ class ProjectiveSpace:
     ``points[i].coords``.  ``table`` is the read-only flat array over the
     m^n tuples of Z_m^n in lex order: entry t holds 1 + the position of
     the point that tuple t represents, and 0 when t is not primitive.
-    It is 2-byte while theta < 2^15 and 4-byte above that.
+    It is 2-byte while theta < 2^15 and 4-byte above that.  Every space
+    is built by ``_from_points``, which fills the table from the ordered
+    points with one scatter per unit.
     """
 
     n: int
@@ -168,6 +174,21 @@ class ProjectiveSpace:
     points: tuple[ProjectivePoint, ...]
     coords: np.ndarray = field(repr=False)
     table: np.ndarray = field(repr=False)
+
+    @classmethod
+    def _from_points(cls, n: int, mod: Modulus, ordering: str, points: tuple) -> ProjectiveSpace:
+        """The space with these ordered points.  The orbit of point i is
+        {lambda * u mod m : lambda a unit}, phi(m) distinct tuples because
+        u is primitive, so writing 1 + i at each unit multiple of every
+        point fills each primitive tuple exactly once."""
+        m = mod.value
+        coords = np.array([pt.coords for pt in points], dtype=np.int64)
+        table = np.zeros(m**n, dtype=np.int16 if len(points) < 1 << 15 else np.int32)
+        position = np.arange(1, len(points) + 1, dtype=table.dtype)
+        for lam in units(m):
+            table[_lex_index(lam * coords % m, m)] = position
+        coords.flags.writeable = table.flags.writeable = False
+        return cls(n, mod, ordering, points, coords, table)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -205,41 +226,38 @@ class ProjectiveSpace:
         reduced = (arr % m).astype(np.int64, copy=False)
         if reduced.ndim != 2 or reduced.shape[1] != self.n:
             raise DomainError(f"rows of {self.n} coordinates expected, got shape {reduced.shape}")
-        flat = reduced @ m ** np.arange(self.n - 1, -1, -1, dtype=np.int64)
-        out = self.table[flat] - 1
+        out = self.table[_lex_index(reduced, m)] - 1
         if out.size and out.min() < 0:
             bad = tuple(reduced[np.argmin(out)].tolist())
             raise DomainError(f"{bad} is not primitive mod {m}")
         return out.astype(np.int64, copy=False)
 
 
-def _lex_points(n: int, m: int) -> tuple[tuple[ProjectivePoint, ...], np.ndarray]:
-    """All canonical representatives in lexicographic order, and the
-    position table over the m^n tuples.
+def _lex_index(rows: np.ndarray, m: int) -> np.ndarray:
+    """Index of each row of a reduced integer array among the tuples of
+    Z_m^n in lex order: the row read as base-m digits."""
+    return rows @ m ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
 
-    Scans the m^n tuples in lex order; the first tuple seen from each
-    orbit is its lex minimum, so canonicalization is free, and every
-    tuple of the orbit gets 1 + the orbit's position in the table.
+
+def _lex_points(n: int, m: int) -> tuple[ProjectivePoint, ...]:
+    """All canonical representatives of P_{n,m} in lexicographic order.
+
+    An orbit minimum has a first nonzero entry d that divides m (see
+    ``_is_orbit_minimum``), so only the tuples (0, ..., 0, d, *rest) with
+    d a divisor of m below m are visited: more leading zeros first, then
+    d ascending, then rest in lex order, which is lex order.  Every d = 1
+    tuple is primitive and canonical; a d > 1 tuple is kept when it is
+    primitive and no unit lowers it.
     """
-    us = units(m)
-    weights = [m ** (n - 1 - k) for k in range(n)]
-    table = array("h" if theta(n, m) < 1 << 15 else "i", [0]) * m**n
-    points: list[ProjectivePoint] = []
-    idx = -1
-    for tup in itertools.product(range(m), repeat=n):
-        idx += 1
-        if table[idx]:
-            continue
-        if not is_primitive(tup, m):
-            continue
-        points.append(ProjectivePoint(tup, m))
-        pos = len(points)
-        for lam in us:
-            flat = 0
-            for c, w in zip(tup, weights):
-                flat += (lam * c % m) * w
-            table[flat] = pos
-    return tuple(points), np.frombuffer(table, dtype=f"i{table.itemsize}")
+    divisors = [d for d in range(1, m) if m % d == 0]
+    points = []
+    for zeros in range(n - 1, -1, -1):
+        for d in divisors:
+            for rest in itertools.product(range(m), repeat=n - 1 - zeros):
+                tup = (0,) * zeros + (d,) + rest
+                if d == 1 or (is_primitive(tup, m) and _is_orbit_minimum(tup, m)):
+                    points.append(ProjectivePoint(tup, m))
+    return tuple(points)
 
 
 def enumerate_space(
@@ -269,25 +287,16 @@ def enumerate_space(
     if ordering == "k-grouped" and mod.prime_power()[1] < 2:  # raises for composite m
         raise DomainError("k-grouped ordering needs a prime power p^e with e >= 2")
 
-    points, table = _lex_points(n, mod.value)
+    points = _lex_points(n, mod.value)
     if len(points) != count:
         raise DomainError(
             f"enumerated {len(points)} points of P_{{{n},{mod.value}}}, theta is {count}"
         )
-    coords = np.array([pt.coords for pt in points], dtype=np.int64)
-    coords.flags.writeable = table.flags.writeable = False
-    space = ProjectiveSpace(n, mod, "lex", points, coords, table)
+    space = ProjectiveSpace._from_points(n, mod, "lex", points)
     if ordering == "lex":
         return space
-
-    order = k_partition(space).positions.ravel()
-    # compose the lex table with the inverse of the order; 0 stays 0
-    inverse = np.zeros(count + 1, dtype=table.dtype)
-    inverse[order + 1] = np.arange(1, count + 1)
-    coords, table = coords[order], inverse[table]
-    coords.flags.writeable = table.flags.writeable = False
-    return ProjectiveSpace(n, mod, ordering, tuple(map(points.__getitem__, order.tolist())),
-                           coords, table)
+    order = k_partition(space).positions.ravel().tolist()
+    return ProjectiveSpace._from_points(n, mod, ordering, tuple(map(points.__getitem__, order)))
 
 
 def neighborhood(u: ProjectivePoint, space: ProjectiveSpace) -> list[ProjectivePoint]:

@@ -28,6 +28,15 @@ def test_theta_rejects_bad_arguments(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("argv", [["theta"], ["spectrum"], ["spectrum", "--format", "json"]])
+def test_numbers_too_long_to_print_are_a_domain_error(capsys, argv):
+    # theta(10000, 3) has 4771 digits, past the interpreter's 4300-digit
+    # limit on int -> str; exit 1 would read as a verification mismatch
+    code, out, err = run(capsys, *argv, "-n", "10000", "-m", "3")
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "digits" in err
+
+
 def test_points_command(capsys):
     code, out, _ = run(capsys, "points", "-n", "3", "-m", "2")
     assert code == 0

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -159,6 +160,8 @@ def test_enumerate_space_sizes():
     "n,m,ordering",
     [
         (2, 6, "lex"), (3, 4, "lex"), (3, 6, "lex"), (2, 12, "lex"), (3, 9, "lex"),
+        # moduli with many divisors: the scan visits one first entry d | m at a time
+        (2, 36, "lex"), (3, 12, "lex"), (4, 6, "lex"), (2, 72, "lex"), (3, 16, "lex"),
         (3, 4, "k-grouped"), (3, 8, "k-grouped"), (2, 9, "k-grouped"),
     ],
 )
@@ -166,6 +169,9 @@ def test_positions_match_canonical_rep(n, m, ordering):
     space = enumerate_space(n, m, ordering)
     order = {pt: i for i, pt in enumerate(space.points)}
     assert space.coords.tolist() == [list(pt.coords) for pt in space.points]
+    if ordering == "lex":
+        rows = space.coords.tolist()
+        assert all(a < b for a, b in zip(rows, rows[1:]))
     tuples = list(itertools.product(range(m), repeat=n))
     primitive = [t for t in tuples if is_primitive(t, m)]
     expected = [space.position(canonical_rep(t, m)) for t in primitive]
@@ -178,6 +184,15 @@ def test_positions_match_canonical_rep(n, m, ordering):
         if not is_primitive(t, m):
             with pytest.raises(DomainError, match="not primitive"):
                 space.positions([t])
+
+
+def test_enumeration_budget():
+    # the scan visits only tuples whose first nonzero entry divides m: at
+    # (2, 3001) that is 3002 tuples, not the 9 million of Z_3001^2
+    start = time.perf_counter()
+    space = enumerate_space(2, 3001)
+    assert time.perf_counter() - start < 2.0
+    assert len(space) == 3002
 
 
 def test_position_table_width():
