@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from collections.abc import Callable, Iterable
 from contextlib import contextmanager, nullcontext
@@ -80,6 +81,10 @@ def _emit(text: str, output: str | None) -> None:
             fh.write("\n")
 
 
+def _too_long(digits: int) -> DomainError:
+    return DomainError(f"more than {digits} digits to print")
+
+
 @contextmanager
 def _printable():
     """Refuse, as a domain error, output holding an integer with more
@@ -88,11 +93,24 @@ def _printable():
     try:
         yield
     except ValueError as exc:
-        raise DomainError(f"more than {sys.get_int_max_str_digits()} digits to print") from exc
+        raise _too_long(sys.get_int_max_str_digits()) from exc
+
+
+def _refuse_unprintable(m: int, power: int) -> None:
+    """Refuse up front, as ``_printable`` would after the work, output that
+    holds an integer of at least m^power.  That integer has at least
+    floor(power * log10(m)) + 1 digits, more than the limit once
+    power * log10(m) reaches it; the float estimate is lowered by a
+    margin far above its rounding error, so it stays a lower bound.  What
+    this cannot rule out is computed and left to ``_printable``."""
+    limit = sys.get_int_max_str_digits()
+    if limit and power * math.log10(m) * (1 - 1e-9) >= limit:
+        raise _too_long(limit)
 
 
 def cmd_theta(args: argparse.Namespace) -> int:
     _validate(args.n, args.m)
+    _refuse_unprintable(args.m, args.n - 1)  # theta(n, m) >= m^(n-1)
     with _printable():
         text = str(theta(args.n, args.m))
     _emit(text, None)
@@ -160,12 +178,14 @@ def _spectrum_json(table) -> str:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     _validate(args.n, args.m, args.guardrail)
-    table = spectrum_general(args.n, args.m)
     if args.verify:
         space = enumerate_space(args.n, args.m, guardrail=args.guardrail)
-        report = verify_spectrum(_build_b(space), table)
+        report = verify_spectrum(_build_b(space), spectrum_general(args.n, args.m))
         _emit(report.to_json(), args.output)
         return EXIT_OK if report.all_ok else EXIT_MISMATCH
+    # theta >= m^(n-1) and the top eigenvalue >= m^(2(n-2)) are printed
+    _refuse_unprintable(args.m, max(args.n - 1, 2 * (args.n - 2)))
+    table = spectrum_general(args.n, args.m)
     with _printable():
         if args.format == "json":
             text = _spectrum_json(table)

@@ -6,8 +6,13 @@ product and the closed-form prime-power entry), Kronecker products, the
 CRT relabeling that exhibits B_{n,m} as a tensor product over the
 prime-power factors, and the fiber-aligned blocks of B over a
 K-partition.  All arithmetic is exact: every operation is one numpy
-expression, evaluated in int64 when a checked bound proves it cannot
-wrap and on Python ints (an object array) otherwise.
+expression in the dtype that ``_exact_dtype`` picks from a checked bound
+on the values it computes.  There are three tiers.  A matrix product
+whose operand entries, products and partial sums stay below 2^53 runs as
+one float64 BLAS product, which is exact there in any summation order.
+Anything else whose values stay below 2^62 runs in int64, and the rest
+on Python ints (an object array).  Entries are stored as int64 or
+object, never as floats.
 
 The four export formats (Matrix Market, CSV, JSON, aligned table) are
 rendered from one token table per matrix: each distinct entry value is
@@ -36,16 +41,38 @@ from .projective import KPartition, ProjectivePoint, ProjectiveSpace, point_labe
 
 # below this, a sum of two values still fits int64
 _INT64_LIMIT = 1 << 62
+# every integer of absolute value at most this is a float64
+_FLOAT64_LIMIT = 1 << 53
 
 
-def _exact_dtype(*bounds: int) -> type:
-    """The dtype in which a computation is exact: int64 when every bound is
-    below 2^62, object (Python ints) otherwise.
+def _exact_dtype(*bounds: int, blas: bool = False) -> type:
+    """The dtype in which a computation is exact, in three tiers:
 
-    This is the only place the int64 decision is made.  Callers pass a
-    bound on the absolute value of every operand entry and of every
-    partial and final result entry, so the int64 path can never wrap."""
-    return np.int64 if max(bounds) < _INT64_LIMIT else object
+    - float64, for a matrix product (``blas``) when every bound is below
+      2^53;
+    - int64 when every bound is below 2^62;
+    - object (Python ints) otherwise.
+
+    This is the only place a dtype is decided.  Callers pass a bound on
+    the absolute value of every operand entry and of every partial and
+    final result entry, so the int64 path can never wrap.
+
+    The float64 tier is exact for the same reason.  A product passes
+    max|a|, max|b| and max|a| * max|b| * inner, where inner is the shared
+    dimension.  Every operand entry, every product a_ik * b_kj and every
+    partial sum of such products is then an integer of absolute value
+    below 2^53.  Each of them is a float64, so each rounding step of the
+    BLAS product has an exactly representable result and returns it
+    unchanged, whatever summation order, blocking or fused multiply-add
+    the library uses.  The result holds integers below 2^53, which the
+    cast back to int64 keeps exactly.  Other operations stay in integer
+    dtypes: numpy has no BLAS for int64, so only a product gains from
+    floats.  The checks are plain comparisons, so they hold under
+    ``python -O``."""
+    bound = max(bounds)
+    if blas and bound < _FLOAT64_LIMIT:
+        return np.float64
+    return np.int64 if bound < _INT64_LIMIT else object
 
 
 def _exact_array(data) -> tuple[np.ndarray, int]:
@@ -88,12 +115,13 @@ class ExactMatrix:
     |entry| < 2^62, an object array of Python ints otherwise.  Each
     operation states a bound on the values it computes and runs in the
     dtype ``_exact_dtype`` picks for that bound, so a result is exact in
-    either dtype.  An int64 ndarray passed in is shared, not copied, and
+    every tier.  An int64 ndarray passed in is shared, not copied, and
     no method writes to the array, so transposes and index views share
-    memory too.
+    memory too.  A matrix that is the left operand of a float64 product
+    keeps the float64 copy of its entries for later products.
     """
 
-    __slots__ = ("_array", "_max_abs", "row_labels", "col_labels")
+    __slots__ = ("_array", "_max_abs", "_float", "row_labels", "col_labels")
 
     def __init__(
         self,
@@ -102,6 +130,7 @@ class ExactMatrix:
         col_labels: tuple[ProjectivePoint, ...] | None = None,
     ):
         self._array, self._max_abs = _exact_array(data)
+        self._float: np.ndarray | None = None
         if row_labels is not None and len(row_labels) != self.rows:
             raise DomainError("row label count does not match the row count")
         if col_labels is not None and len(col_labels) != self.cols:
@@ -167,6 +196,16 @@ class ExactMatrix:
     def _as(self, dtype: type) -> np.ndarray:
         return self._array.astype(dtype, copy=False)
 
+    def _float64(self) -> np.ndarray:
+        """The entries as float64, for the left operand of a product in the
+        float64 tier.  The copy is made once and kept, so that the products
+        M @ X_1, M @ X_2, ... of one M (the blocks of the eigenbasis
+        certificate) convert M once.  A right operand is converted afresh
+        instead, so that its copy is freed with the product."""
+        if self._float is None:
+            self._float = self._array.astype(np.float64)
+        return self._float
+
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(self._array.T, self.col_labels, self.row_labels)
 
@@ -201,7 +240,12 @@ class ExactMatrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         a, b = self._max_abs, other._max_abs
-        dtype = _exact_dtype(a, b, a * b * self.cols)
+        dtype = _exact_dtype(a, b, a * b * self.cols, blas=True)
+        if dtype is np.float64:
+            # one BLAS product, exact by the bound; the right operand's
+            # copy is freed before the result is cast back
+            out = self._float64() @ other._as(dtype)
+            return ExactMatrix(out.astype(np.int64), self.row_labels, other.col_labels)
         right = other._as(dtype)
         if dtype is np.int64:
             # numpy has no BLAS for int64, and its product loop is several
@@ -267,13 +311,16 @@ def build_B_product(a: ExactMatrix) -> ExactMatrix:
     """Exact Gram matrix A @ A^t."""
     if not a.is_square:
         raise DomainError("the incidence matrix must be square")
-    if a.max_abs() <= 1 and a.cols <= 1 << 24:
-        # 0/1 data: float64 dot products are sums of at most `cols` ones,
-        # far below 2^53, so the BLAS product is exact
-        arr = a.array.astype(np.float64)
-        prod = np.rint(arr @ arr.T).astype(np.int64)
-        return ExactMatrix(prod, a.row_labels, a.row_labels)
-    return a @ a.transpose()
+    top = a.max_abs()
+    if _exact_dtype(top, top * top * a.cols, blas=True) is not np.float64:
+        return a @ a.transpose()
+    # the float64 tier of A @ A^t from one copy of A, which BLAS multiplies
+    # by its own transpose (a symmetric rank-k update); the copy goes
+    # before the product is cast back, so the cast can take its place
+    x = a.array.astype(np.float64)
+    prod = x @ x.T
+    del x
+    return ExactMatrix(prod.astype(np.int64), a.row_labels, a.row_labels)
 
 
 def _entry_table(p: int, e: int, n: int) -> list[int]:

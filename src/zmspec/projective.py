@@ -11,16 +11,18 @@ The enumeration scan visits only the tuples whose first nonzero entry
 divides m, in lex order, and keeps the orbit minima among them.  Which
 point a coordinate tuple represents is answered by one position table
 per space, filled from the space's ordered points by one scatter per
-unit, so ``ProjectiveSpace.positions`` maps any array of tuples to
-points with one gather.  The reduction map behind the K-partition and
-the CRT map behind the tensor lemma are such gathers.  ``canonical_rep``,
-``delta_map`` and ``fiber`` compute the same answers one point at a time
-and are kept as independent oracles.
+unit when it is first needed, so ``ProjectiveSpace.positions`` maps any
+array of tuples to points with one gather.  The reduction map behind the
+K-partition and the CRT map behind the tensor lemma are such gathers.
+``canonical_rep``, ``delta_map`` and ``fiber`` compute the same answers
+one point at a time and are kept as independent oracles.
 
 Each space is scanned once per command: whatever needs a space takes the
-space itself.  ``k_partition`` takes P_{n,p^e} and enumerates only its
-base P_{n,p^(e-1)}, with the size of the space it came from as the
-limit, so a user's limit enters only through ``enumerate_space``.
+space itself, and ``ProjectiveSpace.from_points`` rebuilds a space from
+the point labels a matrix carries without scanning.  ``k_partition``
+takes P_{n,p^e} and enumerates only its base P_{n,p^(e-1)}, with the
+size of the space it came from as the limit, so a user's limit enters
+only through ``enumerate_space``.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import math
 import operator
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -160,12 +163,9 @@ class ProjectiveSpace:
     """The ordered point list of P_{n,m} plus its position table.
 
     ``coords`` is the read-only theta x n int64 array whose row i is
-    ``points[i].coords``.  ``table`` is the read-only flat array over the
-    m^n tuples of Z_m^n in lex order: entry t holds 1 + the position of
-    the point that tuple t represents, and 0 when t is not primitive.
-    It is 2-byte while theta < 2^15 and 4-byte above that.  Every space
-    is built by ``_from_points``, which fills the table from the ordered
-    points with one scatter per unit.
+    ``points[i].coords``.  ``table``, filled on first use, answers which
+    point a tuple represents.  ``ordering`` is "lex" or "k-grouped" for
+    an enumerated space and "given" for one built by ``from_points``.
     """
 
     n: int
@@ -173,22 +173,54 @@ class ProjectiveSpace:
     ordering: str
     points: tuple[ProjectivePoint, ...]
     coords: np.ndarray = field(repr=False)
-    table: np.ndarray = field(repr=False)
 
     @classmethod
     def _from_points(cls, n: int, mod: Modulus, ordering: str, points: tuple) -> ProjectiveSpace:
-        """The space with these ordered points.  The orbit of point i is
-        {lambda * u mod m : lambda a unit}, phi(m) distinct tuples because
-        u is primitive, so writing 1 + i at each unit multiple of every
-        point fills each primitive tuple exactly once."""
-        m = mod.value
+        """The space with these ordered points, which must be exactly the
+        points of P_{n,m}."""
         coords = np.array([pt.coords for pt in points], dtype=np.int64)
-        table = np.zeros(m**n, dtype=np.int16 if len(points) < 1 << 15 else np.int32)
-        position = np.arange(1, len(points) + 1, dtype=table.dtype)
+        coords.flags.writeable = False
+        return cls(n, mod, ordering, points, coords)
+
+    @classmethod
+    def from_points(cls, n: int, m: int | Modulus, points) -> ProjectiveSpace:
+        """P_{n,m} with its points in the given order, such as the row
+        labels of a matrix built over some ordering of the space.  Nothing
+        is enumerated.
+
+        ``points`` must be theta(n, m) distinct ProjectivePoints of modulus
+        m and dimension n.  Each is canonical and primitive by
+        construction, so they are then exactly the points of P_{n,m};
+        anything else raises DomainError."""
+        mod = as_modulus(m)
+        points = tuple(points)
+        if not (
+            len(points) == theta(n, mod)
+            and all(isinstance(pt, ProjectivePoint) and pt.modulus == mod.value
+                    and pt.dimension == n for pt in points)
+            and len(set(points)) == len(points)
+        ):
+            raise DomainError(f"the points given are not those of P_{{{n},{mod.value}}}")
+        return cls._from_points(n, mod, "given", points)
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The read-only flat array over the m^n tuples of Z_m^n in lex
+        order: entry t holds 1 + the position of the point that tuple t
+        represents, and 0 when t is not primitive.  It is 2-byte while
+        theta < 2^15 and 4-byte above that.
+
+        The orbit of point i is {lambda * u mod m : lambda a unit}, phi(m)
+        distinct tuples because u is primitive, so writing 1 + i at each
+        unit multiple of every point, one scatter per unit, fills each
+        primitive tuple exactly once."""
+        m = self.m.value
+        table = np.zeros(m**self.n, dtype=np.int16 if len(self) < 1 << 15 else np.int32)
+        position = np.arange(1, len(self) + 1, dtype=table.dtype)
         for lam in units(m):
-            table[_lex_index(lam * coords % m, m)] = position
-        coords.flags.writeable = table.flags.writeable = False
-        return cls(n, mod, ordering, points, coords, table)
+            table[_lex_index(lam * self.coords % m, m)] = position
+        table.flags.writeable = False
+        return table
 
     def __len__(self) -> int:
         return len(self.points)

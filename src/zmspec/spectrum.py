@@ -270,8 +270,9 @@ def eigenbasis_nullities(
     lambda.  Two exact checks:
 
     1. M V_lambda == lambda * V_lambda for every distinct tag, as
-       ``ExactMatrix`` expressions: exact in any dtype, since they run in
-       int64 only under a checked bound and in Python ints past it.
+       ``ExactMatrix`` expressions: exact in every tier, since each runs
+       in the dtype ``matrices`` picks from a checked bound.  M is
+       converted for the product once, and kept, not once per block.
        Together these say M V == V D, with D the diagonal of the tags;
     2. V has full rank over the rationals (``exact_rank``).
 
@@ -291,15 +292,22 @@ def eigenbasis_nullities(
     order = m.rows
     if len(tags) != order or (v.rows, v.cols) != (order, order):
         return None
+    # the rank first: its working copy of V is the certificate's largest
+    # temporary, and M does not yet hold the copy it keeps for products
+    if exact_rank(v) != order:
+        return None
     columns: dict[int, list[int]] = {}
     for j, lam in enumerate(tags):
         columns.setdefault(lam, []).append(j)
+    # at most a quarter of the columns per product, so that the temporaries
+    # of one check (the columns, their copy for the product, the product
+    # and lambda times the columns) stay below one order x order matrix
+    width = max(1, order // 4)
     for lam, cols in columns.items():
-        block = ExactMatrix(v.array[:, cols])
-        if m @ block != lam * block:
-            return None
-    if exact_rank(v) != order:
-        return None
+        for start in range(0, len(cols), width):
+            block = ExactMatrix(v.array[:, cols[start : start + width]])
+            if m @ block != lam * block:
+                return None
     return {lam: len(cols) for lam, cols in columns.items()}
 
 
@@ -367,17 +375,32 @@ class VerificationReport:
         return json.dumps(self.to_json_dict(), indent=indent)
 
 
+def _labelled_space(m: ExactMatrix, table: SpectrumTable) -> ProjectiveSpace:
+    """P_{n,m} in the order of M's row labels, or the lex-ordered P_{n,m}
+    when M has none or they are not exactly its points."""
+    if m.row_labels is not None:
+        try:
+            return ProjectiveSpace.from_points(table.n, table.m, m.row_labels)
+        except DomainError:
+            pass
+    return enumerate_space(table.n, table.m, guardrail=m.rows)
+
+
 def verify_spectrum(m: ExactMatrix, table: SpectrumTable) -> VerificationReport:
     """Check every merged (eigenvalue, multiplicity) claim, plus the
     dimension, trace and trace-of-square identities.  Mismatches are
     report content, not exceptions.
 
     The claims are first decided together by ``eigenbasis_nullities`` on
-    the family of ``eigvec_family_general`` over the lex-ordered P_{n,m},
-    enumerated here with the matrix order as the limit, which is an exact
-    proof for any matrix passed in.  If it declines (for instance
-    when M is not B_{n,m} in lex order) every claim is decided by
-    ``exact_nullity`` instead.  Each row records its method."""
+    the family of ``eigvec_family_general``, which is an exact proof for
+    any matrix passed in.  The family is built over the space in the
+    order of M's row labels, so B_{n,m} in any ordering is certified
+    without enumerating P_{n,m} again.  Only when M has no labels, or its
+    labels are not exactly the points of P_{n,m}, is the lex-ordered
+    P_{n,m} enumerated for it, with the matrix order as the limit.  If
+    the certificate declines (for instance when M is a relabelled B_{n,m}
+    without labels) every claim is decided by ``exact_nullity`` instead.
+    Each row records its method."""
     if not m.is_square:
         raise DomainError("verification needs a square matrix")
     if m.rows != table.total_multiplicity:
@@ -386,8 +409,7 @@ def verify_spectrum(m: ExactMatrix, table: SpectrumTable) -> VerificationReport:
             f"multiplicity {table.total_multiplicity}"
         )
     merged = table.merged()
-    family = eigvec_family_general(enumerate_space(table.n, table.m, guardrail=m.rows))
-    certified = eigenbasis_nullities(m, family)
+    certified = eigenbasis_nullities(m, eigvec_family_general(_labelled_space(m, table)))
     if certified is not None:
         entries = tuple(
             EigenvalueCheck(lam, d, certified.get(lam, 0), "eigenbasis")

@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zmspec.errors import DomainError, UnsupportedError
 from zmspec.matrices import (
     ExactMatrix,
+    _exact_dtype,
     Permutation,
     apply_simultaneous_permutation,
     block_C,
@@ -96,6 +99,42 @@ def test_int64_boundary_matches_python_ints(data):
     assert m.trace() == sum(data[i][i] for i in range(n))
     assert m.trace_of_square() == sum(data[i][j] * data[j][i] for i in range(n) for j in range(n))
     assert m.row_sums() == [sum(r) for r in data]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_float64_tier_ends_below_2_53(sign):
+    # (2^27 + 1) * (2^26 + 1) = 2^53 + 2^27 + 2^26 + 1 is odd and above
+    # 2^53, where float64 holds only even integers: a float product rounds it
+    a, b = 2**27 + 1, 2**26 + 1
+    assert (ExactMatrix([[sign * a]]) @ ExactMatrix([[b]])).to_lists() == [[sign * a * b]]
+    assert ExactMatrix([[sign * a]]).matvec([b]) == [sign * a * b]
+    assert _exact_dtype(a, b, a * b, blas=True) is np.int64
+    assert _exact_dtype(a, b - 2, a * (b - 2), blas=True) is np.float64
+    assert _exact_dtype(a, b - 2, a * (b - 2)) is np.int64
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_product_is_exact_on_both_sides_of_the_float64_bound(data):
+    rows, inner, cols = (data.draw(st.integers(1, 6)) for _ in range(3))
+    top_a = data.draw(st.integers(1, 1 << 40))
+    # max|a| * max|b| * inner just below 2^53 (float64 tier) or just above
+    above = data.draw(st.booleans())
+    top_b = (1 << 53) // (top_a * inner) + 1 if above else ((1 << 53) - 1) // (top_a * inner)
+    assert (top_a * top_b * inner < 1 << 53) != above
+
+    def matrix(shape, top):
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        entries = [rng.randint(-top, top) for _ in range(shape[0] * shape[1])]
+        entries[rng.randrange(len(entries))] = rng.choice([top, -top])
+        return [entries[i * shape[1]:(i + 1) * shape[1]] for i in range(shape[0])]
+
+    a, b = matrix((rows, inner), top_a), matrix((inner, cols), top_b)
+    product = (ExactMatrix(a) @ ExactMatrix(b)).array
+    assert product.dtype == np.int64
+    # the object-dtype product, on Python ints
+    expected = np.array(a, dtype=object) @ np.array(b, dtype=object)
+    assert product.tolist() == expected.tolist()
 
 
 def test_storage_dtype_follows_the_largest_entry():

@@ -11,6 +11,7 @@ from zmspec.errors import DomainError, GuardrailError
 from zmspec.modular import euler_phi, units
 from zmspec.projective import (
     ProjectivePoint,
+    ProjectiveSpace,
     canonical_rep,
     delta_map,
     enumerate_space,
@@ -201,6 +202,31 @@ def test_position_table_width():
     wide = enumerate_space(16, 2, guardrail=1 << 16)
     assert wide.table.itemsize == 4
     assert wide.positions(wide.coords).tolist() == list(range(len(wide)))
+
+
+def test_space_from_points_keeps_their_order():
+    k_grouped = enumerate_space(3, 4, "k-grouped")
+    space = ProjectiveSpace.from_points(3, 4, k_grouped.points)
+    assert space.points == k_grouped.points and space.ordering == "given"
+    assert np.array_equal(space.coords, k_grouped.coords)
+    assert np.array_equal(space.table, k_grouped.table)
+    assert space.positions(space.coords).tolist() == list(range(28))
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        enumerate_space(3, 4).points[:-1],  # one point short
+        enumerate_space(3, 4).points[:-1] + enumerate_space(3, 4).points[:1],  # repeat
+        enumerate_space(3, 4).points[:-1] + enumerate_space(3, 2).points[:1],  # modulus
+        enumerate_space(3, 4).points[:-1] + enumerate_space(2, 4).points[:1],  # dimension
+        tuple(point_label(pt) for pt in enumerate_space(3, 4).points),  # not points
+    ],
+    ids=["short", "repeat", "modulus", "dimension", "labels"],
+)
+def test_space_from_points_refuses_anything_but_the_points(points):
+    with pytest.raises(DomainError, match="not those of P_"):
+        ProjectiveSpace.from_points(3, 4, points)
 
 
 def test_position_rejects_foreign_points():

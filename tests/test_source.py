@@ -119,3 +119,14 @@ def test_matrices_enumerates_no_space():
         if isinstance(node, ast.Call) and _called_name(node) == "enumerate_space"
     ]
     assert found == []
+
+
+def test_only_matrices_names_float64():
+    # matrices picks every dtype, and its float64 tier is exact only under
+    # the bound it checks; float64 anywhere else would be an unchecked path
+    found = [
+        path.name
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "matrices.py" and "float64" in path.read_text(encoding="utf-8")
+    ]
+    assert found == []

@@ -250,8 +250,27 @@ def test_perturbed_table_fails_under_both_routes(monkeypatch):
 def test_certificate_declines_on_k_grouped_matrix():
     space = enumerate_space(3, 4, "k-grouped")
     b = build_B_product(build_A(space))
+    table = spectrum_general(3, 4)
     assert eigenbasis_nullities(b, eigvec_family_general(enumerate_space(3, 4))) is None
-    _assert_decided_by_bareiss(b, spectrum_general(3, 4))
+    # verify_spectrum builds the family over the space of b's row labels
+    report = verify_spectrum(b, table)
+    assert report.all_ok and {c.method for c in report.entries} == {"eigenbasis"}
+    assert all(c.computed == exact_nullity(b, c.eigenvalue) for c in report.entries)
+    # the same rows without labels meet the lex family, and Bareiss decides
+    _assert_decided_by_bareiss(ExactMatrix(b.array), table)
+
+
+def test_verify_falls_back_on_labels_that_are_not_the_points():
+    space, b = B_of(3, 4)
+    table = spectrum_general(3, 4)
+    # a repeated point or labels that are not points: the lex family
+    for labels in (space.points[:-1] + space.points[:1], tuple(map(str, space.points))):
+        report = verify_spectrum(ExactMatrix(b.array, labels, labels), table)
+        assert report.all_ok and {c.method for c in report.entries} == {"eigenbasis"}
+    # the points in an order that is not the matrix's: the family follows
+    # the labels, the certificate declines, and Bareiss decides
+    shuffled = enumerate_space(3, 4, "k-grouped").points
+    _assert_decided_by_bareiss(ExactMatrix(b.array, shuffled, shuffled), table)
 
 
 def test_certificate_declines_on_corrupted_vector(monkeypatch):
@@ -338,6 +357,18 @@ def test_exact_rank_of_a_prime_family_within_budget():
     assert exact_rank(v) == v.rows == 993
     elapsed = time.perf_counter() - start
     assert elapsed < budget, f"exact_rank took {elapsed:.2f} s, budget {budget} s"
+
+
+def test_eigenbasis_certificate_within_budget():
+    # the residual B V_lambda runs as float64 BLAS products: B_{3,32} has
+    # max|B| * max|V| * theta = 48 * 1 * 1792, far below 2^53
+    space, b = B_of(3, 32)
+    family = eigvec_family_general(space)
+    budget = 2.0
+    start = time.perf_counter()
+    assert eigenbasis_nullities(b, family) == dict(spectrum_general(3, 32).merged())
+    elapsed = time.perf_counter() - start
+    assert elapsed < budget, f"eigenbasis_nullities took {elapsed:.2f} s, budget {budget} s"
 
 
 def test_rank_mod_p_against_fraction_oracle():
