@@ -4,151 +4,23 @@ The package enumerates the point sets P_{n,m}, builds the incidence
 matrix A_{n,m} and its Gram matrix B_{n,m} = A A^t in two independent
 ways, evaluates the closed-form eigenvalue tables, and verifies every
 (eigenvalue, multiplicity) claim by exact integer computation.
+
+Each module's ``__all__`` is the one list of its public names; the
+package re-exports them all.
 """
 
-from .counting import (
-    LayerSpec,
-    XiData,
-    count_2x2,
-    count_2x2_brute,
-    count_layer,
-    count_layer_brute,
-    count_primitive,
-    good_pair,
-    xi_data,
-)
-from .errors import DomainError, GuardrailError, NotAUnitError, UnsupportedError
-from .matrices import (
-    ExactMatrix,
-    Permutation,
-    apply_simultaneous_permutation,
-    block_C,
-    block_C_reference,
-    build_A,
-    build_B_analytic,
-    build_B_product,
-    crt_permutation,
-    entry_b_uv,
-    tensor_product,
-    to_csv,
-    to_json,
-    to_matrix_market,
-    to_table,
-)
-from .modular import (
-    Modulus,
-    as_modulus,
-    crt_combine,
-    euler_phi,
-    factorize,
-    is_prime,
-    mod_inverse,
-    nu_p,
-    units,
-)
-from .projective import (
-    KPartition,
-    ProjectivePoint,
-    ProjectiveSpace,
-    canonical_rep,
-    delta_map,
-    enumerate_space,
-    fiber,
-    is_primitive,
-    k_partition,
-    neighborhood,
-    orbit_size,
-    point_label,
-    points_to_csv,
-    rho_fiber_size,
-    theta,
-)
-from .spectrum import (
-    EigenvalueCheck,
-    SpectrumRow,
-    SpectrumTable,
-    VerificationReport,
-    eigenbasis_nullities,
-    eigvec_R_d,
-    eigvec_all_ones,
-    eigvec_differences,
-    eigvec_family_general,
-    eigvec_family_prime_power,
-    exact_nullity,
-    exact_rank,
-    spectrum_general,
-    spectrum_prime_power,
-    verify_spectrum,
-)
+from . import counting, errors, matrices, modular, projective, spectrum
+from .counting import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .matrices import *  # noqa: F403
+from .modular import *  # noqa: F403
+from .projective import *  # noqa: F403
+from .spectrum import *  # noqa: F403
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "DomainError",
-    "EigenvalueCheck",
-    "ExactMatrix",
-    "GuardrailError",
-    "KPartition",
-    "LayerSpec",
-    "Modulus",
-    "NotAUnitError",
-    "Permutation",
-    "ProjectivePoint",
-    "ProjectiveSpace",
-    "SpectrumRow",
-    "SpectrumTable",
-    "UnsupportedError",
-    "VerificationReport",
-    "XiData",
-    "apply_simultaneous_permutation",
-    "as_modulus",
-    "block_C",
-    "block_C_reference",
-    "build_A",
-    "build_B_analytic",
-    "build_B_product",
-    "canonical_rep",
-    "count_2x2",
-    "count_2x2_brute",
-    "count_layer",
-    "count_layer_brute",
-    "count_primitive",
-    "crt_combine",
-    "crt_permutation",
-    "delta_map",
-    "eigenbasis_nullities",
-    "eigvec_R_d",
-    "eigvec_all_ones",
-    "eigvec_differences",
-    "eigvec_family_general",
-    "eigvec_family_prime_power",
-    "entry_b_uv",
-    "enumerate_space",
-    "euler_phi",
-    "exact_nullity",
-    "exact_rank",
-    "factorize",
-    "fiber",
-    "good_pair",
-    "is_prime",
-    "is_primitive",
-    "k_partition",
-    "mod_inverse",
-    "neighborhood",
-    "nu_p",
-    "orbit_size",
-    "point_label",
-    "points_to_csv",
-    "rho_fiber_size",
-    "spectrum_general",
-    "spectrum_prime_power",
-    "tensor_product",
-    "theta",
-    "to_csv",
-    "to_json",
-    "to_matrix_market",
-    "to_table",
-    "units",
-    "verify_spectrum",
-    "xi_data",
-]
+__all__ = sorted(
+    name
+    for module in (counting, errors, matrices, modular, projective, spectrum)
+    for name in module.__all__
+)

@@ -62,12 +62,13 @@ EXIT_GUARDRAIL = 3
 EXIT_IO = 4
 
 
-def _validate(n: int, m: int, guardrail: int | None = None) -> None:
-    """Reject the common knobs of a command that are out of range."""
+def _validate(n: int, m: int, guardrail: int | None = None, flag: str = "-m") -> None:
+    """Reject the common knobs of a command that are out of range; ``flag``
+    names the option that gave the modulus."""
     if n < 2:
         raise DomainError(f"-n must be >= 2, got {n}")
     if m < 2:
-        raise DomainError(f"-m must be >= 2, got {m}")
+        raise DomainError(f"{flag} must be >= 2, got {m}")
     if guardrail is not None and guardrail <= 0:
         raise DomainError("--guardrail must be positive")
 
@@ -214,7 +215,8 @@ def tensor_similar(n: int, m1: int, m2: int, guardrail: int | None = None) -> bo
 
 def cmd_tensor_check(args: argparse.Namespace) -> int:
     n, m1, m2 = args.n, args.m1, args.m2
-    _validate(n, m1 * m2, args.guardrail)
+    _validate(n, m1, args.guardrail, "--m1")
+    _validate(n, m2, flag="--m2")
     equal = tensor_similar(n, m1, m2, args.guardrail)
     verdict = "PASS" if equal else "FAIL"
     _emit(

@@ -182,3 +182,16 @@ def count_primitive(u: ProjectivePoint, v: ProjectivePoint) -> int:
     full = count_layer(u, v, LayerSpec(g=0, p=p, e=e, n=n))
     divisible = count_layer(u, v, LayerSpec(g=1, p=p, e=e, n=n))
     return full - divisible
+
+
+__all__ = [
+    "LayerSpec",
+    "XiData",
+    "count_2x2",
+    "count_2x2_brute",
+    "count_layer",
+    "count_layer_brute",
+    "count_primitive",
+    "good_pair",
+    "xi_data",
+]

@@ -15,3 +15,6 @@ class UnsupportedError(DomainError):
 
 class GuardrailError(RuntimeError):
     """A size guardrail would be exceeded; nothing was allocated."""
+
+
+__all__ = ["DomainError", "GuardrailError", "NotAUnitError", "UnsupportedError"]

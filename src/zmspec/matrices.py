@@ -7,12 +7,12 @@ CRT relabeling that exhibits B_{n,m} as a tensor product over the
 prime-power factors, and the fiber-aligned blocks of B over a
 K-partition.  All arithmetic is exact: every operation is one numpy
 expression in the dtype that ``_exact_dtype`` picks from a checked bound
-on the values it computes.  There are three tiers.  A matrix product
-whose operand entries, products and partial sums stay below 2^53 runs as
-one float64 BLAS product, which is exact there in any summation order.
-Anything else whose values stay below 2^62 runs in int64, and the rest
-on Python ints (an object array).  Entries are stored as int64 or
-object, never as floats.
+on the values it computes.  A matrix product has two tiers: one float64
+BLAS product while its operand entries, products and partial sums stay
+below 2^53, which is exact there in any summation order, and Python ints
+(an object array) above that.  Every other operation runs in int64 while
+its values stay below 2^62, and on Python ints above that.  Entries are
+stored as int64 or object, never as floats.
 
 The four export formats (Matrix Market, CSV, JSON, aligned table) are
 rendered from one token table per matrix: each distinct entry value is
@@ -46,12 +46,12 @@ _FLOAT64_LIMIT = 1 << 53
 
 
 def _exact_dtype(*bounds: int, blas: bool = False) -> type:
-    """The dtype in which a computation is exact, in three tiers:
+    """The dtype in which a computation is exact, in two tiers each:
 
-    - float64, for a matrix product (``blas``) when every bound is below
-      2^53;
-    - int64 when every bound is below 2^62;
-    - object (Python ints) otherwise.
+    - a matrix product (``blas``) runs in float64 when every bound is
+      below 2^53, and in object (Python ints) otherwise;
+    - any other operation runs in int64 when every bound is below 2^62,
+      and in object otherwise.
 
     This is the only place a dtype is decided.  Callers pass a bound on
     the absolute value of every operand entry and of every partial and
@@ -65,13 +65,15 @@ def _exact_dtype(*bounds: int, blas: bool = False) -> type:
     BLAS product has an exactly representable result and returns it
     unchanged, whatever summation order, blocking or fused multiply-add
     the library uses.  The result holds integers below 2^53, which the
-    cast back to int64 keeps exactly.  Other operations stay in integer
-    dtypes: numpy has no BLAS for int64, so only a product gains from
-    floats.  The checks are plain comparisons, so they hold under
-    ``python -O``."""
+    cast back to int64 keeps exactly.  A product has no int64 tier: numpy
+    has no BLAS for int64, and every product the package forms has a
+    bound of at most theta^2 (B is at most theta, a family is +-1 and A
+    is 0/1), below 2^53 for every theta < 2^26.  Other operations stay in
+    integer dtypes, where floats would gain nothing.  The checks are plain
+    comparisons, so they hold under ``python -O``."""
     bound = max(bounds)
-    if blas and bound < _FLOAT64_LIMIT:
-        return np.float64
+    if blas:
+        return np.float64 if bound < _FLOAT64_LIMIT else object
     return np.int64 if bound < _INT64_LIMIT else object
 
 
@@ -241,17 +243,13 @@ class ExactMatrix:
             )
         a, b = self._max_abs, other._max_abs
         dtype = _exact_dtype(a, b, a * b * self.cols, blas=True)
-        if dtype is np.float64:
+        if dtype is object:
+            out = self._as(dtype) @ other._as(dtype)
+        else:
             # one BLAS product, exact by the bound; the right operand's
             # copy is freed before the result is cast back
-            out = self._float64() @ other._as(dtype)
-            return ExactMatrix(out.astype(np.int64), self.row_labels, other.col_labels)
-        right = other._as(dtype)
-        if dtype is np.int64:
-            # numpy has no BLAS for int64, and its product loop is several
-            # times faster with the right operand column-major
-            right = np.asfortranarray(right)
-        return ExactMatrix(self._as(dtype) @ right, self.row_labels, other.col_labels)
+            out = (self._float64() @ other._as(dtype)).astype(np.int64)
+        return ExactMatrix(out, self.row_labels, other.col_labels)
 
     def matvec(self, vec: list[int] | tuple[int, ...]) -> list[int]:
         """Exact matrix-vector product; the entries of ``vec`` must be
@@ -421,18 +419,22 @@ def apply_simultaneous_permutation(m: ExactMatrix, perm: Permutation) -> ExactMa
 
 def block_C(a: int, b: int, partition: KPartition, big_b: ExactMatrix) -> ExactMatrix:
     """The K_a x K_b block of B, rows/columns aligned by base-point position
-    so that pairs with equal reductions sit on the block diagonal."""
+    so that pairs with equal reductions sit on the block diagonal.
+
+    B's rows follow its row labels, which must be exactly the points of
+    P_{n,m} (DomainError otherwise), and the partitioned space's order
+    when it has none."""
     if not 0 <= a < partition.l or not 0 <= b < partition.l:
         raise DomainError(f"class indices must lie in [0, {partition.l})")
-    if big_b.rows != len(partition.space):
+    space = partition.space
+    if big_b.rows != len(space):
         raise DomainError("matrix order does not match the partitioned space")
+    positions = partition.positions
     if big_b.row_labels is not None:
-        pos = {label: i for i, label in enumerate(big_b.row_labels)}
-        row_idx = [pos[pt] for pt in partition.classes[a]]
-        col_idx = [pos[pt] for pt in partition.classes[b]]
-    else:
-        row_idx, col_idx = partition.positions[a], partition.positions[b]
-    block = big_b.array[np.ix_(row_idx, col_idx)]
+        # the row of B holding each point of the partition
+        rows = ProjectiveSpace.from_points(space.n, space.m, big_b.row_labels)
+        positions = rows.positions(space.coords)[positions]
+    block = big_b.array[np.ix_(positions[a], positions[b])]
     return ExactMatrix(block, partition.classes[a], partition.classes[b])
 
 

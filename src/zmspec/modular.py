@@ -172,3 +172,16 @@ def units(m: int) -> tuple[int, ...]:
     if m < 2:
         raise DomainError(f"modulus must be >= 2, got {m}")
     return tuple(a for a in range(1, m) if math.gcd(a, m) == 1)
+
+
+__all__ = [
+    "Modulus",
+    "as_modulus",
+    "crt_combine",
+    "euler_phi",
+    "factorize",
+    "is_prime",
+    "mod_inverse",
+    "nu_p",
+    "units",
+]

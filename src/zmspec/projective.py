@@ -414,13 +414,13 @@ class KPartition:
     ``positions`` is the read-only l x theta_{n,p^(e-1)} array whose row h
     holds the positions in ``space`` of the points of K_h, and
     ``base_position[i]`` is the position in ``base_space`` of the
-    reduction of point i of ``space``.
+    reduction of point i of ``space``.  ``classes``, the points of each
+    K_h, is read from ``positions`` the first time it is asked for.
     """
 
     p: int
     e: int
     n: int
-    classes: tuple[tuple[ProjectivePoint, ...], ...]
     base_space: ProjectiveSpace
     space: ProjectiveSpace
     positions: np.ndarray = field(repr=False)
@@ -428,7 +428,12 @@ class KPartition:
 
     @property
     def l(self) -> int:
-        return len(self.classes)
+        return self.positions.shape[0]
+
+    @cached_property
+    def classes(self) -> tuple[tuple[ProjectivePoint, ...], ...]:
+        points = self.space.points
+        return tuple(tuple(map(points.__getitem__, row)) for row in self.positions.tolist())
 
 
 def k_partition(space: ProjectiveSpace) -> KPartition:
@@ -458,9 +463,8 @@ def k_partition(space: ProjectiveSpace) -> KPartition:
     # column u of the reshape is the fiber over base point u, so row h is K_h
     order = np.argsort(base_position, kind="stable")
     positions = np.ascontiguousarray(order.reshape(len(base_space), size).T)
-    classes = tuple(tuple(map(space.points.__getitem__, row)) for row in positions.tolist())
     positions.flags.writeable = base_position.flags.writeable = False
-    return KPartition(p, e, n, classes, base_space, space, positions, base_position)
+    return KPartition(p, e, n, base_space, space, positions, base_position)
 
 
 def points_to_csv(space: ProjectiveSpace) -> str:
@@ -480,14 +484,11 @@ def orbit_size(pt: ProjectivePoint) -> int:
 
 
 __all__ = [
-    "DEFAULT_GUARDRAIL",
-    "GUARDRAIL_ENV",
     "KPartition",
     "ProjectivePoint",
     "ProjectiveSpace",
     "canonical_rep",
     "delta_map",
-    "effective_guardrail",
     "enumerate_space",
     "fiber",
     "is_primitive",

@@ -123,8 +123,6 @@ def spectrum_general(n: int, m: int | Modulus) -> SpectrumTable:
     """Spectrum of B_{n,m}: products of one row per prime-power factor."""
     mod = as_modulus(m)
     factor_tables = [spectrum_prime_power(n, p, e) for p, e in mod.factors]
-    if len(factor_tables) == 1:
-        return factor_tables[0]
     rows = []
     for combo in itertools.product(*(t.rows for t in factor_tables)):
         lam = 1
@@ -528,3 +526,22 @@ def eigvec_family_general(space: ProjectiveSpace) -> tuple[tuple[int, ...], Exac
         tags = tuple(lam1 * lam2 for lam1 in tags for lam2 in factor_tags)
         so_far, v = target, ExactMatrix(rows)
     return tags, v
+
+
+__all__ = [
+    "EigenvalueCheck",
+    "SpectrumRow",
+    "SpectrumTable",
+    "VerificationReport",
+    "eigenbasis_nullities",
+    "eigvec_R_d",
+    "eigvec_all_ones",
+    "eigvec_differences",
+    "eigvec_family_general",
+    "eigvec_family_prime_power",
+    "exact_nullity",
+    "exact_rank",
+    "spectrum_general",
+    "spectrum_prime_power",
+    "verify_spectrum",
+]

@@ -162,6 +162,16 @@ def test_tensor_check_command(capsys):
     assert code == 2 and "coprime" in err
 
 
+@pytest.mark.parametrize(
+    "m1,m2,message",
+    [("1", "6", "--m1 must be >= 2, got 1"), ("6", "1", "--m2 must be >= 2, got 1"),
+     ("-2", "-3", "--m1 must be >= 2, got -2")],
+)
+def test_tensor_check_names_the_modulus_out_of_range(capsys, m1, m2, message):
+    code, out, err = run(capsys, "tensor-check", "-n", "2", "--m1", m1, "--m2", m2)
+    assert (code, out, err) == (cli.EXIT_USAGE, "", f"error: {message}\n")
+
+
 def test_each_space_is_scanned_once_per_command(monkeypatch, capsys):
     real, scans = projective._lex_points, Counter()
 

@@ -24,7 +24,7 @@ from zmspec.matrices import (
     to_matrix_market,
 )
 from zmspec.modular import crt_combine
-from zmspec.projective import canonical_rep, enumerate_space, k_partition, theta
+from zmspec.projective import canonical_rep, enumerate_space, k_partition, point_label, theta
 
 
 def B_of(n, m, ordering="lex"):
@@ -108,7 +108,7 @@ def test_float64_tier_ends_below_2_53(sign):
     a, b = 2**27 + 1, 2**26 + 1
     assert (ExactMatrix([[sign * a]]) @ ExactMatrix([[b]])).to_lists() == [[sign * a * b]]
     assert ExactMatrix([[sign * a]]).matvec([b]) == [sign * a * b]
-    assert _exact_dtype(a, b, a * b, blas=True) is np.int64
+    assert _exact_dtype(a, b, a * b, blas=True) is object
     assert _exact_dtype(a, b - 2, a * (b - 2), blas=True) is np.float64
     assert _exact_dtype(a, b - 2, a * (b - 2)) is np.int64
 
@@ -368,6 +368,33 @@ def test_blocks_match_worked_example():
                 assert all(
                     blk[i, j] == (2 if i == j else 1) for i in range(7) for j in range(7)
                 )
+
+
+def test_block_C_follows_the_row_labels_of_any_ordering():
+    # B's rows are found through its labels, so a k-grouped B gives the
+    # lex B's blocks against the lex partition, labels included
+    part = k_partition(enumerate_space(3, 4))
+    _, lex = B_of(3, 4)
+    _, grouped = B_of(3, 4, "k-grouped")
+    assert grouped != lex
+    for a in range(4):
+        for c in range(4):
+            mine, ref = block_C(a, c, part, grouped), block_C(a, c, part, lex)
+            assert mine == ref
+            assert (mine.row_labels, mine.col_labels) == (ref.row_labels, ref.col_labels)
+
+
+@pytest.mark.parametrize(
+    "relabel",
+    [lambda labels: tuple(map(point_label, labels)), lambda labels: labels[:-1] + labels[:1]],
+    ids=["strings", "repeated-point"],
+)
+def test_block_C_refuses_labels_that_are_not_the_points(relabel):
+    part = k_partition(enumerate_space(3, 4))
+    _, b = B_of(3, 4)
+    labels = relabel(b.row_labels)
+    with pytest.raises(DomainError, match="not those of"):
+        block_C(0, 1, part, ExactMatrix(b.array, labels, labels))
 
 
 def test_block_reference_identity():

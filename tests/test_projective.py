@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import time
@@ -387,6 +388,16 @@ def test_k_partition_matches_delta_map(n, p, e):
     grouped = enumerate_space(n, p**e, "k-grouped")
     assert grouped.points == tuple(pt for cls in classes for pt in cls)
     assert [grouped.position(pt) for pt in grouped.points] == list(range(len(grouped)))
+
+
+def test_k_partition_classes_are_read_from_positions_when_asked():
+    # test_k_partition_matches_delta_map checks their content
+    part = k_partition(enumerate_space(3, 4))
+    assert "classes" not in vars(part)
+    assert part.l == len(part.classes) == part.positions.shape[0]
+    for name in ("classes", "l"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(part, name, ())
 
 
 def test_k_partition_3_2_2():

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import zmspec
+from zmspec import counting, errors, matrices, modular, projective, spectrum
 
 PACKAGE = Path(zmspec.__file__).resolve().parent
 
@@ -130,3 +131,18 @@ def test_only_matrices_names_float64():
         if path.name != "matrices.py" and "float64" in path.read_text(encoding="utf-8")
     ]
     assert found == []
+
+
+def test_the_package_exports_exactly_the_module_lists():
+    # each module's __all__ is the one list of its public names
+    modules = (counting, errors, matrices, modular, projective, spectrum)
+    owner = {name: module for module in modules for name in module.__all__}
+    assert sum(len(module.__all__) for module in modules) == len(owner)
+    assert zmspec.__all__ == sorted(owner)
+    assert all(getattr(zmspec, name) is getattr(module, name) for name, module in owner.items())
+    # besides its submodules, the package binds nothing else public
+    public = {
+        name for name, value in vars(zmspec).items()
+        if not name.startswith("_") and not isinstance(value, type(zmspec))
+    }
+    assert public == set(owner)
