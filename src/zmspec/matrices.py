@@ -5,9 +5,10 @@ product), its Gram matrix B = A*A^t built two independent ways (exact
 product and the closed-form prime-power entry), Kronecker products, the
 CRT relabeling that exhibits B_{n,m} as a tensor product over the
 prime-power factors, and the fiber-aligned blocks of B over a
-K-partition.  All arithmetic is exact: every operation is one numpy
-expression in the dtype that ``_exact_dtype`` picks from a checked bound
-on the values it computes.  A matrix product has two tiers: one float64
+K-partition.  A labelled matrix carries the space of its rows and that of
+its columns, and a permutation is an int64 index array.  All arithmetic
+is exact: every operation is one numpy expression in the dtype that
+``_exact_dtype`` picks from a checked bound on the values it computes.  A matrix product has two tiers: one float64
 BLAS product while its operand entries, products and partial sums stay
 below 2^53, which is exact there in any summation order, and Python ints
 (an object array) above that.  Every other operation runs in int64 while
@@ -30,7 +31,6 @@ import json
 import math
 import operator
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,14 +113,17 @@ def _exact_array(data) -> tuple[np.ndarray, int]:
 class ExactMatrix:
     """Dense matrix of arbitrary-precision integers with optional point labels.
 
-    The entries live in one read-only 2-d ndarray: int64 while every
-    |entry| < 2^62, an object array of Python ints otherwise.  Each
-    operation states a bound on the values it computes and runs in the
-    dtype ``_exact_dtype`` picks for that bound, so a result is exact in
-    every tier.  An int64 ndarray passed in is shared, not copied, and
-    no method writes to the array, so transposes and index views share
-    memory too.  A matrix that is the left operand of a float64 product
-    keeps the float64 copy of its entries for later products.
+    ``row_labels`` and ``col_labels`` are each None or the ProjectiveSpace
+    whose points index the rows or the columns, with exactly as many points
+    as there are rows or columns.  The entries live in one read-only 2-d
+    ndarray: int64 while every |entry| < 2^62, an object array of Python
+    ints otherwise.  Each operation states a bound on the values it
+    computes and runs in the dtype ``_exact_dtype`` picks for that bound,
+    so a result is exact in every tier.  An int64 ndarray passed in is
+    shared, not copied, and no method writes to the array, so transposes
+    and index views share memory too.  A matrix that is the left operand
+    of a float64 product keeps the float64 copy of its entries for later
+    products.
     """
 
     __slots__ = ("_array", "_max_abs", "_float", "row_labels", "col_labels")
@@ -128,17 +131,18 @@ class ExactMatrix:
     def __init__(
         self,
         data: list[list[int]] | np.ndarray,
-        row_labels: tuple[ProjectivePoint, ...] | None = None,
-        col_labels: tuple[ProjectivePoint, ...] | None = None,
+        row_labels: ProjectiveSpace | None = None,
+        col_labels: ProjectiveSpace | None = None,
     ):
         self._array, self._max_abs = _exact_array(data)
         self._float: np.ndarray | None = None
-        if row_labels is not None and len(row_labels) != self.rows:
-            raise DomainError("row label count does not match the row count")
-        if col_labels is not None and len(col_labels) != self.cols:
-            raise DomainError("column label count does not match the column count")
-        self.row_labels = tuple(row_labels) if row_labels is not None else None
-        self.col_labels = tuple(col_labels) if col_labels is not None else None
+        for side, labels, count in (("row", row_labels, self.rows),
+                                    ("column", col_labels, self.cols)):
+            if labels is not None and not (isinstance(labels, ProjectiveSpace)
+                                           and len(labels) == count):
+                raise DomainError(f"{side} labels must be a space of {count} points")
+        self.row_labels = row_labels
+        self.col_labels = col_labels
 
     # -------------------- constructors --------------------
 
@@ -277,24 +281,6 @@ class ExactMatrix:
         return self._as(dtype).sum(axis=1).tolist()
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection on [0, size) stored as source -> target."""
-
-    forward: tuple[int, ...]
-    size: int
-
-    def __post_init__(self) -> None:
-        if len(self.forward) != self.size:
-            raise DomainError("permutation length does not match its size")
-        if sorted(self.forward) != list(range(self.size)):
-            raise DomainError("mapping is not a bijection on [0, size)")
-
-    @classmethod
-    def identity(cls, size: int) -> "Permutation":
-        return cls(tuple(range(size)), size)
-
-
 # -------------------- constructions --------------------
 
 
@@ -302,7 +288,7 @@ def build_A(space: ProjectiveSpace) -> ExactMatrix:
     """0/1 incidence matrix: entry 1 iff the points' inner product is 0 mod m."""
     m = space.m.value
     gram = (space.coords @ space.coords.T) % m
-    return ExactMatrix((gram == 0).astype(np.int64), space.points, space.points)
+    return ExactMatrix((gram == 0).astype(np.int64), space, space)
 
 
 def build_B_product(a: ExactMatrix) -> ExactMatrix:
@@ -372,7 +358,7 @@ def build_B_analytic(space: ProjectiveSpace) -> ExactMatrix:
     entries = _entry_table(p, e, n)
     by_g = np.zeros(q + 1, dtype=_exact_dtype(max(entries)))
     by_g[[p**k for k in range(e + 1)]] = entries
-    return ExactMatrix(by_g[g], space.points, space.points)
+    return ExactMatrix(by_g[g], space, space)
 
 
 def tensor_product(m1: ExactMatrix, m2: ExactMatrix) -> ExactMatrix:
@@ -384,11 +370,12 @@ def tensor_product(m1: ExactMatrix, m2: ExactMatrix) -> ExactMatrix:
 
 def crt_permutation(
     s1: ProjectiveSpace, s2: ProjectiveSpace, big: ProjectiveSpace
-) -> Permutation:
+) -> np.ndarray:
     """Bijection from pair indices of s1 x s2, where s1 = P_{n,m1} and
     s2 = P_{n,m2} (pair-lex order, flat index i1*theta2 + i2), onto
     indices of big = P_{n,m1*m2}, sending (u, v) to the class of the
-    coordinatewise CRT lift.
+    coordinatewise CRT lift, as the read-only int64 array ``forward``
+    with forward[i1*theta2 + i2] the index in ``big``.
 
     Nothing is enumerated: each point of ``big`` reduces mod m1 and mod
     m2 to its pair, located with one gather in the position tables of s1
@@ -400,42 +387,49 @@ def crt_permutation(
     if big.m.value != m1 * m2 or not s1.n == s2.n == big.n:
         raise DomainError(f"P_{{{big.n},{big.m.value}}} is not the CRT product of "
                           f"P_{{{s1.n},{m1}}} and P_{{{s2.n},{m2}}}")
-    forward = np.full(len(big), -1)
+    forward = np.full(len(big), -1, dtype=np.int64)
     forward[s1.positions(big.coords) * len(s2) + s2.positions(big.coords)] = np.arange(len(big))
-    return Permutation(tuple(forward.tolist()), len(big))
+    if (forward < 0).any():
+        raise DomainError("the CRT map does not reach every pair")
+    forward.flags.writeable = False
+    return forward
 
 
-def apply_simultaneous_permutation(m: ExactMatrix, perm: Permutation) -> ExactMatrix:
+def apply_simultaneous_permutation(m: ExactMatrix, forward: np.ndarray) -> ExactMatrix:
     """Conjugate by the permutation matrix P with P[i, forward[i]] = 1,
-    i.e. entry (i, j) of the result is entry (forward[i], forward[j]) of m."""
+    i.e. entry (i, j) of the result is entry (forward[i], forward[j]) of m.
+    ``forward`` must be an integer array holding each row index once.  The
+    result is unlabelled."""
     if not m.is_square:
         raise DomainError("simultaneous permutation needs a square matrix")
-    if m.rows != perm.size:
-        raise DomainError(f"permutation size {perm.size} does not match order {m.rows}")
-    f = perm.forward
-    labels = tuple(m.row_labels[i] for i in f) if m.row_labels else None
-    return ExactMatrix(m.array[np.ix_(f, f)], labels, labels)
+    f = np.asarray(forward)
+    if f.dtype.kind not in "iu" or not np.array_equal(np.sort(f), np.arange(m.rows)):
+        raise DomainError(f"not a permutation of the {m.rows} rows")
+    return ExactMatrix(m.array[np.ix_(f, f)])
 
 
 def block_C(a: int, b: int, partition: KPartition, big_b: ExactMatrix) -> ExactMatrix:
     """The K_a x K_b block of B, rows/columns aligned by base-point position
-    so that pairs with equal reductions sit on the block diagonal.
+    so that pairs with equal reductions sit on the block diagonal.  It is
+    unlabelled: no space has the points of one class K_a.
 
-    B's rows follow its row labels, which must be exactly the points of
-    P_{n,m} (DomainError otherwise), and the partitioned space's order
-    when it has none."""
+    B's rows follow the space of its row labels, which must be P_{n,m} of
+    the partition (DomainError otherwise), and the partitioned space's
+    order when it has none.  Their rows are found through the position
+    table of B's space, which is filled once for all the blocks."""
     if not 0 <= a < partition.l or not 0 <= b < partition.l:
         raise DomainError(f"class indices must lie in [0, {partition.l})")
-    space = partition.space
+    space, rows = partition.space, big_b.row_labels
     if big_b.rows != len(space):
         raise DomainError("matrix order does not match the partitioned space")
     positions = partition.positions
-    if big_b.row_labels is not None:
+    if rows is not None:
+        if (rows.n, rows.m) != (space.n, space.m):
+            raise DomainError(f"B is labelled by P_{{{rows.n},{rows.m.value}}}, not by "
+                              f"the partitioned P_{{{space.n},{space.m.value}}}")
         # the row of B holding each point of the partition
-        rows = ProjectiveSpace.from_points(space.n, space.m, big_b.row_labels)
         positions = rows.positions(space.coords)[positions]
-    block = big_b.array[np.ix_(positions[a], positions[b])]
-    return ExactMatrix(block, partition.classes[a], partition.classes[b])
+    return ExactMatrix(big_b.array[np.ix_(positions[a], positions[b])])
 
 
 def block_C_reference(
@@ -489,10 +483,10 @@ def _join(grid: np.ndarray) -> str:
     return "".join(grid.ravel().tolist())
 
 
-def _labels(labels: tuple[ProjectivePoint, ...] | None, count: int) -> list[str]:
+def _labels(labels: ProjectiveSpace | None, count: int) -> list[str]:
     """Point labels, or the indices 0..count-1 when there are none."""
     if labels is not None:
-        return [point_label(pt) for pt in labels]
+        return [point_label(pt) for pt in labels.points]
     return [str(i) for i in range(count)]
 
 
@@ -521,8 +515,8 @@ def to_json(m: ExactMatrix) -> str:
     obj = {
         "rows": m.rows,
         "cols": m.cols,
-        "row_labels": [point_label(pt) for pt in m.row_labels] if m.row_labels else None,
-        "col_labels": [point_label(pt) for pt in m.col_labels] if m.col_labels else None,
+        "row_labels": None if m.row_labels is None else _labels(m.row_labels, m.rows),
+        "col_labels": None if m.col_labels is None else _labels(m.col_labels, m.cols),
         # with no entries json renders the (empty) rows itself; otherwise
         # the entries are spliced in where this null ends the text
         "entries": None if m.array.size else [[] for _ in range(m.rows)],
@@ -557,7 +551,6 @@ def to_table(m: ExactMatrix) -> str:
 
 __all__ = [
     "ExactMatrix",
-    "Permutation",
     "apply_simultaneous_permutation",
     "block_C",
     "block_C_reference",

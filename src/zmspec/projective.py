@@ -7,22 +7,25 @@ count, and implements the reduction map between prime-power levels
 together with its fibers and the partition of P_{n,p^e} into fiber
 transversals K_1, ..., K_{p^(n-1)}.
 
-The enumeration scan visits only the tuples whose first nonzero entry
-divides m, in lex order, and keeps the orbit minima among them.  Which
-point a coordinate tuple represents is answered by one position table
-per space, filled from the space's ordered points by one scatter per
-unit when it is first needed, so ``ProjectiveSpace.positions`` maps any
-array of tuples to points with one gather.  The reduction map behind the
-K-partition and the CRT map behind the tensor lemma are such gathers.
-``canonical_rep``, ``delta_map`` and ``fiber`` compute the same answers
-one point at a time and are kept as independent oracles.
+A space is its coordinate array: row i of ``ProjectiveSpace.coords`` is
+the canonical representative of point i.  The enumeration scan visits
+only the tuples whose first nonzero entry divides m, in lex order, and
+keeps the orbit minima among them as plain tuples; the k-grouped space
+is the lex array with its rows reordered.  ``ProjectivePoint`` objects
+are built only when ``points`` is first read.  Which point a coordinate
+tuple represents is answered by one position table per space, filled
+from the coordinate array by one scatter per unit when it is first
+needed, so ``ProjectiveSpace.positions`` maps any array of tuples to
+points with one gather.  The reduction map behind the K-partition and
+the CRT map behind the tensor lemma are such gathers.  ``canonical_rep``,
+``delta_map`` and ``fiber`` compute the same answers one point at a time
+and are kept as independent oracles.
 
 Each space is scanned once per command: whatever needs a space takes the
-space itself, and ``ProjectiveSpace.from_points`` rebuilds a space from
-the point labels a matrix carries without scanning.  ``k_partition``
-takes P_{n,p^e} and enumerates only its base P_{n,p^(e-1)}, with the
-size of the space it came from as the limit, so a user's limit enters
-only through ``enumerate_space``.
+space itself, and a labelled matrix carries the space of its rows and
+columns.  ``k_partition`` takes P_{n,p^e} and enumerates only its base
+P_{n,p^(e-1)}, with the size of the space it came from as the limit, so
+a user's limit enters only through ``enumerate_space``.
 """
 
 from __future__ import annotations
@@ -160,48 +163,24 @@ def canonical_rep(coords: tuple[int, ...] | list[int], m: int) -> ProjectivePoin
 
 @dataclass(frozen=True, eq=False)
 class ProjectiveSpace:
-    """The ordered point list of P_{n,m} plus its position table.
+    """The ordered points of P_{n,m} as one coordinate array.
 
-    ``coords`` is the read-only theta x n int64 array whose row i is
-    ``points[i].coords``.  ``table``, filled on first use, answers which
-    point a tuple represents.  ``ordering`` is "lex" or "k-grouped" for
-    an enumerated space and "given" for one built by ``from_points``.
+    ``coords`` is the read-only theta x n int64 array whose row i is the
+    canonical representative of point i, and ``ordering`` is "lex" or
+    "k-grouped".  ``points``, the same rows as ProjectivePoints, and
+    ``table``, which answers which point a tuple represents, are built
+    on first read.
     """
 
     n: int
     m: Modulus
     ordering: str
-    points: tuple[ProjectivePoint, ...]
     coords: np.ndarray = field(repr=False)
 
-    @classmethod
-    def _from_points(cls, n: int, mod: Modulus, ordering: str, points: tuple) -> ProjectiveSpace:
-        """The space with these ordered points, which must be exactly the
-        points of P_{n,m}."""
-        coords = np.array([pt.coords for pt in points], dtype=np.int64)
-        coords.flags.writeable = False
-        return cls(n, mod, ordering, points, coords)
-
-    @classmethod
-    def from_points(cls, n: int, m: int | Modulus, points) -> ProjectiveSpace:
-        """P_{n,m} with its points in the given order, such as the row
-        labels of a matrix built over some ordering of the space.  Nothing
-        is enumerated.
-
-        ``points`` must be theta(n, m) distinct ProjectivePoints of modulus
-        m and dimension n.  Each is canonical and primitive by
-        construction, so they are then exactly the points of P_{n,m};
-        anything else raises DomainError."""
-        mod = as_modulus(m)
-        points = tuple(points)
-        if not (
-            len(points) == theta(n, mod)
-            and all(isinstance(pt, ProjectivePoint) and pt.modulus == mod.value
-                    and pt.dimension == n for pt in points)
-            and len(set(points)) == len(points)
-        ):
-            raise DomainError(f"the points given are not those of P_{{{n},{mod.value}}}")
-        return cls._from_points(n, mod, "given", points)
+    @cached_property
+    def points(self) -> tuple[ProjectivePoint, ...]:
+        m = self.m.value
+        return tuple(ProjectivePoint(tuple(row), m) for row in self.coords.tolist())
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -223,7 +202,7 @@ class ProjectiveSpace:
         return table
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.coords.shape[0]
 
     def __iter__(self):
         return iter(self.points)
@@ -271,15 +250,17 @@ def _lex_index(rows: np.ndarray, m: int) -> np.ndarray:
     return rows @ m ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
 
 
-def _lex_points(n: int, m: int) -> tuple[ProjectivePoint, ...]:
-    """All canonical representatives of P_{n,m} in lexicographic order.
+def _lex_points(n: int, m: int) -> list[tuple[int, ...]]:
+    """The coordinates of all canonical representatives of P_{n,m} in
+    lexicographic order.
 
     An orbit minimum has a first nonzero entry d that divides m (see
     ``_is_orbit_minimum``), so only the tuples (0, ..., 0, d, *rest) with
     d a divisor of m below m are visited: more leading zeros first, then
     d ascending, then rest in lex order, which is lex order.  Every d = 1
     tuple is primitive and canonical; a d > 1 tuple is kept when it is
-    primitive and no unit lowers it.
+    primitive and no unit lowers it.  That test is the one
+    ``ProjectivePoint`` makes, so the tuples are not checked again.
     """
     divisors = [d for d in range(1, m) if m % d == 0]
     points = []
@@ -288,8 +269,8 @@ def _lex_points(n: int, m: int) -> tuple[ProjectivePoint, ...]:
             for rest in itertools.product(range(m), repeat=n - 1 - zeros):
                 tup = (0,) * zeros + (d,) + rest
                 if d == 1 or (is_primitive(tup, m) and _is_orbit_minimum(tup, m)):
-                    points.append(ProjectivePoint(tup, m))
-    return tuple(points)
+                    points.append(tup)
+    return points
 
 
 def enumerate_space(
@@ -324,11 +305,14 @@ def enumerate_space(
         raise DomainError(
             f"enumerated {len(points)} points of P_{{{n},{mod.value}}}, theta is {count}"
         )
-    space = ProjectiveSpace._from_points(n, mod, "lex", points)
+    coords = np.array(points, dtype=np.int64)
+    coords.flags.writeable = False
+    space = ProjectiveSpace(n, mod, "lex", coords)
     if ordering == "lex":
         return space
-    order = k_partition(space).positions.ravel().tolist()
-    return ProjectiveSpace._from_points(n, mod, ordering, tuple(map(points.__getitem__, order)))
+    grouped = coords[k_partition(space).positions.ravel()]
+    grouped.flags.writeable = False
+    return ProjectiveSpace(n, mod, ordering, grouped)
 
 
 def neighborhood(u: ProjectivePoint, space: ProjectiveSpace) -> list[ProjectivePoint]:
@@ -472,8 +456,8 @@ def points_to_csv(space: ProjectiveSpace) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["index"] + [f"c{i + 1}" for i in range(space.n)])
-    for i, pt in enumerate(space.points):
-        writer.writerow([i] + list(pt.coords))
+    for i, row in enumerate(space.coords.tolist()):
+        writer.writerow([i] + row)
     return buf.getvalue()
 
 

@@ -373,17 +373,6 @@ class VerificationReport:
         return json.dumps(self.to_json_dict(), indent=indent)
 
 
-def _labelled_space(m: ExactMatrix, table: SpectrumTable) -> ProjectiveSpace:
-    """P_{n,m} in the order of M's row labels, or the lex-ordered P_{n,m}
-    when M has none or they are not exactly its points."""
-    if m.row_labels is not None:
-        try:
-            return ProjectiveSpace.from_points(table.n, table.m, m.row_labels)
-        except DomainError:
-            pass
-    return enumerate_space(table.n, table.m, guardrail=m.rows)
-
-
 def verify_spectrum(m: ExactMatrix, table: SpectrumTable) -> VerificationReport:
     """Check every merged (eigenvalue, multiplicity) claim, plus the
     dimension, trace and trace-of-square identities.  Mismatches are
@@ -391,14 +380,13 @@ def verify_spectrum(m: ExactMatrix, table: SpectrumTable) -> VerificationReport:
 
     The claims are first decided together by ``eigenbasis_nullities`` on
     the family of ``eigvec_family_general``, which is an exact proof for
-    any matrix passed in.  The family is built over the space in the
-    order of M's row labels, so B_{n,m} in any ordering is certified
-    without enumerating P_{n,m} again.  Only when M has no labels, or its
-    labels are not exactly the points of P_{n,m}, is the lex-ordered
-    P_{n,m} enumerated for it, with the matrix order as the limit.  If
-    the certificate declines (for instance when M is a relabelled B_{n,m}
-    without labels) every claim is decided by ``exact_nullity`` instead.
-    Each row records its method."""
+    any matrix and any family.  The family is built over M's row labels,
+    the space whose points index M's rows, so B_{n,m} in any ordering is
+    certified without enumerating P_{n,m} again.  Only when M has no
+    labels is the lex-ordered P_{n,m} enumerated for it, with the matrix
+    order as the limit.  If the certificate declines (for instance when M
+    is a relabelled B_{n,m} without labels) every claim is decided by
+    ``exact_nullity`` instead.  Each row records its method."""
     if not m.is_square:
         raise DomainError("verification needs a square matrix")
     if m.rows != table.total_multiplicity:
@@ -407,7 +395,10 @@ def verify_spectrum(m: ExactMatrix, table: SpectrumTable) -> VerificationReport:
             f"multiplicity {table.total_multiplicity}"
         )
     merged = table.merged()
-    certified = eigenbasis_nullities(m, eigvec_family_general(_labelled_space(m, table)))
+    space = m.row_labels
+    if space is None:
+        space = enumerate_space(table.n, table.m, guardrail=m.rows)
+    certified = eigenbasis_nullities(m, eigvec_family_general(space))
     if certified is not None:
         entries = tuple(
             EigenvalueCheck(lam, d, certified.get(lam, 0), "eigenbasis")
@@ -522,7 +513,7 @@ def eigvec_family_general(space: ProjectiveSpace) -> tuple[tuple[int, ...], Exac
         target = space_of(so_far.m.value * factor.m.value)
         kron = tensor_product(v, factor_v).array
         rows = np.empty_like(kron)
-        rows[np.asarray(crt_permutation(so_far, factor, target).forward)] = kron
+        rows[crt_permutation(so_far, factor, target)] = kron
         tags = tuple(lam1 * lam2 for lam1 in tags for lam2 in factor_tags)
         so_far, v = target, ExactMatrix(rows)
     return tags, v

@@ -191,6 +191,25 @@ def test_each_space_is_scanned_once_per_command(monkeypatch, capsys):
     assert scans == {(3, 4): 1, (3, 2): 1}
 
 
+def test_verification_builds_no_point_objects(monkeypatch, capsys):
+    # a space is its coordinate array; ProjectivePoints are built only when
+    # a space's points are read, which nothing on the verification path does
+    built = Counter()
+    real = projective.ProjectivePoint.__post_init__
+
+    def counted(self):
+        built[self.modulus] += 1
+        real(self)
+
+    monkeypatch.setattr(projective.ProjectivePoint, "__post_init__", counted)
+    assert run(capsys, "spectrum", "-n", "3", "-m", "12", "--verify")[0] == 0
+    assert built == {}
+    assert "points" not in vars(projective.enumerate_space(3, 9, "k-grouped"))
+    assert "points" not in vars(projective.enumerate_space(3, 8, "k-grouped"))
+    assert run(capsys, "points", "-n", "3", "-m", "4")[0] == 0
+    assert built == {4: 28}
+
+
 def test_an_explicit_guardrail_reaches_every_subspace(monkeypatch, capsys):
     # sub-spaces take their limit from the space they came from, never
     # from the environment, which only the command's own space consults

@@ -44,7 +44,7 @@ def oracle_csv(m):
         header = [""] + [str(j) for j in range(m.cols)]
     writer.writerow(header)
     for i, row in enumerate(m.array):
-        label = point_label(m.row_labels[i]) if m.row_labels else str(i)
+        label = point_label(m.row_labels.points[i]) if m.row_labels else str(i)
         writer.writerow([label] + row.tolist())
     return buf.getvalue()
 
@@ -92,7 +92,11 @@ def _labelled_b(n, m, shift=0):
     return b - shift * ExactMatrix.identity(b.rows) if shift else b
 
 
-POINTS_3 = enumerate_space(2, 12).points[:3]  # comma-joined labels
+P_2_2 = enumerate_space(2, 2)  # 3 points
+P_2_11 = enumerate_space(2, 11)  # 12 points with comma-joined labels
+
+# 12 x 12 Python ints beyond 2^62 of either sign, and 7 * j on the diagonal
+BIG_12 = [[(i - j) * 2 ** (55 + i + j) + 7 * j for j in range(12)] for i in range(12)]
 
 WIDE = np.array([[0, 10**12, -7], [5, -3, 2**61]], dtype=np.int64)
 
@@ -100,13 +104,10 @@ CASES = {
     "negative": ExactMatrix([[-5, 3, 0], [12, -100, 7], [0, 0, -1]]),
     "negative-labelled": _labelled_b(2, 12, shift=9),
     "object-dtype": ExactMatrix([[10**30, -(2**70), 1], [0, 10**30, -1]]),
-    "object-dtype-labelled": ExactMatrix(
-        [[2**62, -1, 0], [-(2**62), 3, 2**100], [7, 7, -(10**20)]], POINTS_3, POINTS_3
-    ),
+    "object-dtype-labelled": ExactMatrix(BIG_12, P_2_11, P_2_11),
     "int64-wide-span": ExactMatrix(WIDE),
     "1x1": ExactMatrix([[7]]),
     "1x1-negative": ExactMatrix([[-42]]),
-    "1x1-labelled": ExactMatrix([[3]], POINTS_3[:1], POINTS_3[:1]),
     "row-vector": ExactMatrix([[1, -2, 3, -4]]),
     "column-vector": ExactMatrix([[1], [-2], [30]]),
     "constant": ExactMatrix(np.full((3, 4), 5, dtype=np.int64)),
@@ -114,8 +115,10 @@ CASES = {
     "0x0": ExactMatrix(np.zeros((0, 0), dtype=np.int64)),
     "3x0": ExactMatrix(np.zeros((3, 0), dtype=np.int64)),
     "0x3": ExactMatrix(np.zeros((0, 3), dtype=np.int64)),
-    "3x0-labelled": ExactMatrix(np.zeros((3, 0), dtype=np.int64), POINTS_3, ()),
-    "0x3-labelled": ExactMatrix(np.zeros((0, 3), dtype=np.int64), (), POINTS_3),
+    "3x0-labelled": ExactMatrix(np.zeros((3, 0), dtype=np.int64), P_2_2, None),
+    "0x3-labelled": ExactMatrix(np.zeros((0, 3), dtype=np.int64), None, P_2_2),
+    "12x0-labelled": ExactMatrix(np.zeros((12, 0), dtype=np.int64), P_2_11, None),
+    "0x12-labelled": ExactMatrix(np.zeros((0, 12), dtype=np.int64), None, P_2_11),
 }
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from zmspec.errors import DomainError, UnsupportedError
 from zmspec.matrices import (
     ExactMatrix,
     _exact_dtype,
-    Permutation,
     apply_simultaneous_permutation,
     block_C,
     block_C_reference,
@@ -24,7 +24,8 @@ from zmspec.matrices import (
     to_matrix_market,
 )
 from zmspec.modular import crt_combine
-from zmspec.projective import canonical_rep, enumerate_space, k_partition, point_label, theta
+from zmspec.projective import (ProjectiveSpace, canonical_rep, enumerate_space, k_partition,
+                               point_label, theta)
 
 
 def B_of(n, m, ordering="lex"):
@@ -259,9 +260,14 @@ def test_tensor_mixed_product_property():
 
 
 def test_permutation_validation():
-    with pytest.raises(DomainError):
-        Permutation((0, 0, 1), 3)
-    assert Permutation.identity(4).forward == (0, 1, 2, 3)
+    # a permutation is an index array holding each row index once
+    m = ExactMatrix(np.arange(9).reshape(3, 3))
+    for forward in ((0, 0, 1), (0, 1), (0, 1, 2, 3), (1, 2, 3), np.array([0.0, 1.0, 2.0]),
+                    np.eye(3, dtype=int)):
+        with pytest.raises(DomainError, match="not a permutation"):
+            apply_simultaneous_permutation(m, forward)
+    assert apply_simultaneous_permutation(m, np.arange(3)) == m
+    assert apply_simultaneous_permutation(m, (2, 0, 1))[0, 1] == m[2, 0]
 
 
 def test_crt_permutation_examples():
@@ -269,13 +275,14 @@ def test_crt_permutation_examples():
     s1 = enumerate_space(2, 2)
     s2 = enumerate_space(2, 3)
     big = enumerate_space(2, 6)
-    assert perm.size == 12 == theta(2, 2) * theta(2, 3) == theta(2, 6)
+    assert perm.shape == (12,) and 12 == theta(2, 2) * theta(2, 3) == theta(2, 6)
+    assert perm.dtype == np.int64 and not perm.flags.writeable
 
     # (0,1) x (0,1) maps to (0,1) mod 6
     src = s1.position(canonical_rep((0, 1), 2)) * len(s2) + s2.position(
         canonical_rep((0, 1), 3)
     )
-    assert perm.forward[src] == big.position(canonical_rep((0, 1), 6))
+    assert perm[src] == big.position(canonical_rep((0, 1), 6))
 
     # CRT of (1,1) mod 2 and (1,2) mod 3, checked coordinatewise:
     # first coordinate 1, second satisfies x=1 (2), x=2 (3), i.e. 5
@@ -283,7 +290,7 @@ def test_crt_permutation_examples():
     src2 = s1.position(canonical_rep((1, 1), 2)) * len(s2) + s2.position(
         canonical_rep((1, 2), 3)
     )
-    assert perm.forward[src2] == big.position(canonical_rep((1, 5), 6))
+    assert perm[src2] == big.position(canonical_rep((1, 5), 6))
 
 
 @pytest.mark.parametrize(
@@ -304,7 +311,7 @@ def test_crt_permutation_matches_per_pair_crt(n, m1, m2):
         for u in s1.points
         for v in s2.points
     ]
-    assert _crt(n, m1, m2).forward == tuple(forward)
+    assert _crt(n, m1, m2).tolist() == forward
 
 
 def test_crt_permutation_rejects_non_coprime():
@@ -325,17 +332,17 @@ def test_crt_permutation_follows_each_space_order():
     lex1, big = enumerate_space(3, 4), enumerate_space(3, 12)
     to_lex = np.array([lex1.position(pt) for pt in s1.points])
     pair = (to_lex[:, None] * len(s2) + np.arange(len(s2))).ravel()
-    lex = np.array(crt_permutation(lex1, s2, big).forward)
-    assert crt_permutation(s1, s2, big).forward == tuple(lex[pair].tolist())
+    lex = crt_permutation(lex1, s2, big)
+    assert np.array_equal(crt_permutation(s1, s2, big), lex[pair])
 
 
 def test_apply_simultaneous_permutation_identity_and_invariants():
     _, b = B_of(2, 6)
-    ident = Permutation.identity(b.rows)
-    assert apply_simultaneous_permutation(b, ident) == b
+    assert apply_simultaneous_permutation(b, np.arange(b.rows)) == b
 
     perm = _crt(2, 2, 3)
     conj = apply_simultaneous_permutation(b, perm)
+    assert conj.row_labels is conj.col_labels is None
     flat = sorted(x for row in b.to_lists() for x in row)
     assert sorted(x for row in conj.to_lists() for x in row) == flat
     assert sorted(b[i, i] for i in range(b.rows)) == sorted(
@@ -372,7 +379,8 @@ def test_blocks_match_worked_example():
 
 def test_block_C_follows_the_row_labels_of_any_ordering():
     # B's rows are found through its labels, so a k-grouped B gives the
-    # lex B's blocks against the lex partition, labels included
+    # lex B's blocks against the lex partition; no space describes a class
+    # K_a, so the blocks are unlabelled
     part = k_partition(enumerate_space(3, 4))
     _, lex = B_of(3, 4)
     _, grouped = B_of(3, 4, "k-grouped")
@@ -381,20 +389,56 @@ def test_block_C_follows_the_row_labels_of_any_ordering():
         for c in range(4):
             mine, ref = block_C(a, c, part, grouped), block_C(a, c, part, lex)
             assert mine == ref
-            assert (mine.row_labels, mine.col_labels) == (ref.row_labels, ref.col_labels)
+            assert mine.row_labels is mine.col_labels is None
+
+
+def test_block_C_fills_no_table_but_that_of_B(monkeypatch):
+    # all the blocks gather through the position table of B's own space,
+    # which is filled once; no other space is built and no other table filled
+    space, b = B_of(3, 4)
+    part = k_partition(space)
+    built, filled = [], []
+    real_init, real_table = ProjectiveSpace.__init__, ProjectiveSpace.table.func
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    def counted_table(self):
+        filled.append(self)
+        return real_table(self)
+
+    monkeypatch.setattr(ProjectiveSpace, "__init__", counted_init)
+    monkeypatch.setattr(ProjectiveSpace, "table", cached_property(counted_table))
+    ProjectiveSpace.table.__set_name__(ProjectiveSpace, "table")
+    for a in range(part.l):
+        for c in range(part.l):
+            block_C(a, c, part, b)
+    assert built == [] and filled == [space]
+
+
+def test_block_C_refuses_B_of_another_space():
+    # P_{2,5} and P_{2,4} both have 6 points
+    part = k_partition(enumerate_space(2, 4))
+    _, b = B_of(2, 5)
+    assert b.rows == len(part.space) == 6
+    with pytest.raises(DomainError, match=r"labelled by P_\{2,5\}"):
+        block_C(0, 1, part, b)
 
 
 @pytest.mark.parametrize(
     "relabel",
-    [lambda labels: tuple(map(point_label, labels)), lambda labels: labels[:-1] + labels[:1]],
-    ids=["strings", "repeated-point"],
+    [lambda space: space.points, lambda space: tuple(map(point_label, space.points)),
+     lambda space: enumerate_space(3, 3)],
+    ids=["points", "strings", "wrong-size"],
 )
-def test_block_C_refuses_labels_that_are_not_the_points(relabel):
-    part = k_partition(enumerate_space(3, 4))
-    _, b = B_of(3, 4)
-    labels = relabel(b.row_labels)
-    with pytest.raises(DomainError, match="not those of"):
-        block_C(0, 1, part, ExactMatrix(b.array, labels, labels))
+def test_labels_must_be_a_space_of_as_many_points(relabel):
+    # P_{3,3} has 13 points, B_{3,4} 28 rows
+    space, b = B_of(3, 4)
+    labels = relabel(space)
+    for rows, cols in ((labels, None), (None, labels)):
+        with pytest.raises(DomainError, match="labels must be a space of 28 points"):
+            ExactMatrix(b.array, rows, cols)
 
 
 def test_block_reference_identity():

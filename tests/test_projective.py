@@ -205,31 +205,6 @@ def test_position_table_width():
     assert wide.positions(wide.coords).tolist() == list(range(len(wide)))
 
 
-def test_space_from_points_keeps_their_order():
-    k_grouped = enumerate_space(3, 4, "k-grouped")
-    space = ProjectiveSpace.from_points(3, 4, k_grouped.points)
-    assert space.points == k_grouped.points and space.ordering == "given"
-    assert np.array_equal(space.coords, k_grouped.coords)
-    assert np.array_equal(space.table, k_grouped.table)
-    assert space.positions(space.coords).tolist() == list(range(28))
-
-
-@pytest.mark.parametrize(
-    "points",
-    [
-        enumerate_space(3, 4).points[:-1],  # one point short
-        enumerate_space(3, 4).points[:-1] + enumerate_space(3, 4).points[:1],  # repeat
-        enumerate_space(3, 4).points[:-1] + enumerate_space(3, 2).points[:1],  # modulus
-        enumerate_space(3, 4).points[:-1] + enumerate_space(2, 4).points[:1],  # dimension
-        tuple(point_label(pt) for pt in enumerate_space(3, 4).points),  # not points
-    ],
-    ids=["short", "repeat", "modulus", "dimension", "labels"],
-)
-def test_space_from_points_refuses_anything_but_the_points(points):
-    with pytest.raises(DomainError, match="not those of P_"):
-        ProjectiveSpace.from_points(3, 4, points)
-
-
 def test_position_rejects_foreign_points():
     space = enumerate_space(3, 4)
     assert canonical_rep((0, 0, 1), 4) in space
@@ -398,6 +373,20 @@ def test_k_partition_classes_are_read_from_positions_when_asked():
     for name in ("classes", "l"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(part, name, ())
+
+
+def test_reprs_name_the_space_not_its_points():
+    # the points are built from the coordinates only when read, and are in
+    # no repr, so a failing assertion or a log line stays short
+    space = enumerate_space(3, 32)
+    assert repr(space) == (
+        "ProjectiveSpace(n=3, m=Modulus(value=32, factors=((2, 5),)), ordering='lex')"
+    )
+    part = k_partition(space)
+    assert len(repr(part)) < 250 and repr(space) in repr(part)
+    assert "points" not in vars(space)
+    assert space.points[5].coords == tuple(space.coords[5].tolist())
+    assert "points" in vars(space)
 
 
 def test_k_partition_3_2_2():
