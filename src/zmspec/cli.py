@@ -135,9 +135,7 @@ def cmd_points(args: argparse.Namespace) -> int:
             indent=2,
         )
     else:
-        text = "\n".join(
-            f"{i} {point_label(pt)}" for i, pt in enumerate(space.points)
-        ) + "\n"
+        text = "\n".join(f"{i} {label}" for i, label in enumerate(space.labels)) + "\n"
     _emit(text, args.output)
     return EXIT_OK
 

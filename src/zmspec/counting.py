@@ -10,7 +10,6 @@ scan.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -164,10 +163,11 @@ def count_layer_brute(u: ProjectivePoint, v: ProjectivePoint, g: int) -> int:
     if size > BRUTE_LAYER_LIMIT:
         raise GuardrailError(f"layer scan of {size} tuples exceeds the oracle scale")
     values = np.arange(0, q, step, dtype=np.int64) if g < e else np.array([0], dtype=np.int64)
-    grid = np.array(list(itertools.product(values, repeat=u.dimension)), dtype=np.int64)
+    # column t of the grid is the t-th tuple of the layer
+    grid = values[np.indices((len(values),) * u.dimension).reshape(u.dimension, -1)]
     uu = np.array(u.coords, dtype=np.int64)
     vv = np.array(v.coords, dtype=np.int64)
-    hits = ((grid @ uu) % q == 0) & ((grid @ vv) % q == 0)
+    hits = ((uu @ grid) % q == 0) & ((vv @ grid) % q == 0)
     return int(np.count_nonzero(hits))
 
 

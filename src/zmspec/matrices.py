@@ -8,12 +8,21 @@ prime-power factors, and the fiber-aligned blocks of B over a
 K-partition.  A labelled matrix carries the space of its rows and that of
 its columns, and a permutation is an int64 index array.  All arithmetic
 is exact: every operation is one numpy expression in the dtype that
-``_exact_dtype`` picks from a checked bound on the values it computes.  A matrix product has two tiers: one float64
-BLAS product while its operand entries, products and partial sums stay
-below 2^53, which is exact there in any summation order, and Python ints
-(an object array) above that.  Every other operation runs in int64 while
-its values stay below 2^62, and on Python ints above that.  Entries are
-stored as int64 or object, never as floats.
+``_exact_dtype`` picks from a checked bound on the values it computes.  A
+matrix product has three tiers: one float32 BLAS product while its
+operand entries, products and partial sums stay below 2^24, one float64
+BLAS product while they stay below 2^53, each exact there in any
+summation order, and Python ints (an object array) above that.  Every
+other operation runs in int64 while its values stay below 2^62, and on
+Python ints above that.  Entries are stored as int64 or object, never as
+floats.
+
+The closed-form B over p^e reads each entry from nu, the p-adic
+valuation of the gcd of the 2x2 minors of the pair (capped at e), and
+finds nu without forming a minor: for primitive u, v over Z_{p^e} and
+1 <= k <= e, p^k divides every minor iff v = lambda * u (mod p^k) for a
+unit lambda, so nu counts the levels k at which the two points have the
+same key (see ``build_B_analytic``).
 
 The four export formats (Matrix Market, CSV, JSON, aligned table) are
 rendered from one token table per matrix: each distinct entry value is
@@ -36,20 +45,22 @@ import numpy as np
 
 from .counting import xi_data
 from .errors import DomainError, UnsupportedError
-from .modular import euler_phi
-from .projective import KPartition, ProjectivePoint, ProjectiveSpace, point_label
+from .modular import euler_phi, mod_inverse
+from .projective import KPartition, ProjectivePoint, ProjectiveSpace
 
 # below this, a sum of two values still fits int64
 _INT64_LIMIT = 1 << 62
-# every integer of absolute value at most this is a float64
+# every integer of absolute value at most this is a float32, or a float64
+_FLOAT32_LIMIT = 1 << 24
 _FLOAT64_LIMIT = 1 << 53
 
 
 def _exact_dtype(*bounds: int, blas: bool = False) -> type:
-    """The dtype in which a computation is exact, in two tiers each:
+    """The dtype in which a computation is exact:
 
-    - a matrix product (``blas``) runs in float64 when every bound is
-      below 2^53, and in object (Python ints) otherwise;
+    - a matrix product (``blas``) runs in float32 when every bound is
+      below 2^24, in float64 when every bound is below 2^53, and in
+      object (Python ints) otherwise;
     - any other operation runs in int64 when every bound is below 2^62,
       and in object otherwise.
 
@@ -57,22 +68,28 @@ def _exact_dtype(*bounds: int, blas: bool = False) -> type:
     the absolute value of every operand entry and of every partial and
     final result entry, so the int64 path can never wrap.
 
-    The float64 tier is exact for the same reason.  A product passes
+    The float tiers are exact for the same reason.  A product passes
     max|a|, max|b| and max|a| * max|b| * inner, where inner is the shared
     dimension.  Every operand entry, every product a_ik * b_kj and every
     partial sum of such products is then an integer of absolute value
-    below 2^53.  Each of them is a float64, so each rounding step of the
-    BLAS product has an exactly representable result and returns it
-    unchanged, whatever summation order, blocking or fused multiply-add
-    the library uses.  The result holds integers below 2^53, which the
-    cast back to int64 keeps exactly.  A product has no int64 tier: numpy
-    has no BLAS for int64, and every product the package forms has a
-    bound of at most theta^2 (B is at most theta, a family is +-1 and A
-    is 0/1), below 2^53 for every theta < 2^26.  Other operations stay in
-    integer dtypes, where floats would gain nothing.  The checks are plain
-    comparisons, so they hold under ``python -O``."""
+    below 2^24 (2^53), the range in which float32 (float64) holds every
+    integer.  Each rounding step of the BLAS product therefore has an
+    exactly representable result and returns it unchanged, whatever
+    summation order, blocking or fused multiply-add the library uses.
+    The result holds integers below the limit, which the cast back to
+    int64 keeps exactly.  A product has no int64 tier: numpy has no BLAS
+    for int64, and every product the package forms has a bound of at
+    most theta^2 (B is at most theta, a family is +-1 and A is 0/1),
+    below 2^53 for every theta < 2^26.  B = A A^t has the bound theta,
+    so it runs in float32 for every theta < 2^24; the certificate's
+    products B V_lambda have the bound max|B| * theta, which is in the
+    float32 tier for B_{3,36} (72 * 3276) and B_{4,12} (364 * 4800).  Other operations stay in integer dtypes,
+    where floats would gain nothing.  The checks are plain comparisons,
+    so they hold under ``python -O``."""
     bound = max(bounds)
     if blas:
+        if bound < _FLOAT32_LIMIT:
+            return np.float32
         return np.float64 if bound < _FLOAT64_LIMIT else object
     return np.int64 if bound < _INT64_LIMIT else object
 
@@ -122,8 +139,8 @@ class ExactMatrix:
     so a result is exact in every tier.  An int64 ndarray passed in is
     shared, not copied, and no method writes to the array, so transposes
     and index views share memory too.  A matrix that is the left operand
-    of a float64 product keeps the float64 copy of its entries for later
-    products.
+    of a float product keeps the copy of its entries in that tier's dtype
+    for later products.
     """
 
     __slots__ = ("_array", "_max_abs", "_float", "row_labels", "col_labels")
@@ -202,14 +219,15 @@ class ExactMatrix:
     def _as(self, dtype: type) -> np.ndarray:
         return self._array.astype(dtype, copy=False)
 
-    def _float64(self) -> np.ndarray:
-        """The entries as float64, for the left operand of a product in the
-        float64 tier.  The copy is made once and kept, so that the products
+    def _float_copy(self, dtype: type) -> np.ndarray:
+        """The entries in the float dtype of a product's tier, for the left
+        operand of that product.  The copy is made once and kept (until a
+        product in the other float tier replaces it), so that the products
         M @ X_1, M @ X_2, ... of one M (the blocks of the eigenbasis
         certificate) convert M once.  A right operand is converted afresh
         instead, so that its copy is freed with the product."""
-        if self._float is None:
-            self._float = self._array.astype(np.float64)
+        if self._float is None or self._float.dtype != dtype:
+            self._float = self._array.astype(dtype)
         return self._float
 
     def transpose(self) -> "ExactMatrix":
@@ -250,9 +268,11 @@ class ExactMatrix:
         if dtype is object:
             out = self._as(dtype) @ other._as(dtype)
         else:
-            # one BLAS product, exact by the bound; the right operand's
-            # copy is freed before the result is cast back
-            out = (self._float64() @ other._as(dtype)).astype(np.int64)
+            # one BLAS product, exact by the bound, cast into an int64
+            # result allocated first (see build_B_product); the right
+            # operand's copy is freed before the cast
+            out = np.empty((self.rows, other.cols), dtype=np.int64)
+            np.copyto(out, self._float_copy(dtype) @ other._as(dtype), casting="unsafe")
         return ExactMatrix(out, self.row_labels, other.col_labels)
 
     def matvec(self, vec: list[int] | tuple[int, ...]) -> list[int]:
@@ -296,15 +316,21 @@ def build_B_product(a: ExactMatrix) -> ExactMatrix:
     if not a.is_square:
         raise DomainError("the incidence matrix must be square")
     top = a.max_abs()
-    if _exact_dtype(top, top * top * a.cols, blas=True) is not np.float64:
+    dtype = _exact_dtype(top, top * top * a.cols, blas=True)
+    if dtype is object:
         return a @ a.transpose()
-    # the float64 tier of A @ A^t from one copy of A, which BLAS multiplies
-    # by its own transpose (a symmetric rank-k update); the copy goes
-    # before the product is cast back, so the cast can take its place
-    x = a.array.astype(np.float64)
+    # a float tier of A @ A^t (float32 for a 0/1 A of order below 2^24)
+    # from one copy of A, which BLAS multiplies by its own transpose (a
+    # symmetric rank-k update).  The int64 result is allocated before the
+    # copy, and the copy is freed before the cast fills the result:
+    # allocated after the copy was freed, the result raised the peak RSS of
+    # a JSON export of B_{3,32} that followed from 173 to 196 MiB
+    out = np.empty(a.array.shape, dtype=np.int64)
+    x = a.array.astype(dtype)
     prod = x @ x.T
     del x
-    return ExactMatrix(prod.astype(np.int64), a.row_labels, a.row_labels)
+    np.copyto(out, prod, casting="unsafe")
+    return ExactMatrix(out, a.row_labels, a.row_labels)
 
 
 def _entry_table(p: int, e: int, n: int) -> list[int]:
@@ -329,8 +355,51 @@ def entry_b_uv(u: ProjectivePoint, v: ProjectivePoint) -> int:
     return _entry_table(data.p, data.e, u.dimension)[data.nu_xi]
 
 
+def _level_keys(space: ProjectiveSpace) -> list[np.ndarray]:
+    """For each level k = 1..e of the space P_{n,p^e}, the key of every
+    point at that level: the lex index among the tuples of Z_{p^k}^n of
+    w * w_f^-1 mod p^k, where w is the point's representative and f the
+    first coordinate of w prime to p.
+
+    Two points have the same key at level k iff v = lambda * u (mod p^k)
+    for a unit lambda: scaling by a unit keeps every entry prime to p or
+    divisible by p, so f is the same for both, and dividing by the f-th
+    entry picks the one multiple of the class whose f-th entry is 1.  The int64 steps run in the dtype
+    ``_exact_dtype`` picks: the scaling is below q^2 and a key at level
+    k below p^(kn)."""
+    p, e = space.m.prime_power()
+    q, n = p**e, space.n
+    coords = space.coords
+    first = np.argmax(coords % p != 0, axis=1)
+    # every point is primitive, so some coordinate is prime to p
+    unit = coords[np.arange(len(space)), first]
+    values, where = np.unique(unit, return_inverse=True)
+    dtype = _exact_dtype(q * q, q**n)
+    inverse = np.array([mod_inverse(x, q) for x in values.tolist()], dtype=dtype)
+    scaled = coords.astype(dtype) * inverse[where, None] % q
+    keys = []
+    for k in range(1, e + 1):
+        pk = p**k
+        weights = np.array([pk**i for i in range(n - 1, -1, -1)], dtype=dtype)
+        keys.append(scaled % pk @ weights)
+    return keys
+
+
 def build_B_analytic(space: ProjectiveSpace) -> ExactMatrix:
     """B over a prime power from the closed-form entry (no matrix product).
+
+    Entry (u, v) is entry nu of ``_entry_table``, where nu is min(e, the
+    least valuation of a nonzero 2x2 minor of u and v).  For primitive u,
+    v over Z_{p^e} and 1 <= k <= e, p^k divides every 2x2 minor iff
+    v = lambda * u (mod p^k) for a unit lambda.  (If so, the minors
+    u_i v_j - u_j v_i vanish mod p^k.  Conversely, u has a coordinate u_i
+    prime to p; from u_i v_j = u_j v_i (mod p^k), lambda = v_i / u_i
+    works, and it is a unit because v is primitive.)  So nu is the number
+    of levels k at which ``_level_keys`` gives u and v the same key: e
+    outer equalities of one theta-vector, with no minor, no enumeration
+    and no product, which keeps this construction independent of
+    ``build_B_product``.  ``entry_b_uv`` computes the same entry from the
+    minors, one pair at a time.
 
     Composite moduli are rejected: the entry formula only exists for
     p^e; general m is covered by the product route or the tensor route.
@@ -340,25 +409,13 @@ def build_B_analytic(space: ProjectiveSpace) -> ExactMatrix:
             f"the closed-form entry needs a prime-power modulus, got {space.m.value}"
         )
     p, e = space.m.prime_power()
-    n = space.n
-    q = p**e
-    coords = space.coords
-
-    # g = gcd of p^e and all 2x2 minors, vectorized over all point pairs and
-    # updated in place; minors are below m^2 so int64 is exact
-    g = np.full((len(space), len(space)), q, dtype=np.int64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            minor = np.multiply.outer(coords[:, i], coords[:, j])
-            minor -= np.multiply.outer(coords[:, j], coords[:, i])
-            np.abs(minor, out=minor)
-            np.gcd(g, minor, out=g)
-
-    # g divides p^e, so it is p^nu and indexes the entry table directly
-    entries = _entry_table(p, e, n)
-    by_g = np.zeros(q + 1, dtype=_exact_dtype(max(entries)))
-    by_g[[p**k for k in range(e + 1)]] = entries
-    return ExactMatrix(by_g[g], space, space)
+    # nu <= e < 2^8: p^e <= theta, so e is below log2 of the space's size
+    nu = np.zeros((len(space), len(space)), dtype=np.uint8)
+    for keys in _level_keys(space):
+        nu += np.equal.outer(keys, keys)
+    entries = _entry_table(p, e, space.n)
+    by_nu = np.array(entries, dtype=_exact_dtype(max(entries)))
+    return ExactMatrix(by_nu[nu], space, space)
 
 
 def tensor_product(m1: ExactMatrix, m2: ExactMatrix) -> ExactMatrix:
@@ -486,7 +543,7 @@ def _join(grid: np.ndarray) -> str:
 def _labels(labels: ProjectiveSpace | None, count: int) -> list[str]:
     """Point labels, or the indices 0..count-1 when there are none."""
     if labels is not None:
-        return [point_label(pt) for pt in labels.points]
+        return list(labels.labels)
     return [str(i) for i in range(count)]
 
 

@@ -145,9 +145,13 @@ def _is_orbit_minimum(coords: tuple[int, ...], m: int) -> bool:
 
 def point_label(pt: ProjectivePoint) -> str:
     """Digit string for m <= 10 (e.g. '021'), comma-joined otherwise."""
-    if pt.modulus <= 10:
-        return "".join(str(c) for c in pt.coords)
-    return ",".join(str(c) for c in pt.coords)
+    return _coords_label(pt.coords, pt.modulus)
+
+
+def _coords_label(coords, m: int) -> str:
+    """``point_label`` of the point of P_{n,m} whose representative is
+    ``coords``, without building the point."""
+    return ("" if m <= 10 else ",").join(map(str, coords))
 
 
 def canonical_rep(coords: tuple[int, ...] | list[int], m: int) -> ProjectivePoint:
@@ -167,9 +171,9 @@ class ProjectiveSpace:
 
     ``coords`` is the read-only theta x n int64 array whose row i is the
     canonical representative of point i, and ``ordering`` is "lex" or
-    "k-grouped".  ``points``, the same rows as ProjectivePoints, and
-    ``table``, which answers which point a tuple represents, are built
-    on first read.
+    "k-grouped".  ``points``, the same rows as ProjectivePoints,
+    ``labels``, their labels, and ``table``, which answers which point a
+    tuple represents, are built on first read.
     """
 
     n: int
@@ -181,6 +185,13 @@ class ProjectiveSpace:
     def points(self) -> tuple[ProjectivePoint, ...]:
         m = self.m.value
         return tuple(ProjectivePoint(tuple(row), m) for row in self.coords.tolist())
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """``point_label`` of every point, formatted from the coordinate
+        array."""
+        m = self.m.value
+        return tuple(_coords_label(row, m) for row in self.coords.tolist())
 
     @cached_property
     def table(self) -> np.ndarray:

@@ -206,7 +206,10 @@ def test_verification_builds_no_point_objects(monkeypatch, capsys):
     assert built == {}
     assert "points" not in vars(projective.enumerate_space(3, 9, "k-grouped"))
     assert "points" not in vars(projective.enumerate_space(3, 8, "k-grouped"))
+    # the point list is formatted from the coordinates too
     assert run(capsys, "points", "-n", "3", "-m", "4")[0] == 0
+    assert built == {}
+    assert len(projective.enumerate_space(3, 4).points) == 28
     assert built == {4: 28}
 
 

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zmspec import matrices
+from zmspec.counting import xi_data
 from zmspec.errors import DomainError, UnsupportedError
 from zmspec.matrices import (
     ExactMatrix,
     _exact_dtype,
+    _level_keys,
     apply_simultaneous_permutation,
     block_C,
     block_C_reference,
@@ -114,15 +117,37 @@ def test_float64_tier_ends_below_2_53(sign):
     assert _exact_dtype(a, b - 2, a * (b - 2)) is np.int64
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_product_is_exact_on_both_sides_of_the_float64_bound(data):
+@pytest.mark.parametrize("sign", [1, -1])
+def test_float32_tier_ends_below_2_24(sign):
+    # (2^12 + 1)^2 = 2^24 + 2^13 + 1 is odd and above 2^24, where float32
+    # holds only even integers: a float32 product rounds it
+    a = b = 2**12 + 1
+    assert (ExactMatrix([[sign * a]]) @ ExactMatrix([[b]])).to_lists() == [[sign * a * b]]
+    assert ExactMatrix([[sign * a]]).matvec([b]) == [sign * a * b]
+    assert _exact_dtype(a, b, a * b, blas=True) is np.float64
+    # (2^12 + 1)(2^12 - 1) = 2^24 - 1
+    assert _exact_dtype(a, b - 2, a * (b - 2), blas=True) is np.float32
+    assert (ExactMatrix([[sign * a]]) @ ExactMatrix([[b - 2]])).to_lists() == [[sign * (2**24 - 1)]]
+
+
+def test_kept_left_copy_follows_the_tier():
+    # the left operand keeps its float copy in the dtype of its last
+    # product's tier, so that a float32 product is not run in float64
+    m = ExactMatrix([[2**12 + 1, 3]])
+    for top, dtype in ((2**10, np.float32), (2**30, np.float64), (2**10, np.float32)):
+        col = ExactMatrix([[top + 1], [-top]])
+        assert (m @ col).to_lists() == [[(2**12 + 1) * (top + 1) - 3 * top]]
+        assert m._float.dtype == dtype
+
+
+def _check_product_across(data, limit):
     rows, inner, cols = (data.draw(st.integers(1, 6)) for _ in range(3))
-    top_a = data.draw(st.integers(1, 1 << 40))
-    # max|a| * max|b| * inner just below 2^53 (float64 tier) or just above
+    top_a = data.draw(st.integers(1, 1 << (limit - 13)))
+    # max|a| * max|b| * inner just below 2^limit (the float tier ending
+    # there) or just above
     above = data.draw(st.booleans())
-    top_b = (1 << 53) // (top_a * inner) + 1 if above else ((1 << 53) - 1) // (top_a * inner)
-    assert (top_a * top_b * inner < 1 << 53) != above
+    top_b = (1 << limit) // (top_a * inner) + 1 if above else ((1 << limit) - 1) // (top_a * inner)
+    assert (top_a * top_b * inner < 1 << limit) != above
 
     def matrix(shape, top):
         rng = random.Random(data.draw(st.integers(0, 2**32)))
@@ -136,6 +161,18 @@ def test_product_is_exact_on_both_sides_of_the_float64_bound(data):
     # the object-dtype product, on Python ints
     expected = np.array(a, dtype=object) @ np.array(b, dtype=object)
     assert product.tolist() == expected.tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_product_is_exact_on_both_sides_of_the_float64_bound(data):
+    _check_product_across(data, 53)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_product_is_exact_on_both_sides_of_the_float32_bound(data):
+    _check_product_across(data, 24)
 
 
 def test_storage_dtype_follows_the_largest_entry():
@@ -215,10 +252,34 @@ def test_entry_b_uv_examples():
     assert entry_b_uv(u, canonical_rep((0, 1, 0), 4)) == 1
 
 
+@pytest.mark.parametrize("n, m", [(3, 8), (3, 9)])
+def test_agreeing_levels_are_the_minor_valuation(n, m):
+    # the lemma behind the closed form, on every pair: u and v agree at
+    # level k iff p^k divides every 2x2 minor, so the agreeing levels
+    # count nu_xi
+    space = enumerate_space(n, m)
+    agree = sum(np.equal.outer(keys, keys).astype(np.int64) for keys in _level_keys(space))
+    points = space.points
+    assert agree.tolist() == [[xi_data(u, v).nu_xi for v in points] for u in points]
+
+
 def test_analytic_equals_product():
-    for n, m in [(3, 4), (3, 3), (4, 2), (2, 8), (2, 9)]:
-        space = enumerate_space(n, m)
+    # e = 1..5 and n = 2..5, with one space in the k-grouped ordering
+    for n, m, ordering in [(3, 4, "lex"), (3, 3, "lex"), (4, 2, "lex"), (2, 8, "lex"),
+                           (2, 9, "lex"), (2, 32, "lex"), (3, 16, "lex"), (3, 25, "lex"),
+                           (3, 27, "lex"), (4, 8, "lex"), (5, 4, "lex"),
+                           (3, 16, "k-grouped")]:
+        space = enumerate_space(n, m, ordering)
         assert build_B_analytic(space) == build_B_product(build_A(space))
+
+
+def test_analytic_is_exact_on_python_ints(monkeypatch):
+    # past the int64 bound the keys are object arrays; force that tier
+    space = enumerate_space(3, 9)
+    expected = build_B_product(build_A(space))
+    monkeypatch.setattr(matrices, "_exact_dtype", lambda *bounds, blas=False: object)
+    assert _level_keys(space)[0].dtype == object
+    assert build_B_analytic(space) == expected
 
 
 def test_analytic_rejects_composite():

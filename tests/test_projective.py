@@ -153,6 +153,13 @@ def test_enumerate_space_k_grouped_layout():
     assert [point_label(pt) for pt in space.points] == KGROUPED_B34_LABELS
 
 
+@pytest.mark.parametrize("n, m, ordering", [(3, 2, "lex"), (3, 10, "lex"), (2, 12, "lex"),
+                                             (3, 9, "k-grouped")])
+def test_labels_are_the_point_labels(n, m, ordering):
+    space = enumerate_space(n, m, ordering)
+    assert space.labels == tuple(point_label(pt) for pt in space.points)
+
+
 def test_enumerate_space_sizes():
     for n, m in [(2, 5), (2, 8), (2, 15), (3, 3), (3, 6), (4, 2), (4, 3)]:
         assert len(enumerate_space(n, m)) == theta(n, m)

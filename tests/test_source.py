@@ -123,12 +123,14 @@ def test_matrices_enumerates_no_space():
 
 
 def test_only_matrices_names_float64():
-    # matrices picks every dtype, and its float64 tier is exact only under
-    # the bound it checks; float64 anywhere else would be an unchecked path
+    # matrices picks every dtype, and its float32 and float64 tiers are
+    # exact only under the bounds it checks; either float anywhere else
+    # would be an unchecked path
     found = [
-        path.name
+        (path.name, word)
         for path in sorted(PACKAGE.rglob("*.py"))
-        if path.name != "matrices.py" and "float64" in path.read_text(encoding="utf-8")
+        for word in ("float32", "float64")
+        if path.name != "matrices.py" and word in path.read_text(encoding="utf-8")
     ]
     assert found == []
 

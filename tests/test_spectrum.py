@@ -355,8 +355,8 @@ def test_exact_rank_of_a_prime_family_within_budget():
 
 
 def test_eigenbasis_certificate_within_budget():
-    # the residual B V_lambda runs as float64 BLAS products: B_{3,32} has
-    # max|B| * max|V| * theta = 48 * 1 * 1792, far below 2^53
+    # the residual B V_lambda runs as float32 BLAS products: B_{3,32} has
+    # max|B| * max|V| * theta = 48 * 1 * 1792, far below 2^24
     space, b = B_of(3, 32)
     family = eigvec_family_general(space)
     budget = 2.0
