@@ -233,13 +233,14 @@ def _parse_coords(text: str) -> tuple[int, ...]:
 
 def cmd_count(args: argparse.Namespace) -> int:
     p, e = args.p, args.e
+    given = (args.coeffs is not None, args.pair is not None, args.layer is not None)
+    if given not in ((True, False, False), (False, True, True)):
+        raise DomainError("count needs either --coeffs or --pair with --layer, not both")
     if args.coeffs is not None:
         a, b, c, d = args.coeffs
         closed = count_2x2(a, b, c, d, p, e)
         brute = count_2x2_brute(a, b, c, d, p, e)
     else:
-        if args.pair is None or args.layer is None:
-            raise DomainError("count needs either --coeffs or --pair with --layer")
         first, second = _parse_coords(args.pair[0]), _parse_coords(args.pair[1])
         spec = LayerSpec(g=args.layer, p=p, e=e, n=len(first))
         # canonicalizing walks the phi(p^e) units, so refuse before that

@@ -22,7 +22,7 @@ valuation of the gcd of the 2x2 minors of the pair (capped at e), and
 finds nu without forming a minor: for primitive u, v over Z_{p^e} and
 1 <= k <= e, p^k divides every minor iff v = lambda * u (mod p^k) for a
 unit lambda, so nu counts the levels k at which the two points have the
-same key (see ``build_B_analytic``).
+same ``projective.point_keys`` mod p^k (see ``build_B_analytic``).
 
 The four export formats (Matrix Market, CSV, JSON, aligned table) are
 rendered from one token table per matrix: each distinct entry value is
@@ -45,8 +45,8 @@ import numpy as np
 
 from .counting import xi_data
 from .errors import DomainError, UnsupportedError
-from .modular import euler_phi, mod_inverse
-from .projective import KPartition, ProjectivePoint, ProjectiveSpace
+from .modular import euler_phi
+from .projective import KPartition, ProjectivePoint, ProjectiveSpace, point_keys
 
 # below this, a sum of two values still fits int64
 _INT64_LIMIT = 1 << 62
@@ -355,36 +355,6 @@ def entry_b_uv(u: ProjectivePoint, v: ProjectivePoint) -> int:
     return _entry_table(data.p, data.e, u.dimension)[data.nu_xi]
 
 
-def _level_keys(space: ProjectiveSpace) -> list[np.ndarray]:
-    """For each level k = 1..e of the space P_{n,p^e}, the key of every
-    point at that level: the lex index among the tuples of Z_{p^k}^n of
-    w * w_f^-1 mod p^k, where w is the point's representative and f the
-    first coordinate of w prime to p.
-
-    Two points have the same key at level k iff v = lambda * u (mod p^k)
-    for a unit lambda: scaling by a unit keeps every entry prime to p or
-    divisible by p, so f is the same for both, and dividing by the f-th
-    entry picks the one multiple of the class whose f-th entry is 1.  The int64 steps run in the dtype
-    ``_exact_dtype`` picks: the scaling is below q^2 and a key at level
-    k below p^(kn)."""
-    p, e = space.m.prime_power()
-    q, n = p**e, space.n
-    coords = space.coords
-    first = np.argmax(coords % p != 0, axis=1)
-    # every point is primitive, so some coordinate is prime to p
-    unit = coords[np.arange(len(space)), first]
-    values, where = np.unique(unit, return_inverse=True)
-    dtype = _exact_dtype(q * q, q**n)
-    inverse = np.array([mod_inverse(x, q) for x in values.tolist()], dtype=dtype)
-    scaled = coords.astype(dtype) * inverse[where, None] % q
-    keys = []
-    for k in range(1, e + 1):
-        pk = p**k
-        weights = np.array([pk**i for i in range(n - 1, -1, -1)], dtype=dtype)
-        keys.append(scaled % pk @ weights)
-    return keys
-
-
 def build_B_analytic(space: ProjectiveSpace) -> ExactMatrix:
     """B over a prime power from the closed-form entry (no matrix product).
 
@@ -395,7 +365,7 @@ def build_B_analytic(space: ProjectiveSpace) -> ExactMatrix:
     u_i v_j - u_j v_i vanish mod p^k.  Conversely, u has a coordinate u_i
     prime to p; from u_i v_j = u_j v_i (mod p^k), lambda = v_i / u_i
     works, and it is a unit because v is primitive.)  So nu is the number
-    of levels k at which ``_level_keys`` gives u and v the same key: e
+    of levels k at which u and v have the same ``point_keys`` mod p^k: e
     outer equalities of one theta-vector, with no minor, no enumeration
     and no product, which keeps this construction independent of
     ``build_B_product``.  ``entry_b_uv`` computes the same entry from the
@@ -411,7 +381,8 @@ def build_B_analytic(space: ProjectiveSpace) -> ExactMatrix:
     p, e = space.m.prime_power()
     # nu <= e < 2^8: p^e <= theta, so e is below log2 of the space's size
     nu = np.zeros((len(space), len(space)), dtype=np.uint8)
-    for keys in _level_keys(space):
+    for k in range(1, e + 1):
+        keys = point_keys(space.coords, p**k)
         nu += np.equal.outer(keys, keys)
     entries = _entry_table(p, e, space.n)
     by_nu = np.array(entries, dtype=_exact_dtype(max(entries)))
@@ -435,9 +406,8 @@ def crt_permutation(
     with forward[i1*theta2 + i2] the index in ``big``.
 
     Nothing is enumerated: each point of ``big`` reduces mod m1 and mod
-    m2 to its pair, located with one gather in the position tables of s1
-    and s2, which gives the inverse map directly.  Every space keeps its
-    own ordering."""
+    m2 to its pair, located by ``positions`` in s1 and s2, which gives the
+    inverse map directly.  Every space keeps its own ordering."""
     m1, m2 = s1.m.value, s2.m.value
     if math.gcd(m1, m2) != 1:
         raise DomainError(f"{m1} and {m2} are not coprime")
@@ -472,8 +442,8 @@ def block_C(a: int, b: int, partition: KPartition, big_b: ExactMatrix) -> ExactM
 
     B's rows follow the space of its row labels, which must be P_{n,m} of
     the partition (DomainError otherwise), and the partitioned space's
-    order when it has none.  Their rows are found through the position
-    table of B's space, which is filled once for all the blocks."""
+    order when it has none.  Their rows are found by ``positions`` in B's
+    space, which sorts its point keys once for all the blocks."""
     if not 0 <= a < partition.l or not 0 <= b < partition.l:
         raise DomainError(f"class indices must lie in [0, {partition.l})")
     space, rows = partition.space, big_b.row_labels

@@ -13,13 +13,15 @@ only the tuples whose first nonzero entry divides m, in lex order, and
 keeps the orbit minima among them as plain tuples; the k-grouped space
 is the lex array with its rows reordered.  ``ProjectivePoint`` objects
 are built only when ``points`` is first read.  Which point a coordinate
-tuple represents is answered by one position table per space, filled
-from the coordinate array by one scatter per unit when it is first
-needed, so ``ProjectiveSpace.positions`` maps any array of tuples to
-points with one gather.  The reduction map behind the K-partition and
-the CRT map behind the tensor lemma are such gathers.  ``canonical_rep``,
-``delta_map`` and ``fiber`` compute the same answers one point at a time
-and are kept as independent oracles.
+tuple represents is decided in one place, ``point_keys``: one int64 key
+per tuple, equal for two tuples iff they represent the same point.
+``ProjectiveSpace.positions`` maps any array of tuples to points by
+looking their keys up among the space's own keys, sorted once per space.
+The reduction map behind the K-partition and the CRT map behind the
+tensor lemma are such lookups, and the closed-form B compares the keys
+of its points at each level p^k.  ``canonical_rep``, ``delta_map`` and
+``fiber`` compute the same answers one point at a time and are kept as
+independent oracles.
 
 Each space is scanned once per command: whatever needs a space takes the
 space itself, and a labelled matrix carries the space of its rows and
@@ -165,6 +167,43 @@ def canonical_rep(coords: tuple[int, ...] | list[int], m: int) -> ProjectivePoin
     return ProjectivePoint(best, m)
 
 
+def point_keys(rows, m: int | Modulus) -> np.ndarray:
+    """One int64 key per row of a 2-d integer array of n-tuples over Z_m:
+    two rows get the same key iff they represent the same point of
+    P_{n,m}.
+
+    For each prime power q = p^e of m, a row is reduced mod q and scaled
+    by the inverse of its first entry prime to p.  A unit multiple keeps
+    every entry prime to p or divisible by p, so this picks the one member
+    of the row's class mod q that has a 1 there.  The scaled rows, read as
+    base-q digits, one prime power after another, form one mixed-radix key
+    below m^n.  By the CRT, v = lambda * u (mod m) for a unit lambda iff
+    that holds mod every q, so the keys of u and v are equal iff u and v
+    are one point.  A row that is not primitive has no entry prime to some
+    p and raises DomainError.  So does m^max(n, 2) >= 2^62: below that
+    bound every key and every product of two entries mod q fits int64."""
+    rows = np.asarray(rows)
+    n = rows.shape[-1]
+    if int(m) ** max(n, 2) >= 1 << 62:
+        raise DomainError(f"point keys need m^n < 2^62, got m = {int(m)}, n = {n}")
+    mod = as_modulus(m)
+    keys = np.zeros(len(rows), dtype=np.int64)
+    for p, e in mod.factors:
+        q = p**e
+        reduced = (rows % q).astype(np.int64, copy=False)
+        prime = reduced % p != 0
+        if not prime.any(axis=1).all():
+            bad = rows[np.argmin(prime.any(axis=1))] % mod.value
+            raise DomainError(f"{tuple(bad.tolist())} is not primitive mod {mod.value}")
+        # the first entry prime to p, and its inverse unit^(phi(q) - 1) (Euler)
+        unit = np.take_along_axis(reduced, prime.argmax(axis=1)[:, None], axis=1)
+        inverse = 1
+        for bit in bin(q - q // p - 1)[2:]:
+            inverse = inverse * inverse % q * (unit if bit == "1" else 1) % q
+        keys = keys * q**n + (reduced * inverse % q) @ q ** np.arange(n - 1, -1, -1)
+    return keys
+
+
 @dataclass(frozen=True, eq=False)
 class ProjectiveSpace:
     """The ordered points of P_{n,m} as one coordinate array.
@@ -172,8 +211,9 @@ class ProjectiveSpace:
     ``coords`` is the read-only theta x n int64 array whose row i is the
     canonical representative of point i, and ``ordering`` is "lex" or
     "k-grouped".  ``points``, the same rows as ProjectivePoints,
-    ``labels``, their labels, and ``table``, which answers which point a
-    tuple represents, are built on first read.
+    and ``labels``, their labels, are built on first read, and so are the
+    sorted keys through which ``positions`` answers which point a tuple
+    represents.
     """
 
     n: int
@@ -194,23 +234,10 @@ class ProjectiveSpace:
         return tuple(_coords_label(row, m) for row in self.coords.tolist())
 
     @cached_property
-    def table(self) -> np.ndarray:
-        """The read-only flat array over the m^n tuples of Z_m^n in lex
-        order: entry t holds 1 + the position of the point that tuple t
-        represents, and 0 when t is not primitive.  It is 2-byte while
-        theta < 2^15 and 4-byte above that.
-
-        The orbit of point i is {lambda * u mod m : lambda a unit}, phi(m)
-        distinct tuples because u is primitive, so writing 1 + i at each
-        unit multiple of every point, one scatter per unit, fills each
-        primitive tuple exactly once."""
-        m = self.m.value
-        table = np.zeros(m**self.n, dtype=np.int16 if len(self) < 1 << 15 else np.int32)
-        position = np.arange(1, len(self) + 1, dtype=table.dtype)
-        for lam in units(m):
-            table[_lex_index(lam * self.coords % m, m)] = position
-        table.flags.writeable = False
-        return table
+    def _sorted_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``point_keys`` of the points in ascending order, and the
+        position of the point holding each (the keys are distinct)."""
+        return np.unique(point_keys(self.coords, self.m), return_index=True)
 
     def __len__(self) -> int:
         return self.coords.shape[0]
@@ -231,10 +258,12 @@ class ProjectiveSpace:
         """Positions of the points that the rows of an integer array
         represent, as an int64 array.
 
-        A row may be any representative of its point: it is reduced mod m
-        here, Python ints before the int64 cast.  Integer and bool entries
-        are accepted; a float, a string or any other entry, and a row that
-        is not primitive, raise DomainError."""
+        A row may be any representative of its point: it is looked up by
+        its ``point_keys`` among the sorted keys of the space's points, and
+        Python ints are reduced mod m before the int64 cast.
+        Integer and bool entries are accepted; a float, a string or any
+        other entry, a row that is not primitive, and a row whose point the
+        space does not hold raise DomainError."""
         m = self.m.value
         try:
             arr = np.asarray(rows)
@@ -245,20 +274,15 @@ class ProjectiveSpace:
                 arr = np.array(flat, dtype=np.int64).reshape(obj.shape)
         except (TypeError, ValueError) as exc:
             raise DomainError("coordinates must be integers") from exc
-        reduced = (arr % m).astype(np.int64, copy=False)
-        if reduced.ndim != 2 or reduced.shape[1] != self.n:
-            raise DomainError(f"rows of {self.n} coordinates expected, got shape {reduced.shape}")
-        out = self.table[_lex_index(reduced, m)] - 1
-        if out.size and out.min() < 0:
-            bad = tuple(reduced[np.argmin(out)].tolist())
-            raise DomainError(f"{bad} is not primitive mod {m}")
-        return out.astype(np.int64, copy=False)
-
-
-def _lex_index(rows: np.ndarray, m: int) -> np.ndarray:
-    """Index of each row of a reduced integer array among the tuples of
-    Z_m^n in lex order: the row read as base-m digits."""
-    return rows @ m ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
+        if arr.ndim != 2 or arr.shape[1] != self.n:
+            raise DomainError(f"rows of {self.n} coordinates expected, got shape {arr.shape}")
+        keys = point_keys(arr, self.m)
+        known, order = self._sorted_keys
+        at = np.searchsorted(known, keys).clip(max=len(known) - 1)
+        if (known[at] != keys).any():
+            bad = tuple((arr[np.argmax(known[at] != keys)] % m).tolist())
+            raise DomainError(f"{bad} is not a point of P_{{{self.n},{m}}}")
+        return order[at]
 
 
 def _lex_points(n: int, m: int) -> list[tuple[int, ...]]:
@@ -436,8 +460,8 @@ def k_partition(space: ProjectiveSpace) -> KPartition:
     P_{n,p^e}, with positions in the space's own order.
 
     Only the base space P_{n,p^(e-1)} is enumerated, in lex order, with
-    the space's size as its limit.  The reduction map is one gather: the
-    base space's position table read at the coordinates of every point.
+    the space's size as its limit.  The reduction map is one lookup: the
+    base space's ``positions`` of the coordinates of every point.
     A stable sort keeps each fiber in the space's order, which is its lex
     order in both the lex and the k-grouped ordering."""
     p, e = space.m.prime_power()
@@ -490,6 +514,7 @@ __all__ = [
     "k_partition",
     "neighborhood",
     "orbit_size",
+    "point_keys",
     "point_label",
     "points_to_csv",
     "rho_fiber_size",

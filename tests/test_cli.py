@@ -265,6 +265,16 @@ def test_count_pair_refuses_before_canonicalizing(monkeypatch, capsys, e, layer)
     assert code == 3 and "oracle scale" in err
 
 
+@pytest.mark.parametrize("extra", [["--pair", "0,0,1", "0,1,0"], ["--layer", "0"],
+                                   ["--pair", "0,0,1", "0,1,0", "--layer", "0"]])
+def test_count_refuses_coeffs_with_the_pair_form(capsys, extra):
+    # --coeffs and the pair form are two modes; a mix of them is refused
+    # rather than half read
+    code, out, err = run(capsys, "count", "--p", "2", "--e", "2",
+                         "--coeffs", "0", "0", "0", "0", *extra)
+    assert code == 2 and out == "" and "not both" in err
+
+
 def test_count_requires_a_mode(capsys):
     code, _, err = run(capsys, "count", "--p", "2", "--e", "2")
     assert code == 2

@@ -7,13 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zmspec import matrices
 from zmspec.counting import xi_data
 from zmspec.errors import DomainError, UnsupportedError
 from zmspec.matrices import (
     ExactMatrix,
     _exact_dtype,
-    _level_keys,
     apply_simultaneous_permutation,
     block_C,
     block_C_reference,
@@ -28,7 +26,7 @@ from zmspec.matrices import (
 )
 from zmspec.modular import crt_combine
 from zmspec.projective import (ProjectiveSpace, canonical_rep, enumerate_space, k_partition,
-                               point_label, theta)
+                               point_keys, point_label, theta)
 
 
 def B_of(n, m, ordering="lex"):
@@ -258,7 +256,9 @@ def test_agreeing_levels_are_the_minor_valuation(n, m):
     # level k iff p^k divides every 2x2 minor, so the agreeing levels
     # count nu_xi
     space = enumerate_space(n, m)
-    agree = sum(np.equal.outer(keys, keys).astype(np.int64) for keys in _level_keys(space))
+    p, e = space.m.prime_power()
+    levels = (point_keys(space.coords % p**k, p**k) for k in range(1, e + 1))
+    agree = sum(np.equal.outer(keys, keys).astype(np.int64) for keys in levels)
     points = space.points
     assert agree.tolist() == [[xi_data(u, v).nu_xi for v in points] for u in points]
 
@@ -271,15 +271,6 @@ def test_analytic_equals_product():
                            (3, 16, "k-grouped")]:
         space = enumerate_space(n, m, ordering)
         assert build_B_analytic(space) == build_B_product(build_A(space))
-
-
-def test_analytic_is_exact_on_python_ints(monkeypatch):
-    # past the int64 bound the keys are object arrays; force that tier
-    space = enumerate_space(3, 9)
-    expected = build_B_product(build_A(space))
-    monkeypatch.setattr(matrices, "_exact_dtype", lambda *bounds, blas=False: object)
-    assert _level_keys(space)[0].dtype == object
-    assert build_B_analytic(space) == expected
 
 
 def test_analytic_rejects_composite():
@@ -453,29 +444,30 @@ def test_block_C_follows_the_row_labels_of_any_ordering():
             assert mine.row_labels is mine.col_labels is None
 
 
-def test_block_C_fills_no_table_but_that_of_B(monkeypatch):
-    # all the blocks gather through the position table of B's own space,
-    # which is filled once; no other space is built and no other table filled
+def test_block_C_sorts_no_keys_but_those_of_B(monkeypatch):
+    # all the blocks look their rows up among the sorted point keys of B's
+    # own space, which are sorted once; no other space is built and no
+    # other space's keys are sorted
     space, b = B_of(3, 4)
     part = k_partition(space)
-    built, filled = [], []
-    real_init, real_table = ProjectiveSpace.__init__, ProjectiveSpace.table.func
+    built, sorted_for = [], []
+    real_init, real_keys = ProjectiveSpace.__init__, ProjectiveSpace._sorted_keys.func
 
     def counted_init(self, *args, **kwargs):
         built.append(args)
         real_init(self, *args, **kwargs)
 
-    def counted_table(self):
-        filled.append(self)
-        return real_table(self)
+    def counted_keys(self):
+        sorted_for.append(self)
+        return real_keys(self)
 
     monkeypatch.setattr(ProjectiveSpace, "__init__", counted_init)
-    monkeypatch.setattr(ProjectiveSpace, "table", cached_property(counted_table))
-    ProjectiveSpace.table.__set_name__(ProjectiveSpace, "table")
+    monkeypatch.setattr(ProjectiveSpace, "_sorted_keys", cached_property(counted_keys))
+    ProjectiveSpace._sorted_keys.__set_name__(ProjectiveSpace, "_sorted_keys")
     for a in range(part.l):
         for c in range(part.l):
             block_C(a, c, part, b)
-    assert built == [] and filled == [space]
+    assert built == [] and sorted_for == [space]
 
 
 def test_block_C_refuses_B_of_another_space():

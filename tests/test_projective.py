@@ -21,6 +21,7 @@ from zmspec.projective import (
     k_partition,
     neighborhood,
     orbit_size,
+    point_keys,
     point_label,
     points_to_csv,
     rho_fiber_size,
@@ -204,12 +205,72 @@ def test_enumeration_budget():
     assert len(space) == 3002
 
 
-def test_position_table_width():
-    # 1 + position fits 2 bytes while theta < 2^15; P_{16,2} has 2^16 - 1 points
-    assert enumerate_space(3, 9).table.itemsize == 2
+def test_positions_round_trip_on_2_16_points():
+    # P_{16,2} has 2^16 - 1 points, past any 2-byte position
     wide = enumerate_space(16, 2, guardrail=1 << 16)
-    assert wide.table.itemsize == 4
     assert wide.positions(wide.coords).tolist() == list(range(len(wide)))
+
+
+@pytest.mark.parametrize("n, m", [(2, 12), (3, 4), (3, 6), (2, 9), (3, 8)])
+def test_point_keys_agree_with_canonical_rep(n, m):
+    # equal keys iff equal canonical representatives, on every primitive
+    # tuple of Z_m^n, and a refusal on every other tuple
+    tuples = list(itertools.product(range(m), repeat=n))
+    primitive = [t for t in tuples if is_primitive(t, m)]
+    keys = point_keys(primitive, m).tolist()
+    reps = [canonical_rep(t, m).coords for t in primitive]
+    assert len(set(zip(keys, reps))) == len(set(keys)) == len(set(reps)) == theta(n, m)
+    for t in tuples:
+        if not is_primitive(t, m):
+            with pytest.raises(DomainError, match="not primitive"):
+                point_keys([t], m)
+
+
+def test_point_keys_are_exact_below_2_62():
+    # m^2 is about 2^60 here: a key past 2^53 would be rounded in float64
+    m = 999999937
+    rows = [(1, m - 1), (m - 1, m - 2), (0, 5), (123456789, 987654321), (m - 7, 3)]
+    expected = []
+    for a, b in rows:
+        inverse = pow(a if a else b, -1, m)
+        expected.append(a * inverse % m * m + b * inverse % m)
+    assert point_keys(rows, m).tolist() == expected
+    # any unit multiple is the same point
+    for lam in (2, m - 1, 10**6 + 3):
+        assert point_keys([(lam * a % m, lam * b % m) for a, b in rows], m).tolist() == expected
+
+
+def test_point_keys_refuse_m_to_the_n_from_2_62():
+    # 1664511 is the least m with m^3 >= 2^62
+    assert 1664510**3 < 1 << 62 <= 1664511**3
+    key = int(point_keys([(0, 0, 1)], 1664510)[0])
+    assert 0 <= key < 1664510**3
+    assert point_keys([(0, 0, 1664509)], 1664510).tolist() == [key]
+    for m, n in ((1664511, 3), (1 << 31, 2), (2, 62)):
+        with pytest.raises(DomainError, match="2\\^62"):
+            point_keys([(0,) * (n - 1) + (1,)], m)
+
+
+def test_positions_refuse_a_point_the_space_does_not_hold():
+    # a space built from every other point of P_{3,4}
+    full = enumerate_space(3, 4)
+    half = ProjectiveSpace(3, full.m, "lex", full.coords[::2])
+    assert half.positions(full.coords[::2]).tolist() == list(range(len(half)))
+    # (0, 3, 0) is the point 010, position 1 of the full space
+    with pytest.raises(DomainError, match=r"\(0, 3, 0\) is not a point of P_\{3,4\}"):
+        half.positions(full.coords[:2] * 3)
+    with pytest.raises(DomainError, match="not primitive"):
+        half.positions([[0, 2, 2]])
+
+
+def test_positions_budget():
+    # looking up every point of P_{2,4999} sorts its 5000 keys once and
+    # builds nothing of the size of Z_4999^2
+    space = enumerate_space(2, 4999)
+    start = time.perf_counter()
+    found = space.positions(space.coords)
+    assert time.perf_counter() - start < 0.25
+    assert found.tolist() == list(range(len(space)))
 
 
 def test_position_rejects_foreign_points():

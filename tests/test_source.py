@@ -56,9 +56,12 @@ def _called_name(call: ast.Call) -> str | None:
 
 
 def test_matrices_and_spectrum_locate_points_through_the_position_table():
-    # tuple -> point questions go through ProjectiveSpace.positions; the
-    # per-point canonicalizers remain only as independent oracles
-    per_point = {"canonical_rep", "delta_map", "crt_combine", "position"}
+    # tuple -> point questions go through ProjectiveSpace.positions or
+    # projective.point_keys; the per-point canonicalizers remain only as
+    # independent oracles, and no unit is walked or inverted outside
+    # projective
+    per_point = {"canonical_rep", "delta_map", "crt_combine", "position", "mod_inverse",
+                 "units"}
     found = [
         f"{name}:{node.lineno} {_called_name(node)}"
         for name in ("matrices.py", "spectrum.py")
