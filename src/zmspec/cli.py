@@ -336,8 +336,9 @@ def check_eigenvectors(grid: Iterable[tuple[int, int]]) -> tuple | None:
     """Criterion 8: the eigenbasis certificate on the family of
     eigvec_family_general over P_{n,m} proves exactly the multiplicities of
     the closed-form table of B_{n,m}, built over the same space.  The
-    certificate checks every column's residual and the full rank of V over
-    Q, which gives the columns of each eigenvalue full column rank."""
+    certificate checks every column's residual and proves the full rank of
+    V over Q from the family's construction, which gives the columns of
+    each eigenvalue full column rank."""
     for n, m in grid:
         space = enumerate_space(n, m)
         claimed = dict(spectrum_general(n, m).merged())

@@ -422,6 +422,13 @@ def crt_permutation(
     return forward
 
 
+def is_permutation(forward, size: int) -> bool:
+    """Whether ``forward`` is a permutation of range(size): a 1-d integer
+    array holding each of 0, ..., size - 1 once."""
+    f = np.asarray(forward)
+    return f.ndim == 1 and f.dtype.kind in "iu" and np.array_equal(np.sort(f), np.arange(size))
+
+
 def apply_simultaneous_permutation(m: ExactMatrix, forward: np.ndarray) -> ExactMatrix:
     """Conjugate by the permutation matrix P with P[i, forward[i]] = 1,
     i.e. entry (i, j) of the result is entry (forward[i], forward[j]) of m.
@@ -430,7 +437,7 @@ def apply_simultaneous_permutation(m: ExactMatrix, forward: np.ndarray) -> Exact
     if not m.is_square:
         raise DomainError("simultaneous permutation needs a square matrix")
     f = np.asarray(forward)
-    if f.dtype.kind not in "iu" or not np.array_equal(np.sort(f), np.arange(m.rows)):
+    if not is_permutation(f, m.rows):
         raise DomainError(f"not a permutation of the {m.rows} rows")
     return ExactMatrix(m.array[np.ix_(f, f)])
 
@@ -442,15 +449,18 @@ def block_C(a: int, b: int, partition: KPartition, big_b: ExactMatrix) -> ExactM
 
     B's rows follow the space of its row labels, which must be P_{n,m} of
     the partition (DomainError otherwise), and the partitioned space's
-    order when it has none.  Their rows are found by ``positions`` in B's
-    space, which sorts its point keys once for all the blocks."""
+    order when it has none.  A B labelled by the partitioned space itself
+    is indexed by the partition's positions directly; over another space
+    object its rows are found by ``positions`` in B's space, which sorts
+    its point keys once for all the blocks."""
     if not 0 <= a < partition.l or not 0 <= b < partition.l:
         raise DomainError(f"class indices must lie in [0, {partition.l})")
     space, rows = partition.space, big_b.row_labels
     if big_b.rows != len(space):
         raise DomainError("matrix order does not match the partitioned space")
     positions = partition.positions
-    if rows is not None:
+    # B over the partitioned space itself has its rows at the positions already
+    if rows is not None and rows is not space:
         if (rows.n, rows.m) != (space.n, space.m):
             raise DomainError(f"B is labelled by P_{{{rows.n},{rows.m.value}}}, not by "
                               f"the partitioned P_{{{space.n},{space.m.value}}}")
@@ -586,6 +596,7 @@ __all__ = [
     "build_B_product",
     "crt_permutation",
     "entry_b_uv",
+    "is_permutation",
     "tensor_product",
     "to_csv",
     "to_json",

@@ -11,30 +11,34 @@ multiplicity.
 The module constructs every eigenvector family the theory exhibits: the
 all-ones vector, the prime-case difference columns, the fiber-difference
 vectors, fiber-constant lifts from the previous prime-power level, and
-CRT-permuted Kronecker products.  A family is one pair (tags, V): V is
-an int64 matrix whose column j is an eigenvector with eigenvalue
-tags[j], and every level is built with array operations (a lift is one
-row gather through the reduction map, a composite modulus one Kronecker
-product with its rows scattered by the CRT permutation).  The family is
-built over a space the caller passes in, with its rows in that space's
-order; the K-partitions are taken top down from it, so each level's
-space is the base of the level above, and each factor and partial-product
-space is enumerated once.
+CRT-permuted Kronecker products.  A family is an ``EigenFamily``: the
+eigenvalue tags together with the arrays V is built from, which are the
+level-1 order of each prime-power factor, the K-partition of each lift
+and the CRT permutation of each Kronecker fold.  ``matrix()`` builds V
+from them with array operations (a lift is one row gather through the
+reduction map, a fold one Kronecker product with its rows scattered by
+the CRT permutation): an int64 matrix whose column j is an eigenvector
+with eigenvalue tags[j].  The family is built over a space the caller
+passes in, with its rows in that space's order; the K-partitions are
+taken top down from it, so each level's space is the base of the level
+above, and each factor and partial-product space is enumerated once.
 
 Verification first certifies the whole spectrum at once from that
-eigenbasis V: for each eigenvalue lambda, B V_lambda == lambda V_lambda
-on the block V_lambda of V's columns tagged lambda, as exact
-``ExactMatrix`` expressions, and V has full rank over the rationals,
-which fixes every multiplicity (see ``eigenbasis_nullities``).  The
-certificate is also acceptance criterion 8 of the verification battery.
-When the certificate declines, each multiplicity is checked by exact
-nullity, the kernel dimension of B - lambda*I over the rationals.
+eigenbasis: V has full rank over the rationals, proved from the arrays
+it is built from without any elimination, and for each eigenvalue
+lambda, B V_lambda == lambda V_lambda on the block V_lambda of V's
+columns tagged lambda, as exact ``ExactMatrix`` expressions, which fixes
+every multiplicity (see ``eigenbasis_nullities``).  The certificate is
+also acceptance criterion 8 of the verification battery.  When the
+certificate declines, each multiplicity is checked by exact nullity, the
+kernel dimension of B - lambda*I over the rationals.
 
-Every rank and nullity goes through one function, ``exact_rank``: the
-rank modulo a word-size prime proves full rank, and fraction-free
-(Bareiss) elimination decides the rest exactly.  Only a singular matrix,
-such as B - lambda*I at an eigenvalue lambda, reaches Bareiss, so
-``exact_nullity`` stays an independent oracle for the certificate.
+Every rank and nullity that is computed goes through one function,
+``exact_rank``: the rank modulo a word-size prime proves full rank, and
+fraction-free (Bareiss) elimination decides the rest exactly.  Only a
+singular matrix, such as B - lambda*I at an eigenvalue lambda, reaches
+Bareiss, so ``exact_nullity`` and ``exact_rank`` of V stay independent
+oracles for the certificate.
 """
 
 from __future__ import annotations
@@ -42,12 +46,12 @@ from __future__ import annotations
 import itertools
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
-from .matrices import ExactMatrix, crt_permutation, tensor_product
+from .matrices import ExactMatrix, crt_permutation, is_permutation, tensor_product
 from .modular import Modulus, as_modulus, is_prime
 from .projective import KPartition, ProjectiveSpace, enumerate_space, k_partition, theta
 
@@ -258,44 +262,72 @@ def exact_nullity(m: ExactMatrix, lam: int) -> int:
 
 # -------------------- eigenbasis certificate --------------------
 
-def eigenbasis_nullities(
-    m: ExactMatrix, family: tuple[tuple[int, ...], ExactMatrix]
-) -> dict[int, int] | None:
+def eigenbasis_nullities(m: ExactMatrix, family: EigenFamily) -> dict[int, int] | None:
     """Every nullity of M - lambda*I at once, proved from a tagged eigenbasis.
 
-    ``family`` is the pair (tags, V) of ``eigvec_family_general``: for each
+    ``family`` is an ``EigenFamily`` of ``eigvec_family_general``: for each
     distinct tag lambda, V_lambda is the matrix of the columns of V tagged
     lambda.  Two exact checks:
 
-    1. M V_lambda == lambda * V_lambda for every distinct tag, as
-       ``ExactMatrix`` expressions: exact in every tier, since each runs
+    1. V is order x order of full rank over the rationals, proved from the
+       arrays V is built from, in O(theta) array checks and with no
+       elimination (below);
+    2. M V_lambda == lambda * V_lambda for every distinct tag, as
+       ``ExactMatrix`` expressions on the columns ``family.matrix()``
+       builds from the same arrays: exact in every tier, since each runs
        in the dtype ``matrices`` picks from a checked bound.  M is
        converted for the product once, and kept, not once per block.
-       Together these say M V == V D, with D the diagonal of the tags;
-    2. V has full rank over the rationals (``exact_rank``).
+       Together these say M V == V D, with D the diagonal of the tags.
 
-    By (2) V is invertible, so (1) gives M = V D V^-1, hence
-    M - lambda*I = V (D - lambda*I) V^-1 and the nullity of M - lambda*I
-    is the number of tags equal to lambda, for every integer lambda.
-    Nothing is assumed about M or about where the vectors came from; a
-    wrong family can only make a check fail.
+    The rank follows from the family's construction, one step at a time:
+
+    - **Base.** Level 1 of a prime-power factor is [1 | e_i - e_last] of
+      order theta_1 >= 1.  The differences are independent and span the
+      vectors whose entries sum to zero, and 1 lies outside that span, so
+      the rank is theta_1.
+    - **Lift.** Level k is [V_{k-1}[beta] | D], with beta the partition's
+      ``base_position`` and D the fiber differences of its ``positions``,
+      an l x theta_{k-1} array with l >= 1: D has one column
+      e_x - e_y for each point x of the fiber over base point j other than
+      y = positions[l-1, j], with x = positions[a, j].  The lift is
+      accepted iff ``positions.ravel()`` is a permutation of
+      range(theta_k), theta_k = len(beta), and beta[positions[h]] ==
+      range(theta_{k-1}) for every row h.  Then the fibers {positions[h, j]}
+      partition the rows into theta_{k-1} sets of l points, and beta is j
+      on fiber j, so beta is onto and w -> w[beta] maps R^theta_{k-1} one
+      to one onto F, the vectors constant on each fiber: V_{k-1}[beta]
+      has rank rank(V_{k-1}) and lies in F.  Each fiber's l - 1 columns of
+      D are independent and span its sum-zero vectors, so D spans Z, the
+      vectors that sum to zero on each fiber, with rank
+      theta_{k-1} (l - 1).  F and Z are orthogonal complements, so the
+      ranks add: rank(V_k) = theta_{k-1} l = theta_k.
+    - **Kronecker.** A fold is P (V1 (x) V2), whose rows are those of the
+      Kronecker product scattered by the CRT ``forward`` array.  It is
+      accepted iff ``forward`` is a permutation of range(theta1 * theta2);
+      then P is a permutation matrix, and the rank is
+      rank(V1) * rank(V2) = theta1 * theta2.
+
+    So V has full rank theta, and theta must equal the order of M.  By (1)
+    V is invertible, so (2) gives M = V D V^-1, hence M - lambda*I =
+    V (D - lambda*I) V^-1 and the nullity of M - lambda*I is the number of
+    tags equal to lambda, for every integer lambda.  Nothing is assumed
+    about M or about where the arrays came from; a wrong description can
+    only make a check fail.  The checks are plain comparisons, so they
+    hold under ``python -O``.
 
     Returns {lambda: number of tags equal to lambda}, or None when a step
-    declines: V is not order x order with one tag per column, a residual
-    is nonzero or V is singular.  A decline proves nothing either way.
+    declines: a tag count or the proved order is not M's order, a lift or
+    a fold fails its check, or a residual is nonzero.  A decline proves
+    nothing either way.
     """
     if not m.is_square:
         raise DomainError("nullity needs a square matrix")
-    tags, v = family
     order = m.rows
-    if len(tags) != order or (v.rows, v.cols) != (order, order):
+    if len(family.tags) != order or not _proves_full_rank(family, order):
         return None
-    # the rank first: its working copy of V is the certificate's largest
-    # temporary, and M does not yet hold the copy it keeps for products
-    if exact_rank(v) != order:
-        return None
+    v = family.matrix()
     columns: dict[int, list[int]] = {}
-    for j, lam in enumerate(tags):
+    for j, lam in enumerate(family.tags):
         columns.setdefault(lam, []).append(j)
     # at most a quarter of the columns per product, so that the temporaries
     # of one check (the columns, their copy for the product, the product
@@ -431,14 +463,21 @@ def eigvec_all_ones(space: ProjectiveSpace) -> list[int]:
     return [1] * len(space)
 
 
+def _base_level(size: int) -> np.ndarray:
+    """[1 | e_i - e_last] of order ``size``: the all-ones column, then for
+    j >= 1 column j is e_(j-1) - e_(size-1)."""
+    v = np.eye(size, k=1, dtype=np.int64)
+    v[:, 0] = 1
+    v[-1, 1:] = -1
+    return v
+
+
 def eigvec_R_d(space: ProjectiveSpace) -> ExactMatrix:
     """Prime case: the theta - 1 columns (e_i - e_last); each has
     eigenvalue p^(n-2).  Columns are independent (identity top block)."""
     if not (space.m.is_prime_power and space.m.prime_power()[1] == 1):
         raise DomainError(f"the difference columns need a prime modulus, got {space.m.value}")
-    d = len(space) - 1
-    bottom = np.full((1, d), -1, dtype=np.int64)
-    return ExactMatrix(np.vstack([np.eye(d, dtype=np.int64), bottom]))
+    return ExactMatrix(_base_level(len(space))[:, 1:])
 
 
 def eigvec_differences(partition: KPartition) -> ExactMatrix:
@@ -449,35 +488,104 @@ def eigvec_differences(partition: KPartition) -> ExactMatrix:
     plus = positions[:-1].ravel()
     minus = np.tile(positions[-1], partition.l - 1)
     cols = np.arange(plus.size)
-    data = np.zeros((len(partition.space), plus.size), dtype=np.int64)
+    data = np.zeros((positions.size, plus.size), dtype=np.int64)
     data[plus, cols] = 1
     data[minus, cols] = -1
     return ExactMatrix(data)
 
 
-def _family_prime_power(space: ProjectiveSpace) -> tuple[tuple[int, ...], ExactMatrix]:
-    """The eigenvalue tags and the family V of B_{n,p^e} over the given
-    space P_{n,p^e}, in that space's order.
+@dataclass(frozen=True, eq=False)
+class EigenFamily:
+    """The eigenvector family of B_{n,m}, kept as the arrays V is built from.
+
+    Column j of V is an eigenvector with eigenvalue ``tags[j]``.  Prime-power
+    factor i of m starts from level 1, [1 | e_i - e_last] of order
+    ``bases[i]`` = theta_{n,p}, and is lifted through each K-partition of
+    ``lifts[i]``, bottom up: level k is [V_{k-1}[base_position] | D], with
+    D the fiber differences of the partition's ``positions``.  The factors
+    are folded together in order: fold i is the Kronecker product of the
+    family so far and factor i + 1, its rows scattered by the CRT
+    ``forward`` array ``folds[i]``.
+
+    ``matrix()`` builds V from these arrays only, and
+    ``eigenbasis_nullities`` proves the rank of V from the same arrays, so
+    the certificate needs no elimination.  Only ``eigvec_family_general``
+    builds a family."""
+
+    tags: tuple[int, ...] = field(repr=False)
+    bases: tuple[int, ...]
+    lifts: tuple[tuple[KPartition, ...], ...] = field(repr=False)
+    folds: tuple[np.ndarray, ...] = field(repr=False)
+
+    def matrix(self) -> ExactMatrix:
+        """V as an int64 theta x theta matrix, its rows in the order of the
+        space the family was built on."""
+        def factor(i: int) -> ExactMatrix:
+            v = _base_level(self.bases[i])
+            for partition in self.lifts[i]:
+                v = np.hstack([v[partition.base_position], eigvec_differences(partition).array])
+            return ExactMatrix(v)
+
+        v = factor(0)
+        for i, forward in enumerate(self.folds, 1):
+            kron = tensor_product(v, factor(i)).array
+            rows = np.empty_like(kron)
+            rows[forward] = kron
+            v = ExactMatrix(rows)
+        return v
+
+
+def _proves_full_rank(family: EigenFamily, order: int) -> bool:
+    """Whether the family's arrays pass the base, lift and Kronecker checks
+    of ``eigenbasis_nullities``, which prove that V is order x order of
+    full rank."""
+    if not len(family.bases) == len(family.lifts) == len(family.folds) + 1:
+        return False
+    sizes = []
+    for size, lifts in zip(family.bases, family.lifts):
+        if size < 1:
+            return False
+        for partition in lifts:
+            positions, beta = partition.positions, partition.base_position
+            if not (
+                positions.ndim == 2 and len(positions) >= 1 and positions.shape[1] == size
+                and beta.ndim == 1 and beta.dtype.kind in "iu"
+                and is_permutation(positions.ravel(), beta.size)
+                and (beta[positions] == np.arange(size)).all()
+            ):
+                return False
+            size = beta.size
+        sizes.append(size)
+    total = sizes[0]
+    for forward, size in zip(family.folds, sizes[1:]):
+        total *= size
+        if not is_permutation(forward, total):
+            return False
+    return total == order
+
+
+def _prime_power_factor(
+    space: ProjectiveSpace,
+) -> tuple[tuple[int, ...], int, tuple[KPartition, ...]]:
+    """The eigenvalue tags of the family of B_{n,p^e} over the given space
+    P_{n,p^e}, the order theta_{n,p} of its level 1, and its K-partitions
+    bottom up.
 
     The K-partitions are taken top down, each partition's base space
-    being the next level, down to P_{n,p}; the family is then built
-    bottom up.  Level 1 is all-ones beside the difference columns.  Level
-    k >= 2 is the fiber-constant lift of level k-1 (one gather through the
-    reduction map; the tags scale by p^(2n-4)) beside the fiber
-    differences."""
+    being the next level, down to P_{n,p}.  Level 1 is tagged theta_{n-1,p}^2
+    for all-ones and p^(n-2) for each difference column; at each lift the
+    lifted tags scale by p^(2n-4), and the fiber differences are tagged
+    p^(e(n-2))."""
     partitions: list[KPartition] = []
     while space.m.prime_power()[1] > 1:
         partitions.append(k_partition(space))
         space = partitions[-1].base_space
     n, p = space.n, space.m.value
     tags = (theta(n - 1, p) ** 2,) + (p ** (n - 2),) * (len(space) - 1)
-    v = np.hstack([np.ones((len(space), 1), dtype=np.int64), eigvec_R_d(space).array])
     for partition in reversed(partitions):
-        diffs = eigvec_differences(partition).array
         tags = tuple(p ** (2 * n - 4) * lam for lam in tags)
-        tags += (p ** (partition.e * (n - 2)),) * diffs.shape[1]
-        v = np.hstack([v[partition.base_position], diffs])
-    return tags, ExactMatrix(v)
+        tags += (p ** (partition.e * (n - 2)),) * (partition.positions.size - len(tags))
+    return tags, len(space), tuple(reversed(partitions))
 
 
 def eigvec_family_prime_power(
@@ -487,14 +595,15 @@ def eigvec_family_prime_power(
     space and theta (eigenvalue, vector) pairs, in the column order of
     ``eigvec_family_general`` over that space."""
     space = enumerate_space(n, p**e, "lex")
-    tags, v = _family_prime_power(space)
+    tags, base, lifts = _prime_power_factor(space)
+    v = EigenFamily(tags, (base,), (lifts,), ()).matrix()
     return space, list(zip(tags, v.array.T.tolist()))
 
 
-def eigvec_family_general(space: ProjectiveSpace) -> tuple[tuple[int, ...], ExactMatrix]:
+def eigvec_family_general(space: ProjectiveSpace) -> EigenFamily:
     """The complete eigenvector family of B_{n,m} over the given space
-    P_{n,m} as the pair (tags, V): V is theta x theta, its rows in the
-    space's order, and column j is an eigenvector with eigenvalue tags[j].
+    P_{n,m}: V is theta x theta, its rows in the space's order, and
+    column j is an eigenvector with eigenvalue tags[j].
 
     The prime-power families of the factors of m are folded together one
     factor at a time: the Kronecker product of the two V, its rows
@@ -507,19 +616,21 @@ def eigvec_family_general(space: ProjectiveSpace) -> tuple[tuple[int, ...], Exac
         return space if m == space.m.value else enumerate_space(space.n, m, guardrail=len(space))
 
     so_far, *factors = [space_of(p**e) for p, e in space.m.factors]
-    tags, v = _family_prime_power(so_far)
+    tags, base, lifts = _prime_power_factor(so_far)
+    bases, all_lifts, folds = [base], [lifts], []
     for factor in factors:
-        factor_tags, factor_v = _family_prime_power(factor)
+        factor_tags, base, lifts = _prime_power_factor(factor)
         target = space_of(so_far.m.value * factor.m.value)
-        kron = tensor_product(v, factor_v).array
-        rows = np.empty_like(kron)
-        rows[crt_permutation(so_far, factor, target)] = kron
+        folds.append(crt_permutation(so_far, factor, target))
+        bases.append(base)
+        all_lifts.append(lifts)
         tags = tuple(lam1 * lam2 for lam1 in tags for lam2 in factor_tags)
-        so_far, v = target, ExactMatrix(rows)
-    return tags, v
+        so_far = target
+    return EigenFamily(tags, tuple(bases), tuple(all_lifts), tuple(folds))
 
 
 __all__ = [
+    "EigenFamily",
     "EigenvalueCheck",
     "SpectrumRow",
     "SpectrumTable",

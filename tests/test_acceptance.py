@@ -210,9 +210,17 @@ def test_criterion_8_eigenvector_families(capsys):
         # the full families of B_{3,4} (one prime power, so the general family
         # is the prime-power one) and of B_{3,6} (a CRT tensor family): the
         # eigenbasis certificate proves exactly the claimed multiplicities
-        tags, v = eigvec_family_general(enumerate_space(3, 4))
-        assert list(zip(tags, v.array.T.tolist())) == eigvec_family_prime_power(3, 2, 2)[1]
+        family = eigvec_family_general(enumerate_space(3, 4))
+        assert list(zip(family.tags, family.matrix().array.T.tolist())) == (
+            eigvec_family_prime_power(3, 2, 2)[1]
+        )
         assert cli.check_eigenvectors([(3, 4), (3, 6)]) is None
+        # the certificate proves the rank of V from the family's construction;
+        # elimination is the independent oracle, on a prime power, a lift
+        # and Kronecker folds
+        for n, m in [(3, 4), (3, 6), (3, 12)]:
+            v = eigvec_family_general(enumerate_space(n, m)).matrix()
+            assert exact_rank(v) == v.rows == theta(n, m)
 
 
 def test_criterion_9_structural_properties(capsys):

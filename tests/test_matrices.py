@@ -24,6 +24,7 @@ from zmspec.matrices import (
     to_csv,
     to_matrix_market,
 )
+from zmspec import projective
 from zmspec.modular import crt_combine
 from zmspec.projective import (ProjectiveSpace, canonical_rep, enumerate_space, k_partition,
                                point_keys, point_label, theta)
@@ -445,11 +446,12 @@ def test_block_C_follows_the_row_labels_of_any_ordering():
 
 
 def test_block_C_sorts_no_keys_but_those_of_B(monkeypatch):
-    # all the blocks look their rows up among the sorted point keys of B's
-    # own space, which are sorted once; no other space is built and no
-    # other space's keys are sorted
+    # a B over another enumeration of the partitioned space: all the blocks
+    # look their rows up among the sorted point keys of B's own space,
+    # which are sorted once; no other space is built and no other space's
+    # keys are sorted
     space, b = B_of(3, 4)
-    part = k_partition(space)
+    part = k_partition(enumerate_space(3, 4))
     built, sorted_for = [], []
     real_init, real_keys = ProjectiveSpace.__init__, ProjectiveSpace._sorted_keys.func
 
@@ -468,6 +470,22 @@ def test_block_C_sorts_no_keys_but_those_of_B(monkeypatch):
         for c in range(part.l):
             block_C(a, c, part, b)
     assert built == [] and sorted_for == [space]
+
+
+def test_block_C_over_the_partitioned_space_computes_no_point_keys(monkeypatch):
+    # B labelled by the partition's own space has its rows at the
+    # partition's positions, so no block looks a point up
+    space, b = B_of(3, 4)
+    part = k_partition(space)
+    calls = []
+    real = projective.point_keys
+    monkeypatch.setattr(projective, "point_keys", lambda *args: calls.append(args) or real(*args))
+    blocks = [block_C(a, c, part, b) for a in range(part.l) for c in range(part.l)]
+    assert len(blocks) == 16 and calls == []
+    # the same blocks as through the lookup over another enumeration
+    other = k_partition(enumerate_space(3, 4))
+    assert blocks == [block_C(a, c, other, b) for a in range(part.l) for c in range(part.l)]
+    assert calls
 
 
 def test_block_C_refuses_B_of_another_space():

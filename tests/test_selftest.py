@@ -8,6 +8,7 @@ check on its selftest grid and `zmspec selftest` to report the failure.
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -47,12 +48,15 @@ def _perturbed(spectrum):
 
 
 def _repeated_vector(family):
-    """Column 1 and its tag replaced by column 2 and its tag."""
+    """The top K-partition's class K_1 replaced by K_0, so the family's
+    difference columns for K_0 appear twice."""
     def wrong(space):
-        tags, v = family(space)
-        data = v.array.copy()
-        data[:, 1] = data[:, 2]
-        return tags[:1] + tags[2:3] + tags[2:], ExactMatrix(data)
+        right = family(space)
+        *below, top = right.lifts[0]
+        positions = top.positions.copy()
+        positions[1] = positions[0]
+        lifts = ((*below, replace(top, positions=positions)), *right.lifts[1:])
+        return replace(right, lifts=lifts)
     return wrong
 
 

@@ -3,6 +3,7 @@ import json
 import random
 import time
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -237,7 +238,7 @@ def test_perturbed_table_fails_under_both_routes(monkeypatch):
     assert not certified.all_ok
     assert {c.method for c in certified.entries} == {"eigenbasis"}
 
-    _force_family(monkeypatch, ((), ExactMatrix.zeros(0, 0)))
+    _force_family(monkeypatch, replace(eigvec_family_general(enumerate_space(3, 6)), tags=()))
     fallback = verify_spectrum(b, table)
     assert not fallback.all_ok
     assert {c.method for c in fallback.entries} == {"bareiss"}
@@ -268,64 +269,118 @@ def test_verify_falls_back_on_labels_that_are_not_the_points():
     _assert_decided_by_bareiss(ExactMatrix(b.array, shuffled, shuffled), spectrum_general(3, 4))
 
 
-def test_certificate_declines_on_corrupted_vector(monkeypatch):
-    _, b = B_of(3, 4)
-    tags, v = eigvec_family_general(enumerate_space(3, 4))
-    data = v.array.copy()
-    i = np.flatnonzero(data[:, 5])[0]
-    data[i, 5] = -data[i, 5]
-    family = (tags, ExactMatrix(data))
+def _with_top_lift(family, **changes):
+    """The family with the top K-partition of its first factor changed."""
+    *below, top = family.lifts[0]
+    return replace(family, lifts=((*below, replace(top, **changes)), *family.lifts[1:]))
+
+
+def _crossing_difference(family):
+    """Two points of K_0 swapped between the fibers over base points 0 and
+    1, so the first difference column of the lift crosses two fibers."""
+    positions = family.lifts[0][-1].positions.copy()
+    positions[0, [0, 1]] = positions[0, [1, 0]]
+    return _with_top_lift(family, positions=positions)
+
+
+def _base_position_not_onto(family):
+    """The reduction map sends the fiber over base point 0 to base point 1."""
+    beta = family.lifts[0][-1].base_position.copy()
+    beta[beta == 0] = 1
+    return _with_top_lift(family, base_position=beta)
+
+
+def _crt_slot_used_twice(family):
+    """The first fold sends pairs 0 and 1 to the same point."""
+    forward = family.folds[0].copy()
+    forward[1] = forward[0]
+    return replace(family, folds=(forward, *family.folds[1:]))
+
+
+def _repeated_class(family):
+    """K_1 replaced by K_0, so the difference columns of K_0 appear twice."""
+    positions = family.lifts[0][-1].positions.copy()
+    positions[1] = positions[0]
+    return _with_top_lift(family, positions=positions)
+
+
+@pytest.mark.parametrize(
+    "n, m, corrupt",
+    [(3, 4, _crossing_difference), (3, 4, _base_position_not_onto), (3, 6, _crt_slot_used_twice)],
+    ids=["crossing-difference", "base-position-not-onto", "crt-slot-used-twice"],
+)
+def test_certificate_declines_on_a_corrupted_description(monkeypatch, n, m, corrupt):
+    space, b = B_of(n, m)
+    family = corrupt(eigvec_family_general(space))
     assert eigenbasis_nullities(b, family) is None
     _force_family(monkeypatch, family)
+    _assert_decided_by_bareiss(b, spectrum_general(n, m))
+
+
+def test_certificate_declines_on_corrupted_vector(monkeypatch):
+    # descriptions that pass the rank checks, with columns that are not
+    # eigenvectors: a wrong tag, and two rows of V swapped by a CRT
+    # forward that is still a permutation; only the residual declines
+    space, b = B_of(3, 4)
+    family = eigvec_family_general(space)
+    wrong_tag = replace(family, tags=family.tags[:5] + family.tags[:1] + family.tags[6:])
+    assert wrong_tag.tags[5] != family.tags[5]
+    assert eigenbasis_nullities(b, wrong_tag) is None
+
+    space6, b6 = B_of(3, 6)
+    family6 = eigvec_family_general(space6)
+    forward = family6.folds[0].copy()
+    forward[[0, 1]] = forward[[1, 0]]
+    swapped = replace(family6, folds=(forward,))
+    assert exact_rank(swapped.matrix()) == 91
+    assert eigenbasis_nullities(b6, swapped) is None
+
+    _force_family(monkeypatch, wrong_tag)
     _assert_decided_by_bareiss(b, spectrum_general(3, 4))
 
 
 def test_certificate_declines_on_duplicated_column(monkeypatch):
-    _, b = B_of(3, 4)
-    tags, v = eigvec_family_general(enumerate_space(3, 4))
-    same = [j for j, lam in enumerate(tags) if lam == tags[-1]]
-    data = v.array.copy()
-    data[:, same[0]] = data[:, same[1]]
-    family = (tags, ExactMatrix(data))
+    space, b = B_of(3, 4)
+    family = _repeated_class(eigvec_family_general(space))
+    v = family.matrix()
     # every column is still an eigenvector, so only the rank check can decline
-    assert np.array_equal((b @ family[1]).array, data * np.array(tags))
+    assert np.array_equal((b @ v).array, v.array * np.array(family.tags))
+    assert exact_rank(v) < v.rows
     assert eigenbasis_nullities(b, family) is None
     _force_family(monkeypatch, family)
     _assert_decided_by_bareiss(b, spectrum_general(3, 4))
 
 
 def test_certificate_is_exact_past_the_int64_bound():
-    _, b = B_of(3, 2)
-    tags, v = eigvec_family_general(enumerate_space(3, 2))
-    assert eigenbasis_nullities(b, (tags, v)) == {9: 1, 2: 6}
+    space, b = B_of(3, 2)
+    family = eigvec_family_general(space)
+    assert eigenbasis_nullities(b, family) == {9: 1, 2: 6}
     # B and the tags scaled by 2^60: the residual runs on Python ints
     big = b * (1 << 60)
-    assert (big @ v).array.dtype == object
-    scaled = tuple(lam << 60 for lam in tags)
-    assert eigenbasis_nullities(big, (scaled, v)) == {9 << 60: 1, 2 << 60: 6}
-    # V itself past the bound is held as Python ints and still certified
-    huge_v = v * (1 << 62)
-    assert huge_v.array.dtype == object
-    assert eigenbasis_nullities(b, (tags, huge_v)) == {9: 1, 2: 6}
-    # V is still invertible here, so the residual is what declines
-    huge_tags = tuple(lam << 61 for lam in tags)
-    assert eigenbasis_nullities(b, (huge_tags, v)) is None
-    # one entry's sign flipped in the scaled family
-    data = huge_v.array.copy()
-    i = np.flatnonzero(data[:, 3])[0]
-    data[i, 3] = -data[i, 3]
-    assert eigenbasis_nullities(b, (tags, ExactMatrix(data))) is None
-    # shape mismatches: a tag or a column short
-    assert eigenbasis_nullities(b, (tags[:-1], v)) is None
-    assert eigenbasis_nullities(b, (tags, ExactMatrix(v.array[:, :-1]))) is None
+    assert (big @ family.matrix()).array.dtype == object
+    scaled = replace(family, tags=tuple(lam << 60 for lam in family.tags))
+    assert eigenbasis_nullities(big, scaled) == {9 << 60: 1, 2 << 60: 6}
+    # V is still invertible here, so the residual, on Python ints, declines
+    huge = replace(family, tags=tuple(lam << 61 for lam in family.tags))
+    assert eigenbasis_nullities(big, huge) is None
+    # orders that do not match: a tag short, and a level 1 of another order
+    assert eigenbasis_nullities(b, replace(family, tags=family.tags[:-1])) is None
+    assert eigenbasis_nullities(b, replace(family, bases=(8,))) is None
 
 
-def test_certificate_proves_a_family_that_is_singular_mod_p_only():
-    _, b = B_of(3, 2)
-    tags, v = eigvec_family_general(enumerate_space(3, 2))
-    scaled = v * (2**31 - 1)
-    assert _rank_mod_p(scaled.array, 2**31 - 1) == 0  # so Bareiss decides
-    assert eigenbasis_nullities(b, (tags, scaled)) == {9: 1, 2: 6}
+@pytest.mark.parametrize("n, m", [(3, 6), (3, 8), (4, 4), (3, 12), (2, 12)])
+def test_certificate_runs_no_elimination(monkeypatch, n, m):
+    # prime powers, lifts and Kronecker folds: every row is proved from the
+    # family's construction, with both elimination kernels unavailable
+    def refuse(*args):
+        raise AssertionError("the certificate ran an elimination")
+
+    _, b = B_of(n, m)
+    monkeypatch.setattr(spectrum, "_rank_mod_p", refuse)
+    monkeypatch.setattr(spectrum, "_bareiss_rank", refuse)
+    report = verify_spectrum(b, spectrum_general(n, m))
+    assert report.all_ok
+    assert {c.method for c in report.entries} == {"eigenbasis"}
 
 
 @settings(derandomize=True, max_examples=100)
@@ -346,7 +401,7 @@ def test_rank_mod_p_ignores_column_order(p, rows, cols, data):
 
 def test_exact_rank_of_a_prime_family_within_budget():
     # elimination sparsest column first: the all-ones column comes last
-    _, v = eigvec_family_general(enumerate_space(3, 31))
+    v = eigvec_family_general(enumerate_space(3, 31)).matrix()
     budget = 1.0
     start = time.perf_counter()
     assert exact_rank(v) == v.rows == 993
@@ -505,8 +560,10 @@ def test_lift_examples():
     # the first theta(3,2) columns of the (3,4) family lift the (3,2) family
     part = k_partition(enumerate_space(3, 4))
     _, b4 = B_of(3, 4)
-    tags2, v2 = eigvec_family_general(enumerate_space(3, 2))
-    tags4, v4 = eigvec_family_general(enumerate_space(3, 4))
+    family2 = eigvec_family_general(enumerate_space(3, 2))
+    tags2, v2 = family2.tags, family2.matrix()
+    family4 = eigvec_family_general(enumerate_space(3, 4))
+    tags4, v4 = family4.tags, family4.matrix()
     lifted = v4.array[:, : v2.cols]
     assert lifted[:, 0].tolist() == [1] * 28  # lift of all-ones is all-ones
     for x, pt in enumerate(part.space.points):
@@ -519,9 +576,10 @@ def test_lift_examples():
 
 def test_tensor_eigenvectors():
     _, b6 = B_of(3, 6)
-    tags2, _ = eigvec_family_general(enumerate_space(3, 2))
-    tags3, _ = eigvec_family_general(enumerate_space(3, 3))
-    tags6, v6 = eigvec_family_general(enumerate_space(3, 6))
+    tags2 = eigvec_family_general(enumerate_space(3, 2)).tags
+    tags3 = eigvec_family_general(enumerate_space(3, 3)).tags
+    family6 = eigvec_family_general(enumerate_space(3, 6))
+    tags6, v6 = family6.tags, family6.matrix()
     assert tags6 == tuple(a * b for a in tags2 for b in tags3)
     assert v6.array[:, 0].tolist() == [1] * 91  # all-ones (x) all-ones
     assert tags6[:2] == (144, 27)  # 9 * 16, and 9 * 3 for ones (x) a difference column
@@ -530,28 +588,32 @@ def test_tensor_eigenvectors():
 
 def test_full_family_general():
     for n, m in [(3, 6), (2, 30), (3, 4)]:
-        tags, v = eigvec_family_general(enumerate_space(n, m))
+        family = eigvec_family_general(enumerate_space(n, m))
+        tags, v = family.tags, family.matrix()
         _, b = B_of(n, m)
         assert len(tags) == v.rows == v.cols == theta(n, m)
         assert v.array.dtype == np.int64
         assert np.array_equal((b @ v).array, v.array * np.array(tags))
         assert Counter(tags) == dict(spectrum_general(n, m).merged())
     # a prime power is its own factor family, and the list form is its view
-    tags, v = eigvec_family_general(enumerate_space(3, 4))
-    assert list(zip(tags, v.array.T.tolist())) == eigvec_family_prime_power(3, 2, 2)[1]
+    family = eigvec_family_general(enumerate_space(3, 4))
+    assert list(zip(family.tags, family.matrix().array.T.tolist())) == (
+        eigvec_family_prime_power(3, 2, 2)[1]
+    )
 
 
 @pytest.mark.parametrize("n, m", [(3, 4), (3, 8), (2, 9)])
 def test_family_follows_a_k_grouped_space(n, m):
     space = enumerate_space(n, m, "k-grouped")
     b = build_B_product(build_A(space))
-    tags, v = eigvec_family_general(space)
-    assert eigenbasis_nullities(b, (tags, v)) == dict(spectrum_general(n, m).merged())
+    family = eigvec_family_general(space)
+    assert eigenbasis_nullities(b, family) == dict(spectrum_general(n, m).merged())
     # the lex family with its rows relabelled into the space's order
     lex = enumerate_space(n, m)
-    lex_tags, lex_v = eigvec_family_general(lex)
-    assert tags == lex_tags
-    assert np.array_equal(v.array, lex_v.array[lex.positions(space.coords)])
+    lex_family = eigvec_family_general(lex)
+    assert family.tags == lex_family.tags
+    assert np.array_equal(family.matrix().array,
+                          lex_family.matrix().array[lex.positions(space.coords)])
 
 
 def _family_digest(data) -> str:
@@ -572,7 +634,8 @@ FAMILY_DIGESTS = {
 
 @pytest.mark.parametrize("n, m", list(FAMILY_DIGESTS))
 def test_family_digest(n, m):
-    tags, v = eigvec_family_general(enumerate_space(n, m))
+    family = eigvec_family_general(enumerate_space(n, m))
+    tags, v = family.tags, family.matrix()
     assert type(tags) is tuple and all(type(lam) is int for lam in tags)
     assert _family_digest([list(tags), v.array.tolist()]) == FAMILY_DIGESTS[n, m]
 
