@@ -312,6 +312,8 @@ def _repeated_class(family):
 def test_certificate_declines_on_a_corrupted_description(monkeypatch, n, m, corrupt):
     space, b = B_of(n, m)
     family = corrupt(eigvec_family_general(space))
+    # refused by the construction checks, before any residual is formed
+    assert not spectrum._proves_full_rank(family, len(space))
     assert eigenbasis_nullities(b, family) is None
     _force_family(monkeypatch, family)
     _assert_decided_by_bareiss(b, spectrum_general(n, m))
