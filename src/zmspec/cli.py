@@ -12,6 +12,7 @@ limit of 5000.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -112,8 +113,9 @@ def _refuse_unprintable(m: int, power: int) -> None:
 def cmd_theta(args: argparse.Namespace) -> int:
     _validate(args.n, args.m)
     _refuse_unprintable(args.m, args.n - 1)  # theta(n, m) >= m^(n-1)
+    value = theta(args.n, args.m)
     with _printable():
-        text = str(theta(args.n, args.m))
+        text = str(value)
     _emit(text, None)
     return EXIT_OK
 
@@ -396,7 +398,10 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 # -------------------- argument parsing --------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``zmspec`` parser, built once per process: each command is bound
+    by ``set_defaults`` and looks up what it calls at call time."""
     parser = argparse.ArgumentParser(
         prog="zmspec",
         description="Exact construction and spectral verification of the "

@@ -8,20 +8,21 @@ together with its fibers and the partition of P_{n,p^e} into fiber
 transversals K_1, ..., K_{p^(n-1)}.
 
 A space is its coordinate array: row i of ``ProjectiveSpace.coords`` is
-the canonical representative of point i.  The enumeration scan visits
-only the tuples whose first nonzero entry divides m, in lex order, and
-keeps the orbit minima among them as plain tuples; the k-grouped space
-is the lex array with its rows reordered.  ``ProjectivePoint`` objects
-are built only when ``points`` is first read.  Which point a coordinate
-tuple represents is decided in one place, ``point_keys``: one int64 key
-per tuple, equal for two tuples iff they represent the same point.
-``ProjectiveSpace.positions`` maps any array of tuples to points by
-looking their keys up among the space's own keys, sorted once per space.
-The reduction map behind the K-partition and the CRT map behind the
-tensor lemma are such lookups, and the closed-form B compares the keys
-of its points at each level p^k.  ``canonical_rep``, ``delta_map`` and
-``fiber`` compute the same answers one point at a time and are kept as
-independent oracles.
+the canonical representative of point i.  The enumeration builds, as one
+array in lex order, the primitive tuples whose first nonzero entry
+divides m, and keeps the first of each point key, which is the orbit
+minimum; the k-grouped space is the lex array with its rows reordered.
+``ProjectivePoint`` objects are built only when ``points`` is first
+read, and each checks its row by the unit walk ``_is_orbit_minimum``.
+Which point a coordinate tuple represents is decided in one place,
+``point_keys``: one int64 key per tuple, equal for two tuples iff they
+represent the same point.  ``ProjectiveSpace.positions`` maps any array
+of tuples to points by looking their keys up among the space's own keys,
+sorted once per space.  The reduction map behind the K-partition and the
+CRT map behind the tensor lemma are such lookups, and the closed-form B
+compares the keys of its points at each level p^k.  ``canonical_rep``,
+``delta_map`` and ``fiber`` compute the same answers one point at a time
+and are kept as independent oracles.
 
 Each space is scanned once per command: whatever needs a space takes the
 space itself, and a labelled matrix carries the space of its rows and
@@ -285,27 +286,31 @@ class ProjectiveSpace:
         return order[at]
 
 
-def _lex_points(n: int, m: int) -> list[tuple[int, ...]]:
-    """The coordinates of all canonical representatives of P_{n,m} in
-    lexicographic order.
+def _lex_points(n: int, m: int) -> np.ndarray:
+    """The canonical representatives of P_{n,m} in lexicographic order,
+    as a theta x n int64 array.
 
-    An orbit minimum has a first nonzero entry d that divides m (see
-    ``_is_orbit_minimum``), so only the tuples (0, ..., 0, d, *rest) with
-    d a divisor of m below m are visited: more leading zeros first, then
-    d ascending, then rest in lex order, which is lex order.  Every d = 1
-    tuple is primitive and canonical; a d > 1 tuple is kept when it is
-    primitive and no unit lowers it.  That test is the one
-    ``ProjectivePoint`` makes, so the tuples are not checked again.
+    The candidates are the tuples (0, ..., 0, d, *rest) with d a divisor
+    of m below m.  With w = len(rest), their lex indices (the tuples read
+    as base-m numbers) are d * m^w + r for r < m^w, so concatenated with
+    w ascending, then d ascending, they come out in lex order.  They are
+    expanded to base-m digits, the rows that are not primitive are
+    dropped, and of each ``point_keys`` value the first row is kept.
+    Every orbit minimum is a candidate, because its first nonzero entry
+    divides m (see ``_is_orbit_minimum``), and the candidates that share
+    its key are its unit multiples, all lex larger, so the first
+    candidate with a given key is the canonical representative.  There
+    are sum_w m^w <= theta candidates per divisor, so at most theta times
+    the number of divisors of m below m rows.
     """
-    divisors = [d for d in range(1, m) if m % d == 0]
-    points = []
-    for zeros in range(n - 1, -1, -1):
-        for d in divisors:
-            for rest in itertools.product(range(m), repeat=n - 1 - zeros):
-                tup = (0,) * zeros + (d,) + rest
-                if d == 1 or (is_primitive(tup, m) and _is_orbit_minimum(tup, m)):
-                    points.append(tup)
-    return points
+    divisors = np.array([d for d in range(1, m) if m % d == 0], dtype=np.int64)
+    index = np.concatenate(
+        [(divisors[:, None] * m**w + np.arange(m**w)).ravel() for w in range(n)]
+    )
+    digits = index[:, None] // m ** np.arange(n - 1, -1, -1) % m
+    rows = digits[np.gcd.reduce(digits, axis=1, initial=m) == 1]
+    _, first = np.unique(point_keys(rows, m), return_index=True)
+    return rows[np.sort(first)]
 
 
 def enumerate_space(
@@ -335,12 +340,11 @@ def enumerate_space(
     if ordering == "k-grouped" and mod.prime_power()[1] < 2:  # raises for composite m
         raise DomainError("k-grouped ordering needs a prime power p^e with e >= 2")
 
-    points = _lex_points(n, mod.value)
-    if len(points) != count:
+    coords = _lex_points(n, mod.value)
+    if len(coords) != count:
         raise DomainError(
-            f"enumerated {len(points)} points of P_{{{n},{mod.value}}}, theta is {count}"
+            f"enumerated {len(coords)} points of P_{{{n},{mod.value}}}, theta is {count}"
         )
-    coords = np.array(points, dtype=np.int64)
     coords.flags.writeable = False
     space = ProjectiveSpace(n, mod, "lex", coords)
     if ordering == "lex":

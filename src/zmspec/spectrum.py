@@ -595,9 +595,8 @@ def eigvec_family_prime_power(
     space and theta (eigenvalue, vector) pairs, in the column order of
     ``eigvec_family_general`` over that space."""
     space = enumerate_space(n, p**e, "lex")
-    tags, base, lifts = _prime_power_factor(space)
-    v = EigenFamily(tags, (base,), (lifts,), ()).matrix()
-    return space, list(zip(tags, v.array.T.tolist()))
+    family = eigvec_family_general(space)
+    return space, list(zip(family.tags, family.matrix().array.T.tolist()))
 
 
 def eigvec_family_general(space: ProjectiveSpace) -> EigenFamily:

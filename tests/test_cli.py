@@ -27,6 +27,15 @@ def test_theta_command(capsys):
 def test_theta_rejects_bad_arguments(capsys):
     code, _, err = run(capsys, "theta", "-n", "1", "-m", "4")
     assert code == 2 and "error" in err
+    # a modulus past the factorization bound is refused as such, not as a
+    # number too long to print: theta(3, 2 * 10^9) has 19 digits
+    code, out, err = run(capsys, "theta", "-n", "3", "-m", "2000000000")
+    assert (code, out) == (2, "")
+    assert err == "error: 2000000000 exceeds the factorization bound 1000000000\n"
+
+
+def test_the_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
 
 
 PRINTING = (["theta"], ["spectrum"], ["spectrum", "--format", "json"])
@@ -406,6 +415,19 @@ GOLDEN_DIGESTS = [
      "6521416413fa5eb91c1cbd67d0f60951c2f8f65eaf844f948b2f1fdf66f6ec79"),
     ("points -n 3 -m 12 --format json",
      "3c0e4918d6fb22a7d420597a0a5f8c935475e5cdcd08fb301adf0af6d1c51043"),
+    # enumerations with many divisors, a large prime, a power of two, n = 5
+    ("points -n 3 -m 36 --format csv",
+     "c45e70eb929a34f4696d73d83c4bb88716021c3ae77b3cd4cae0e14d2029bd61"),
+    ("points -n 4 -m 12 --format csv",
+     "d7a978c17a1ba5d5c63c13ad5f3ae34e09e82388f34f9a936f6e764c179569cc"),
+    ("points -n 2 -m 4999",
+     "c5cf25c4fb14e5b7762c3f9ddaba44826cf3b1fbb265fb542561ba7011af5b66"),
+    ("points -n 2 -m 1260 --format csv",
+     "d67d7ab2784e63cb93a73b7d88cea173131b70c23fc2dde6350fdb34c7159536"),
+    ("points -n 5 -m 6 --format csv",
+     "02928306e6f32ed506b67792790df9e24da43dfa898ada2178e7205e49046d3b"),
+    ("points -n 3 -m 32 --ordering k-grouped --format csv",
+     "3b501de185e6a6508e582857ba1063301e0b8160804ca154bfeaf18f5ed83fa6"),
     # nine PASS lines, names and order fixed
     ("selftest",
      "1516f23db9275bc1628f12d2234e9e1ec2c8dfd9424c84afc05c4f6dc5cca306"),

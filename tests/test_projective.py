@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zmspec import projective
 from zmspec.errors import DomainError, GuardrailError
 from zmspec.modular import euler_phi, units
 from zmspec.projective import (
@@ -170,7 +171,7 @@ def test_enumerate_space_sizes():
     "n,m,ordering",
     [
         (2, 6, "lex"), (3, 4, "lex"), (3, 6, "lex"), (2, 12, "lex"), (3, 9, "lex"),
-        # moduli with many divisors: the scan visits one first entry d | m at a time
+        # moduli with many divisors: one block of candidates per first entry d | m
         (2, 36, "lex"), (3, 12, "lex"), (4, 6, "lex"), (2, 72, "lex"), (3, 16, "lex"),
         (3, 4, "k-grouped"), (3, 8, "k-grouped"), (2, 9, "k-grouped"),
     ],
@@ -203,6 +204,21 @@ def test_enumeration_budget():
     space = enumerate_space(2, 3001)
     assert time.perf_counter() - start < 2.0
     assert len(space) == 3002
+
+
+def test_enumeration_walks_no_orbit(monkeypatch):
+    # the scan decides points by their keys; the unit walk is left to
+    # ProjectivePoint, which checks the enumerated rows once they are read
+    calls = []
+    real = projective._is_orbit_minimum
+    monkeypatch.setattr(projective, "_is_orbit_minimum",
+                        lambda *args: calls.append(args) or real(*args))
+    enumerate_space(3, 36)
+    enumerate_space(3, 8, "k-grouped")
+    assert calls == []
+    space = enumerate_space(3, 4)
+    assert calls == []
+    assert len(space.points) == len(calls) == 28
 
 
 def test_positions_round_trip_on_2_16_points():

@@ -100,6 +100,20 @@ def test_every_rank_is_proved_by_exact_rank():
     ]
 
 
+def test_points_are_decided_by_their_keys():
+    # the enumeration keeps the first candidate of each point key, and the
+    # unit walk is left as the oracle that ProjectivePoint runs on each row
+    calls = {
+        (path.name, owner, name)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for owner, name in _calls_by_function(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert sorted(call for call in calls if call[2] == "_is_orbit_minimum") == [
+        ("projective.py", "__post_init__", "_is_orbit_minimum"),
+    ]
+    assert ("projective.py", "_lex_points", "point_keys") in calls
+
+
 def test_only_enumeration_takes_a_guardrail():
     # a space is passed in, not rebuilt from (n, m, guardrail), so a user's
     # limit enters only where a space is enumerated
