@@ -14,8 +14,10 @@ operand entries, products and partial sums stay below 2^24, one float64
 BLAS product while they stay below 2^53, each exact there in any
 summation order, and Python ints (an object array) above that.  Every
 other operation runs in int64 while its values stay below 2^62, and on
-Python ints above that.  Entries are stored as int64 or object, never as
-floats.
+Python ints above that.  Entries are stored apart from that rule, in the
+narrowest signed dtype that holds the largest |entry|: int8, int16, int32
+or int64 below 2^62, and object from there (``_storage_dtype``), never as
+floats.  A is int8, and so is B while its entries stay below 2^7.
 
 The closed-form B over p^e reads each entry from nu, the p-adic
 valuation of the gcd of the 2x2 minors of the pair (capped at e), and
@@ -26,10 +28,14 @@ same ``projective.point_keys`` mod p^k (see ``build_B_analytic``).
 
 The four export formats (Matrix Market, CSV, JSON, aligned table) are
 rendered from one token table per matrix: each distinct entry value is
-formatted once, as a full token with its separators, every entry picks
-its token with one gather, and the text is one join.  The output is
-byte-identical to earlier releases, which formatted every entry on its
-own.
+formatted once, as a full token with its separators, and the entries
+pick their tokens one row block at a time (``_BLOCK_ENTRIES`` entries at
+most), each block one gather and one join.  ``export_blocks`` yields the
+blocks as they are made, so that a JSON or table export is written
+without its text being held whole, and each ``to_*`` function returns
+the join of the same blocks.
+The output is byte-identical to earlier releases, which formatted every
+entry on its own.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ import io
 import json
 import math
 import operator
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 
 import numpy as np
 
@@ -53,10 +59,16 @@ _INT64_LIMIT = 1 << 62
 # every integer of absolute value at most this is a float32, or a float64
 _FLOAT32_LIMIT = 1 << 24
 _FLOAT64_LIMIT = 1 << 53
+# the signed dtypes an ExactMatrix stores its entries in, each with the
+# bound below which it holds every entry of either sign
+_STORAGE = ((1 << 7, np.int8), (1 << 15, np.int16), (1 << 31, np.int32),
+            (_INT64_LIMIT, np.int64))
+# the entries of one row block of an export, or of one tile of trace_of_square
+_BLOCK_ENTRIES = 1 << 16
 
 
 def _exact_dtype(*bounds: int, blas: bool = False) -> type:
-    """The dtype in which a computation is exact:
+    """The dtype in which a computation runs, exact by its bounds:
 
     - a matrix product (``blas``) runs in float32 when every bound is
       below 2^24, in float64 when every bound is below 2^53, and in
@@ -64,9 +76,11 @@ def _exact_dtype(*bounds: int, blas: bool = False) -> type:
     - any other operation runs in int64 when every bound is below 2^62,
       and in object otherwise.
 
-    This is the only place a dtype is decided.  Callers pass a bound on
-    the absolute value of every operand entry and of every partial and
-    final result entry, so the int64 path can never wrap.
+    This is the only place the dtype of arithmetic is decided; where the
+    result is stored is ``_storage_dtype``'s choice.  Callers pass a bound
+    on the absolute value of every operand entry and of every partial and
+    final result entry, so the int64 path can never wrap, whatever
+    narrower dtype the operands are stored in.
 
     The float tiers are exact for the same reason.  A product passes
     max|a|, max|b| and max|a| * max|b| * inner, where inner is the shared
@@ -76,9 +90,9 @@ def _exact_dtype(*bounds: int, blas: bool = False) -> type:
     integer.  Each rounding step of the BLAS product therefore has an
     exactly representable result and returns it unchanged, whatever
     summation order, blocking or fused multiply-add the library uses.
-    The result holds integers below the limit, which the cast back to
-    int64 keeps exactly.  A product has no int64 tier: numpy has no BLAS
-    for int64, and every product the package forms has a bound of at
+    The result holds integers below the limit, which the cast into their
+    storage dtype keeps exactly.  A product has no int64 tier: numpy has
+    no BLAS for int64, and every product the package forms has a bound of at
     most theta^2 (B is at most theta, a family is +-1 and A is 0/1),
     below 2^53 for every theta < 2^26.  B = A A^t has the bound theta,
     so it runs in float32 for every theta < 2^24; the certificate's
@@ -94,9 +108,26 @@ def _exact_dtype(*bounds: int, blas: bool = False) -> type:
     return np.int64 if bound < _INT64_LIMIT else object
 
 
+def _storage_dtype(max_abs: int) -> type:
+    """The dtype an ``ExactMatrix`` stores its entries in, given the largest
+    |entry|: the narrowest of int8, int16, int32 and int64 whose bound in
+    ``_STORAGE`` lies above it (int8 below 2^7, ..., int64 below 2^62), and
+    object from 2^62, as ``_exact_dtype`` has no integer tier there.  Each
+    signed dtype holds every value of absolute value below its bound."""
+    return next((dtype for limit, dtype in _STORAGE if max_abs < limit), object)
+
+
+def _integers(prod: np.ndarray) -> np.ndarray:
+    """The entries of an exact float product, integers below 2^53, in
+    their storage dtype."""
+    top = max(-float(prod.min()), float(prod.max())) if prod.size else 0
+    return prod.astype(_storage_dtype(int(top)))
+
+
 def _exact_array(data) -> tuple[np.ndarray, int]:
     """``data`` as a read-only 2-d array in the dtype its largest |entry|
-    gets from ``_exact_dtype``, together with that largest |entry|.
+    gets from ``_storage_dtype``, together with that largest |entry|.  An
+    array already in that dtype is shared, not copied.
 
     Integer and bool entries are accepted; floats, strings and anything
     else that is not an integer raise DomainError."""
@@ -117,10 +148,10 @@ def _exact_array(data) -> tuple[np.ndarray, int]:
         except TypeError as exc:
             raise DomainError("matrix entries must be integers") from exc
         max_abs = max(map(abs, flat), default=0)
-        arr = np.array(flat, dtype=_exact_dtype(max_abs)).reshape(arr.shape)
+        arr = np.array(flat, dtype=_storage_dtype(max_abs)).reshape(arr.shape)
     else:
         max_abs = max(-int(arr.min()), int(arr.max())) if arr.size else 0
-        arr = arr.astype(_exact_dtype(max_abs), copy=False)
+        arr = arr.astype(_storage_dtype(max_abs), copy=False)
     # a view, so that a caller's own array keeps its flags
     arr = arr.view()
     arr.flags.writeable = False
@@ -133,14 +164,17 @@ class ExactMatrix:
     ``row_labels`` and ``col_labels`` are each None or the ProjectiveSpace
     whose points index the rows or the columns, with exactly as many points
     as there are rows or columns.  The entries live in one read-only 2-d
-    ndarray: int64 while every |entry| < 2^62, an object array of Python
-    ints otherwise.  Each operation states a bound on the values it
-    computes and runs in the dtype ``_exact_dtype`` picks for that bound,
-    so a result is exact in every tier.  An int64 ndarray passed in is
-    shared, not copied, and no method writes to the array, so transposes
-    and index views share memory too.  A matrix that is the left operand
-    of a float product keeps the copy of its entries in that tier's dtype
-    for later products.
+    ndarray, stored in the dtype ``_storage_dtype`` picks for the largest
+    |entry|: int8, int16, int32 or int64 below 2^62, an object array of
+    Python ints from there.  Each operation states a bound on the values
+    it computes and runs in the dtype ``_exact_dtype`` picks for that
+    bound, int64 or a float tier whatever the operands are stored in, so a
+    result is exact in every tier; then it is stored narrow again.  An
+    ndarray passed in that is already in its storage dtype is shared, not
+    copied, and no method writes to the array, so transposes and index
+    views share memory too.  A matrix that is the left operand of a float
+    product keeps the copy of its entries in that tier's dtype for later
+    products.
     """
 
     __slots__ = ("_array", "_max_abs", "_float", "row_labels", "col_labels")
@@ -165,17 +199,18 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, k: int) -> "ExactMatrix":
-        return cls(np.eye(k, dtype=np.int64))
+        return cls(np.eye(k, dtype=np.int8))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(np.zeros((rows, cols), dtype=np.int64))
+        return cls(np.zeros((rows, cols), dtype=np.int8))
 
     # -------------------- access --------------------
 
     @property
     def array(self) -> np.ndarray:
-        """The read-only entries (int64, or object when some |entry| >= 2^62)."""
+        """The read-only entries, in their storage dtype (int8 up to int64,
+        or object when some |entry| >= 2^62)."""
         return self._array
 
     @property
@@ -268,11 +303,9 @@ class ExactMatrix:
         if dtype is object:
             out = self._as(dtype) @ other._as(dtype)
         else:
-            # one BLAS product, exact by the bound, cast into an int64
-            # result allocated first (see build_B_product); the right
-            # operand's copy is freed before the cast
-            out = np.empty((self.rows, other.cols), dtype=np.int64)
-            np.copyto(out, self._float_copy(dtype) @ other._as(dtype), casting="unsafe")
+            # one BLAS product, exact by the bound, cast into its storage
+            # dtype; the right operand's copy is freed before the cast
+            out = _integers(self._float_copy(dtype) @ other._as(dtype))
         return ExactMatrix(out, self.row_labels, other.col_labels)
 
     def matvec(self, vec: list[int] | tuple[int, ...]) -> list[int]:
@@ -287,18 +320,26 @@ class ExactMatrix:
         if not self.is_square:
             raise DomainError("trace needs a square matrix")
         dtype = _exact_dtype(self._max_abs * self.rows)
-        return int(self._as(dtype).diagonal().sum())
+        return int(self._array.diagonal().sum(dtype=dtype))
 
     def trace_of_square(self) -> int:
-        """trace(M @ M) without forming the product."""
+        """trace(M @ M) without forming the product: the sum of
+        M[t, s] * M[s, t]^T over square tiles of at most ``_BLOCK_ENTRIES``
+        entries, each converted on its own, so that no whole copy of M and no
+        strided transpose of it is made.  Every partial sum is bounded by
+        max|M|^2 * order^2."""
         if not self.is_square:
             raise DomainError("trace needs a square matrix")
-        x = self._as(_exact_dtype(self._max_abs, self._max_abs**2 * self.rows**2))
-        return int((x * x.T).sum())
+        dtype = _exact_dtype(self._max_abs, self._max_abs**2 * self.rows**2)
+        side = max(1, math.isqrt(_BLOCK_ENTRIES))
+        tiles = [slice(start, start + side) for start in range(0, self.rows, side)]
+        x = self._array
+        return sum(int(np.multiply(x[t, s], x[s, t].T, dtype=dtype).sum())
+                   for t in tiles for s in tiles)
 
     def row_sums(self) -> list[int]:
         dtype = _exact_dtype(self._max_abs * self.cols)
-        return self._as(dtype).sum(axis=1).tolist()
+        return self._array.sum(axis=1, dtype=dtype).tolist()
 
 
 # -------------------- constructions --------------------
@@ -306,9 +347,10 @@ class ExactMatrix:
 
 def build_A(space: ProjectiveSpace) -> ExactMatrix:
     """0/1 incidence matrix: entry 1 iff the points' inner product is 0 mod m."""
-    m = space.m.value
-    gram = (space.coords @ space.coords.T) % m
-    return ExactMatrix((gram == 0).astype(np.int64), space, space)
+    gram = space.coords @ space.coords.T
+    gram %= space.m.value
+    # a bool array is 0/1 in one byte, which is A's storage dtype
+    return ExactMatrix((gram == 0).view(np.int8), space, space)
 
 
 def build_B_product(a: ExactMatrix) -> ExactMatrix:
@@ -321,16 +363,12 @@ def build_B_product(a: ExactMatrix) -> ExactMatrix:
         return a @ a.transpose()
     # a float tier of A @ A^t (float32 for a 0/1 A of order below 2^24)
     # from one copy of A, which BLAS multiplies by its own transpose (a
-    # symmetric rank-k update).  The int64 result is allocated before the
-    # copy, and the copy is freed before the cast fills the result:
-    # allocated after the copy was freed, the result raised the peak RSS of
-    # a JSON export of B_{3,32} that followed from 173 to 196 MiB
-    out = np.empty(a.array.shape, dtype=np.int64)
+    # symmetric rank-k update); the copy is freed before the cast into the
+    # storage dtype
     x = a.array.astype(dtype)
     prod = x @ x.T
     del x
-    np.copyto(out, prod, casting="unsafe")
-    return ExactMatrix(out, a.row_labels, a.row_labels)
+    return ExactMatrix(_integers(prod), a.row_labels, a.row_labels)
 
 
 def _entry_table(p: int, e: int, n: int) -> list[int]:
@@ -385,15 +423,21 @@ def build_B_analytic(space: ProjectiveSpace) -> ExactMatrix:
         keys = point_keys(space.coords, p**k)
         nu += np.equal.outer(keys, keys)
     entries = _entry_table(p, e, space.n)
-    by_nu = np.array(entries, dtype=_exact_dtype(max(entries)))
+    by_nu = np.array(entries, dtype=_storage_dtype(max(entries)))
     return ExactMatrix(by_nu[nu], space, space)
 
 
 def tensor_product(m1: ExactMatrix, m2: ExactMatrix) -> ExactMatrix:
-    """Kronecker product; row (i1, i2) of the result is flat index i1*rows2 + i2."""
+    """Kronecker product; row (i1, i2) of the result is flat index i1*rows2 + i2.
+
+    Each entry is one product, computed in the dtype of the bound and
+    written into a result allocated in the storage dtype of that bound."""
     a, b = m1.max_abs(), m2.max_abs()
-    dtype = _exact_dtype(a, b, a * b)
-    return ExactMatrix(np.kron(m1._as(dtype), m2._as(dtype)))
+    x, y = m1.array, m2.array
+    out = np.empty((m1.rows, m2.rows, m1.cols, m2.cols), dtype=_storage_dtype(a * b))
+    np.multiply(x[:, None, :, None], y[None, :, None, :], out=out,
+                dtype=_exact_dtype(a, b, a * b), casting="unsafe")
+    return ExactMatrix(out.reshape(m1.rows * m2.rows, m1.cols * m2.cols))
 
 
 def crt_permutation(
@@ -490,34 +534,52 @@ def block_C_reference(
 # -------------------- export --------------------
 
 
-def _token_grid(
-    arr: np.ndarray, token: Callable[[str], str], first="", last=""
-) -> np.ndarray:
-    """A rows x (cols + 2) object array: column 0 holds ``first`` (one string
-    per row, or one for all rows), columns 1..cols hold token(str(arr[i, j])),
-    and the last column holds ``last``.
+def _render(
+    arr: np.ndarray,
+    token: Callable[[str], str],
+    first: str | list[str] = "",
+    last: str | list[str] = "",
+    last_token: Callable[[str], str] | None = None,
+) -> Iterator[str]:
+    """The text of ``arr``, one string per block of whole rows, each block
+    of at most ``_BLOCK_ENTRIES`` entries or one row: each row is
+    ``first`` (one string per row, or one for all rows), then
+    token(str(v)) for every entry v, or last_token(str(v)) for the row's
+    last entry when given, then ``last`` (likewise).
 
-    The gather index is ``arr - min`` when the values span at most
-    ``arr.size`` (every B: its entries lie in [0, theta]), and the inverse
-    of ``np.unique`` otherwise (object arrays, wide-ranging int64)."""
+    Each distinct value is formatted once, into a token table.  An entry
+    finds its token at ``entry - min`` when the values span at most
+    ``arr.size`` (every B: its entries lie in [0, theta]), and at its
+    place among the sorted distinct values otherwise (object arrays,
+    wide-ranging int64)."""
     lo = hi = 0
     if arr.dtype != object and arr.size:
         lo, hi = int(arr.min()), int(arr.max())
     if arr.dtype != object and hi - lo <= arr.size:
-        values, index = range(lo, hi + 1), arr - lo
+        values = range(lo, hi + 1)
+
+        def index(block: np.ndarray) -> np.ndarray:
+            return block.astype(np.intp) - lo
     else:
-        distinct, inverse = np.unique(arr.ravel(), return_inverse=True)
-        values, index = distinct.tolist(), inverse.reshape(arr.shape)
+        distinct = np.unique(arr)
+        values = distinct.tolist()
+
+        def index(block: np.ndarray) -> np.ndarray:
+            return np.searchsorted(distinct, block)
     table = np.array([token(str(v)) for v in values], dtype=object)
-    grid = np.empty((arr.shape[0], arr.shape[1] + 2), dtype=object)
-    grid[:, 0] = first
-    grid[:, 1:-1] = table[index]
-    grid[:, -1] = last
-    return grid
-
-
-def _join(grid: np.ndarray) -> str:
-    return "".join(grid.ravel().tolist())
+    if last_token is not None:
+        last_table = np.array([last_token(str(v)) for v in values], dtype=object)
+    step = max(1, _BLOCK_ENTRIES // max(arr.shape[1], 1))
+    for start in range(0, arr.shape[0], step):
+        rows = slice(start, start + step)
+        idx = index(arr[rows])
+        grid = np.empty((idx.shape[0], idx.shape[1] + 2), dtype=object)
+        grid[:, 0] = first if isinstance(first, str) else first[rows]
+        grid[:, 1:-1] = table[idx]
+        if last_token is not None:
+            grid[:, -2] = last_table[idx[:, -1]]
+        grid[:, -1] = last if isinstance(last, str) else last[rows]
+        yield "".join(grid.ravel().tolist())
 
 
 def _labels(labels: ProjectiveSpace | None, count: int) -> list[str]:
@@ -527,14 +589,12 @@ def _labels(labels: ProjectiveSpace | None, count: int) -> list[str]:
     return [str(i) for i in range(count)]
 
 
-def to_matrix_market(m: ExactMatrix) -> str:
-    """Matrix Market dense array format (column-major), exact integers."""
-    header = f"%%MatrixMarket matrix array integer general\n{m.rows} {m.cols}\n"
-    return header + _join(_token_grid(m.array.T, lambda s: s + "\n"))
+def _matrix_market(m: ExactMatrix) -> Iterator[str]:
+    yield f"%%MatrixMarket matrix array integer general\n{m.rows} {m.cols}\n"
+    yield from _render(m.array.T, lambda s: s + "\n")
 
 
-def to_csv(m: ExactMatrix) -> str:
-    """CSV dump with point labels (or indices) as row/column headers."""
+def _csv(m: ExactMatrix) -> Iterator[str]:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([""] + _labels(m.col_labels, m.cols))
@@ -542,13 +602,11 @@ def to_csv(m: ExactMatrix) -> str:
     # holding a comma; no label is empty or holds a newline
     writer.writerows([label] for label in _labels(m.row_labels, m.rows))
     header, *row_labels, _ = buf.getvalue().split("\n")
-    return header + "\n" + _join(_token_grid(m.array, lambda s: "," + s, row_labels, "\n"))
+    yield header + "\n"
+    yield from _render(m.array, lambda s: "," + s, row_labels, "\n")
 
 
-def to_json(m: ExactMatrix) -> str:
-    """JSON object with the shape, the point labels (or null) and the
-    entries as decimal strings, which round-trip beyond 64 bits; laid out
-    exactly as ``json.dumps(..., indent=2)`` lays out the full object."""
+def _json(m: ExactMatrix) -> Iterator[str]:
     obj = {
         "rows": m.rows,
         "cols": m.cols,
@@ -560,21 +618,17 @@ def to_json(m: ExactMatrix) -> str:
     }
     text = json.dumps(obj, indent=2)
     if not m.array.size:
-        return text
-    grid = _token_grid(m.array, lambda s: f'      "{s}",\n', "    [\n", "    ],\n")
+        yield text
+        return
+    yield text[: -len("null\n}")] + "[\n"
     # no comma after the last entry of a row, nor after the last row
-    grid[:, -2] = _token_grid(m.array[:, -1:], lambda s: f'      "{s}"\n')[:, 1]
-    # the text around the entries goes into the first and last cells, so
-    # that the one join builds the whole export
-    grid[0, 0] = text[: -len("null\n}")] + "[\n" + grid[0, 0]
-    grid[-1, -1] = "    ]\n  ]\n}"
-    return _join(grid)
+    ends = ["    ],\n"] * (m.rows - 1) + ["    ]\n"]
+    yield from _render(m.array, lambda s: f'      "{s}",\n', "    [\n", ends,
+                       lambda s: f'      "{s}"\n')
+    yield "  ]\n}"
 
 
-def to_table(m: ExactMatrix) -> str:
-    """Aligned text: one line per row, the row label (or index) padded to
-    the longest label, then every entry right-justified to the longest
-    entry, each after one space.  A matrix without rows gives ""."""
+def _table(m: ExactMatrix) -> Iterator[str]:
     arr = m.array
     # the longest entry is the largest or, with its sign, the smallest
     width = max(len(str(arr.max())), len(str(arr.min()))) if arr.size else 0
@@ -583,7 +637,46 @@ def to_table(m: ExactMatrix) -> str:
         labels = [f"({label})" for label in labels]
     lw = max(map(len, labels), default=0)
     labels = [label.ljust(lw) for label in labels]
-    return _join(_token_grid(arr, lambda s: " " + s.rjust(width), labels, "\n"))
+    return _render(arr, lambda s: " " + s.rjust(width), labels, "\n")
+
+
+_EXPORTS = {"matrixmarket": _matrix_market, "csv": _csv, "json": _json, "table": _table}
+
+
+def export_blocks(m: ExactMatrix, fmt: str) -> Iterator[str]:
+    """The export of ``m`` in ``fmt`` ("matrixmarket", "csv", "json" or
+    "table") as consecutive pieces of text, each made when it is asked
+    for: the format's header, if any, the row blocks, and the footer of
+    JSON.  Their join is what
+    ``to_matrix_market``, ``to_csv``, ``to_json`` and ``to_table``
+    return."""
+    if fmt not in _EXPORTS:
+        raise DomainError(f"unknown export format {fmt!r}; choose from {sorted(_EXPORTS)}")
+    return _EXPORTS[fmt](m)
+
+
+def to_matrix_market(m: ExactMatrix) -> str:
+    """Matrix Market dense array format (column-major), exact integers."""
+    return "".join(_matrix_market(m))
+
+
+def to_csv(m: ExactMatrix) -> str:
+    """CSV dump with point labels (or indices) as row/column headers."""
+    return "".join(_csv(m))
+
+
+def to_json(m: ExactMatrix) -> str:
+    """JSON object with the shape, the point labels (or null) and the
+    entries as decimal strings, which round-trip beyond 64 bits; laid out
+    exactly as ``json.dumps(..., indent=2)`` lays out the full object."""
+    return "".join(_json(m))
+
+
+def to_table(m: ExactMatrix) -> str:
+    """Aligned text: one line per row, the row label (or index) padded to
+    the longest label, then every entry right-justified to the longest
+    entry, each after one space.  A matrix without rows gives ""."""
+    return "".join(_table(m))
 
 
 __all__ = [
@@ -596,6 +689,7 @@ __all__ = [
     "build_B_product",
     "crt_permutation",
     "entry_b_uv",
+    "export_blocks",
     "is_permutation",
     "tensor_product",
     "to_csv",

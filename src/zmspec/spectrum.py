@@ -17,7 +17,7 @@ level-1 order of each prime-power factor, the K-partition of each lift
 and the CRT permutation of each Kronecker fold.  ``matrix()`` builds V
 from them with array operations (a lift is one row gather through the
 reduction map, a fold one Kronecker product with its rows scattered by
-the CRT permutation): an int64 matrix whose column j is an eigenvector
+the CRT permutation): an int8 matrix whose column j is an eigenvector
 with eigenvalue tags[j].  The family is built over a space the caller
 passes in, with its rows in that space's order; the K-partitions are
 taken top down from it, so each level's space is the base of the level
@@ -197,14 +197,18 @@ def _bareiss_rank(data: list[list[int]]) -> int:
 def _rank_mod_p(a: np.ndarray, p: int) -> int:
     """Rank of the integer matrix ``a`` modulo the prime p < 2^31.
 
-    Row-echelon elimination on int64 residues in [0, p); object arrays of
-    Python ints are reduced with ``% p`` before the cast.  The columns are
+    Row-echelon elimination on int64 residues in [0, p).  An integer
+    array is cast to int64 before the reduction, as its storage dtype may
+    be too narrow to hold p; object arrays of Python ints are reduced with
+    ``% p`` before the cast.  The columns are
     eliminated sparsest first (a stable sort by nonzero count), which
     leaves the rank unchanged and puts dense columns, such as the
     all-ones vector of a family, last, where they update few rows.  Each
     pivot updates only the rows with a nonzero entry in its column.
     ``a`` is not modified."""
     a = a[:, np.argsort(np.count_nonzero(a, axis=0), kind="stable")]
+    if a.dtype != object:
+        a = a.astype(np.int64, copy=False)
     a %= p
     a = a.astype(np.int64, copy=False)
     rows, cols = a.shape
@@ -466,7 +470,7 @@ def eigvec_all_ones(space: ProjectiveSpace) -> list[int]:
 def _base_level(size: int) -> np.ndarray:
     """[1 | e_i - e_last] of order ``size``: the all-ones column, then for
     j >= 1 column j is e_(j-1) - e_(size-1)."""
-    v = np.eye(size, k=1, dtype=np.int64)
+    v = np.eye(size, k=1, dtype=np.int8)
     v[:, 0] = 1
     v[-1, 1:] = -1
     return v
@@ -488,7 +492,7 @@ def eigvec_differences(partition: KPartition) -> ExactMatrix:
     plus = positions[:-1].ravel()
     minus = np.tile(positions[-1], partition.l - 1)
     cols = np.arange(plus.size)
-    data = np.zeros((positions.size, plus.size), dtype=np.int64)
+    data = np.zeros((positions.size, plus.size), dtype=np.int8)
     data[plus, cols] = 1
     data[minus, cols] = -1
     return ExactMatrix(data)
@@ -518,8 +522,8 @@ class EigenFamily:
     folds: tuple[np.ndarray, ...] = field(repr=False)
 
     def matrix(self) -> ExactMatrix:
-        """V as an int64 theta x theta matrix, its rows in the order of the
-        space the family was built on."""
+        """V as an int8 theta x theta matrix (its entries are 0 and +-1),
+        its rows in the order of the space the family was built on."""
         def factor(i: int) -> ExactMatrix:
             v = _base_level(self.bases[i])
             for partition in self.lifts[i]:

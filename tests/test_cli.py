@@ -2,10 +2,11 @@ import hashlib
 import json
 import time
 from collections import Counter
+from contextlib import redirect_stdout
 
 import pytest
 
-from zmspec import cli, projective
+from zmspec import cli, matrices, projective
 from zmspec.cli import main
 
 
@@ -310,6 +311,43 @@ def test_output_file_equals_stdout(tmp_path, capsys, argv):
     assert code == file_code == 0 and file_out == ""
     assert out.endswith("\n")
     assert target.read_bytes() == out.encode("utf-8")
+
+
+class _Writes:
+    """A stdout that keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "matrixmarket", "json"])
+def test_matrix_is_written_block_by_block(tmp_path, monkeypatch, fmt):
+    # ten rows a block make the 28 rows of B_{3,4} three blocks; JSON and
+    # the table write each as it is rendered, CSV and Matrix Market their
+    # join at once; stdout and -o get the same bytes
+    monkeypatch.setattr(matrices, "_BLOCK_ENTRIES", 28 * 10)
+    argv = ["matrix", "-n", "3", "-m", "4", "--format", fmt]
+    sink = _Writes()
+    with redirect_stdout(sink):
+        assert main(argv) == 0
+    b = matrices.build_B_product(matrices.build_A(projective.enumerate_space(3, 4)))
+    blocks = list(matrices.export_blocks(b, fmt))
+    assert len(blocks) >= 3
+    if fmt in ("csv", "matrixmarket"):
+        blocks = ["".join(blocks)]
+    assert sink.writes == blocks + ([] if blocks[-1].endswith("\n") else ["\n"])
+    text = "".join(sink.writes)
+    target = tmp_path / "b"
+    with redirect_stdout(_Writes()) as unused:
+        assert main([*argv, "-o", str(target)]) == 0
+    assert unused.writes == [] and target.read_text(encoding="utf-8") == text
 
 
 def test_unwritable_output_exit_code(tmp_path, capsys):

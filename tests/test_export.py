@@ -1,10 +1,11 @@
 """The four matrix exports against the per-entry rendering of earlier releases.
 
 The golden CLI digests only reach B and A of small spaces: non-negative
-int64 entries in a narrow range.  These cases reach the other paths of the
-token renderer (negative entries, Python-int entries, a value range wider
-than the matrix, 1x1 and empty shapes) and compare every byte with an
-oracle that formats each entry on its own.
+int8 entries in a narrow range.  These cases reach the other paths of the
+token renderer (negative entries, every storage dtype, Python-int
+entries, a value range wider than the matrix, 1x1 and empty shapes) and
+compare every byte with an oracle that formats each entry on its own,
+for the whole export and for the row blocks it is streamed in.
 """
 
 import csv
@@ -14,15 +15,18 @@ import json
 import numpy as np
 import pytest
 
+from zmspec import matrices
 from zmspec.matrices import (
     ExactMatrix,
     build_A,
     build_B_product,
+    export_blocks,
     to_csv,
     to_json,
     to_matrix_market,
     to_table,
 )
+from zmspec.errors import DomainError
 from zmspec.projective import enumerate_space, point_label
 
 # -------------------- oracle: one str per entry --------------------
@@ -106,6 +110,11 @@ CASES = {
     "object-dtype": ExactMatrix([[10**30, -(2**70), 1], [0, 10**30, -1]]),
     "object-dtype-labelled": ExactMatrix(BIG_12, P_2_11, P_2_11),
     "int64-wide-span": ExactMatrix(WIDE),
+    # every int8 value but -128, as many values as entries: the offset
+    # route, whose index entry - min does not fit int8
+    "int8-full-span": ExactMatrix(np.arange(-127, 128).reshape(15, 17)),
+    "int16": ExactMatrix([[-(2**15 - 1), 300, 0], [2**14, -1, 2**15 - 1]]),
+    "int32": ExactMatrix([[2**31 - 1, -(2**20)], [0, -(2**31 - 1)], [7, 2**15]]),
     "1x1": ExactMatrix([[7]]),
     "1x1-negative": ExactMatrix([[-42]]),
     "row-vector": ExactMatrix([[1, -2, 3, -4]]),
@@ -129,7 +138,13 @@ def test_cases_reach_every_gather_route():
     assert wide.dtype == np.int64 and int(wide.max()) - int(wide.min()) > wide.size
     assert CASES["object-dtype"].array.dtype == object
     assert CASES["object-dtype-labelled"].array.dtype == object
-    assert CASES["negative"].array.dtype == np.int64
+    assert CASES["negative"].array.dtype == np.int8
+    full = CASES["int8-full-span"].array
+    assert full.dtype == np.int8 and int(full.max()) - int(full.min()) == full.size - 1
+    # every rung of the storage ladder is rendered
+    assert {m.array.dtype for m in CASES.values()} == {
+        np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64, object)
+    }
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -138,6 +153,37 @@ def test_export_equals_per_entry_oracle(case, fmt):
     export, oracle = FORMATS[fmt]
     m = CASES[case]
     assert export(m) == oracle(m)
+
+
+def _block_budgets(m, fmt):
+    """Entry budgets giving blocks of one row, and two blocks that split
+    the rendered rows in the middle (Matrix Market renders the columns)."""
+    rows, cols = (m.cols, m.rows) if fmt == "matrixmarket" else (m.rows, m.cols)
+    return [1, max(cols, 1) * -(-rows // 2)]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("case", CASES)
+def test_streamed_blocks_join_to_the_oracle(case, fmt, monkeypatch):
+    _, oracle = FORMATS[fmt]
+    m = CASES[case]
+    for budget in _block_budgets(m, fmt):
+        monkeypatch.setattr(matrices, "_BLOCK_ENTRIES", budget)
+        blocks = list(export_blocks(m, fmt))
+        assert "".join(blocks) == oracle(m)
+        assert FORMATS[fmt][0](m) == oracle(m)
+
+
+def test_blocks_hold_whole_rows_of_at_most_the_budget(monkeypatch):
+    b = CASES["B_{3,4}-unlabelled"]  # 28 x 28
+    monkeypatch.setattr(matrices, "_BLOCK_ENTRIES", 28 * 10)
+    # the header, then rows 0-9, 10-19 and 20-27
+    blocks = list(export_blocks(b, "csv"))
+    assert [block.count("\n") for block in blocks] == [1, 10, 10, 8]
+    monkeypatch.setattr(matrices, "_BLOCK_ENTRIES", 1)
+    assert len(list(export_blocks(b, "json"))) == 1 + 28 + 1
+    with pytest.raises(DomainError):
+        export_blocks(b, "xml")
 
 
 def test_exports_of_empty_matrices():

@@ -12,6 +12,7 @@ from zmspec.errors import DomainError, UnsupportedError
 from zmspec.matrices import (
     ExactMatrix,
     _exact_dtype,
+    _storage_dtype,
     apply_simultaneous_permutation,
     block_C,
     block_C_reference,
@@ -24,7 +25,7 @@ from zmspec.matrices import (
     to_csv,
     to_matrix_market,
 )
-from zmspec import projective
+from zmspec import matrices, projective
 from zmspec.modular import crt_combine
 from zmspec.projective import (ProjectiveSpace, canonical_rep, enumerate_space, k_partition,
                                point_keys, point_label, theta)
@@ -73,18 +74,28 @@ def test_matvec_rejects_non_integer_entries_as_the_constructor_does(vec):
         m.matvec(vec)
 
 
-# entries from 2^61 to 2^62 - 1 fit int64 storage, but their products and
-# sums of three do not: int64 arithmetic would wrap silently on them
+def _at_the_bound(k):
+    """Entries from 2^(k-1) to 2^k - 1 of either sign: they fit the storage
+    dtype of the bound 2^k, but their sums, products and sums of three do
+    not, so arithmetic in that dtype would wrap silently on them."""
+    top = 2**k - 1
+    return [[2 ** (k - 1), top, -top], [top, 2 ** (k - 1) + 7, 1], [-(2 ** (k - 1)), 5, top]]
+
+
+# the bound of int64 storage, int64 and object entries side by side, then
+# the bounds of int8, int16 and int32 storage
 BOUNDARY = [
-    [[2**61, 2**62 - 1, -(2**62 - 1)], [2**62 - 1, 2**61 + 7, 1], [-(2**61), 5, 2**62 - 1]],
+    _at_the_bound(62),
     [[10**30, 2**62 - 1, -1], [2**61, -(10**30), 2**62 - 1], [0, 3, 2**61]],
-]
+] + [_at_the_bound(k) for k in (7, 15, 31)]
 
 
 @pytest.mark.parametrize("data", BOUNDARY)
-def test_int64_boundary_matches_python_ints(data):
+def test_int64_boundary_matches_python_ints(data, monkeypatch):
     other = [row[::-1] for row in data[::-1]]
     m, o = ExactMatrix(data), ExactMatrix(other)
+    top = max(abs(x) for row in data for x in row)
+    assert m.array.dtype == (_storage_dtype(top) if top < 2**62 else object)
     vec = [2**61, -(2**62 - 1), 7]
     n = len(data)
     assert m.to_lists() == data
@@ -100,7 +111,12 @@ def test_int64_boundary_matches_python_ints(data):
         [a * b for a in r1 for b in r2] for r1 in data for r2 in other
     ]
     assert m.trace() == sum(data[i][i] for i in range(n))
-    assert m.trace_of_square() == sum(data[i][j] * data[j][i] for i in range(n) for j in range(n))
+    # trace_of_square sums tiles: one entry each, or the whole matrix
+    for block_entries in (1, 1 << 16):
+        monkeypatch.setattr(matrices, "_BLOCK_ENTRIES", block_entries)
+        assert m.trace_of_square() == sum(
+            data[i][j] * data[j][i] for i in range(n) for j in range(n)
+        )
     assert m.row_sums() == [sum(r) for r in data]
 
 
@@ -156,10 +172,11 @@ def _check_product_across(data, limit):
 
     a, b = matrix((rows, inner), top_a), matrix((inner, cols), top_b)
     product = (ExactMatrix(a) @ ExactMatrix(b)).array
-    assert product.dtype == np.int64
     # the object-dtype product, on Python ints
     expected = np.array(a, dtype=object) @ np.array(b, dtype=object)
     assert product.tolist() == expected.tolist()
+    # stored in the narrowest dtype of the ladder that holds its largest entry
+    assert product.dtype == _storage_dtype(max(abs(x) for x in expected.flat))
 
 
 @settings(max_examples=80, deadline=None)
@@ -175,23 +192,36 @@ def test_product_is_exact_on_both_sides_of_the_float32_bound(data):
 
 
 def test_storage_dtype_follows_the_largest_entry():
-    assert ExactMatrix([[2**62 - 1, -(2**62 - 1)]]).array.dtype == np.int64
+    # each signed dtype holds |entry| up to 2^k - 1; -2^k, which it would
+    # also hold, goes to the next one, as the rule reads max|entry|
+    ladder = ((7, np.int8), (15, np.int16), (31, np.int32), (62, np.int64))
+    for (k, dtype), wider in zip(ladder, [d for _, d in ladder[1:]] + [object]):
+        assert ExactMatrix([[2**k - 1, -(2**k - 1)]]).array.dtype == dtype
+        assert ExactMatrix([[0, -(2**k)]]).array.dtype == wider
+        assert ExactMatrix(np.array([[2**k - 1]], dtype=np.int64)).array.dtype == dtype
+    assert ExactMatrix([[True, False]]).array.dtype == np.int8
     big = ExactMatrix([[2**62, 1]])
     assert big.array.dtype == object and big.max_abs() == 2**62
-    assert (big - big).array.dtype == np.int64
+    assert (big - big).array.dtype == np.int8
     # numpy alone would read this row as float64 and lose the low bits
     assert ExactMatrix([[2**63 + 1, -1]]).to_lists() == [[2**63 + 1, -1]]
     assert ExactMatrix(np.array([[2**63 + 1]], dtype=np.uint64))[0, 0] == 2**63 + 1
 
 
 def test_stored_array_is_read_only_and_shared():
-    own = np.array([[1, 2], [3, 4]], dtype=np.int64)
+    # an array already in its storage dtype is shared
+    own = np.array([[1, 2], [3, 4]], dtype=np.int8)
     m = ExactMatrix(own)
     with pytest.raises(ValueError):
         m.array[0, 0] = 5
     with pytest.raises(ValueError):
         m.transpose().array[0, 1] = 5
     assert own.flags.writeable and np.shares_memory(m.array, own)
+    # one in a wider dtype is copied into it, and left as it was
+    wide = np.array([[1, 2], [3, -300]], dtype=np.int64)
+    m = ExactMatrix(wide)
+    assert m.array.dtype == np.int16 and not np.shares_memory(m.array, wide)
+    assert wide.dtype == np.int64 and wide.flags.writeable and m.to_lists() == wide.tolist()
 
 
 @pytest.mark.parametrize(
@@ -213,9 +243,31 @@ def test_non_integer_entries_are_rejected(data):
         ExactMatrix(data)
 
 
-def test_trace_of_square_matches_product():
-    m = ExactMatrix([[1, 2, 0], [2, 5, 1], [0, 1, 7]])
-    assert m.trace_of_square() == (m @ m).trace()
+def test_trace_of_square_matches_product(monkeypatch):
+    small = ExactMatrix([[1, 2, 0], [2, 5, 1], [0, 1, 7]])
+    rng = random.Random(5)
+    data = [[rng.randint(-300, 300) for _ in range(5)] for _ in range(5)]
+    m = ExactMatrix(data)
+    assert m.array.dtype == np.int16
+    # square tiles of side 1, 2 and 3, and one tile of the whole matrix
+    for block_entries in (1, 4, 9, 1 << 16):
+        monkeypatch.setattr(matrices, "_BLOCK_ENTRIES", block_entries)
+        assert small.trace_of_square() == (small @ small).trace()
+        assert m.trace_of_square() == sum(
+            data[i][j] * data[j][i] for i in range(5) for j in range(5)
+        )
+
+
+def test_constructions_are_stored_narrow():
+    space, b = B_of(3, 4)
+    a = build_A(space)
+    assert a.array.dtype == np.int8
+    assert b.array.dtype == np.int8 and build_B_analytic(space).array.dtype == np.int8
+    assert (b @ b).array.dtype == np.int8  # entries up to 72
+    assert (b @ (3 * b)).array.dtype == np.int16  # up to 216
+    assert tensor_product(b, b).array.dtype == np.int8  # up to 36
+    assert tensor_product(100 * b, b).array.dtype == np.int16
+    assert ExactMatrix.identity(3).array.dtype == ExactMatrix.zeros(2, 3).array.dtype == np.int8
 
 
 def test_build_A_2_2():

@@ -461,6 +461,21 @@ def test_rank_mod_p_rectangular_and_deficient():
     assert _rank_mod_p(np.zeros((3, 0), dtype=np.int64), 5) == 0
 
 
+def test_exact_rank_of_narrow_storage():
+    # A_{3,4} is stored as int8 and 1000 * B_{3,4} as int16, where reducing
+    # mod 2^31 - 1 in place would overflow; B - 4I, of nullity 21, and its
+    # int16 multiple reach Bareiss
+    a = build_A(enumerate_space(3, 4))
+    b = build_B_product(a)
+    shifted = b - 4 * ExactMatrix.identity(b.rows)
+    for m, dtype in ((a, np.int8), (1000 * b, np.int16), (shifted, np.int8),
+                     (1000 * shifted, np.int16)):
+        assert m.array.dtype == dtype
+        assert exact_rank(m) == _bareiss_rank(m.to_lists())
+    assert exact_rank(a) == exact_rank(1000 * b) == 28
+    assert exact_rank(1000 * shifted) == 28 - 21
+
+
 P31 = 2**31 - 1
 
 
@@ -594,7 +609,7 @@ def test_full_family_general():
         tags, v = family.tags, family.matrix()
         _, b = B_of(n, m)
         assert len(tags) == v.rows == v.cols == theta(n, m)
-        assert v.array.dtype == np.int64
+        assert v.array.dtype == np.int8
         assert np.array_equal((b @ v).array, v.array * np.array(tags))
         assert Counter(tags) == dict(spectrum_general(n, m).merged())
     # a prime power is its own factor family, and the list form is its view
