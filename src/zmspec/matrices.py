@@ -19,6 +19,21 @@ narrowest signed dtype that holds the largest |entry|: int8, int16, int32
 or int64 below 2^62, and object from there (``_storage_dtype``), never as
 floats.  A is int8, and so is B while its entries stay below 2^7.
 
+A and B are both Gram matrices, of the point coordinates (A is where
+that one vanishes mod m) and of A's rows, and ``_fill_gram`` builds
+both the same way: square tiles on and above the diagonal, each one BLAS
+product in the tier of the whole product's bound, written at once into
+the result, which is allocated in its storage dtype beforehand, and
+mirrored below the diagonal.  No theta x theta temporary is made: the
+coordinates' Gram matrix (bound n(m-1)^2, float32 for every benchmark
+space) is cast per tile into the storage dtype of that bound, reduced
+mod m and compared with 0, and A's rows enter B's product as float32
+copies of two row panels of at most 384 rows, or theta/5 rows for a
+larger theta, so below the int8 result's size once theta > 1536.  B's
+storage dtype is fixed from its largest diagonal entry before the first
+tile, which is its largest |entry| by Cauchy-Schwarz; a B of one tile is
+one product, stored like any other.
+
 The closed-form B over p^e reads each entry from nu, the p-adic
 valuation of the gcd of the 2x2 minors of the pair (capped at e), and
 finds nu without forming a minor: for primitive u, v over Z_{p^e} and
@@ -65,6 +80,16 @@ _STORAGE = ((1 << 7, np.int8), (1 << 15, np.int16), (1 << 31, np.int32),
             (_INT64_LIMIT, np.int64))
 # the entries of one row block of an export, or of one tile of trace_of_square
 _BLOCK_ENTRIES = 1 << 16
+# the largest sides of the square tiles of the Gram products
+# (``_fill_gram``); every theta <= 217 of the verify grid is one tile.
+# A's products have n terms, so its tiles are small.  B's have theta terms,
+# and each float32 row panel of A they read takes 4 * side * theta bytes,
+# so B's rows are cut into at most _B_PANELS panels: from theta = 5 * 384
+# on, a panel then stays below the size of the int8 result, and A is
+# converted in at most 15 panels (5 left, 10 right) whatever theta is
+_A_TILE = 256
+_B_TILE = 384
+_B_PANELS = 5
 
 
 def _exact_dtype(*bounds: int, blas: bool = False) -> type:
@@ -92,14 +117,20 @@ def _exact_dtype(*bounds: int, blas: bool = False) -> type:
     summation order, blocking or fused multiply-add the library uses.
     The result holds integers below the limit, which the cast into their
     storage dtype keeps exactly.  A product has no int64 tier: numpy has
-    no BLAS for int64, and every product the package forms has a bound of at
-    most theta^2 (B is at most theta, a family is +-1 and A is 0/1),
-    below 2^53 for every theta < 2^26.  B = A A^t has the bound theta,
-    so it runs in float32 for every theta < 2^24; the certificate's
-    products B V_lambda have the bound max|B| * theta, which is in the
-    float32 tier for B_{3,36} (72 * 3276) and B_{4,12} (364 * 4800).  Other operations stay in integer dtypes,
-    where floats would gain nothing.  The checks are plain comparisons,
-    so they hold under ``python -O``."""
+    no BLAS for int64, and no product the package forms on a space within
+    the guardrail gets near 2^53.  The Gram matrix of the coordinates,
+    whose zeros mod m are A, has the bound n(m-1)^2 (n products of
+    coordinates below m): float32 while n(m-1)^2 < 2^24, which holds for
+    every (3,m) with m <= 2365 and every space of the benchmark, and
+    float64 below 2^53.  B = A A^t has the bound theta, so it runs in
+    float32 for every theta < 2^24; the certificate's products B V_lambda
+    have the bound max|B| * theta, which is in the float32 tier for
+    B_{3,36} (72 * 3276) and B_{4,12} (364 * 4800).  Both Gram products
+    run in square tiles (``_fill_gram``), each one BLAS product in the
+    tier of the whole, as the bound of a tile is that of the product.
+    Other operations stay in integer dtypes, where floats would gain
+    nothing.  The checks are plain comparisons, so they hold under
+    ``python -O``."""
     bound = max(bounds)
     if blas:
         if bound < _FLOAT32_LIMIT:
@@ -345,30 +376,98 @@ class ExactMatrix:
 # -------------------- constructions --------------------
 
 
+def _fill_gram(
+    out: np.ndarray,
+    x: np.ndarray,
+    dtype: type,
+    side: int,
+    entry: Callable[[np.ndarray], np.ndarray] = lambda tile: tile,
+) -> None:
+    """Write entry(x @ x^T) into the square ``out``, one square tile of at
+    most ``side`` rows at a time: the rows are cut into as few panels as
+    that allows, all of one height but the last, which may be lower (a
+    sliver panel would cost as many products as a full one).
+
+    Each tile on or above the diagonal is one product in ``dtype``, exact by
+    the caller's bound on x @ x^T (``_exact_dtype``), and is written into
+    ``out`` through ``entry`` at once, which casts it into ``out``'s dtype;
+    a tile above the diagonal is then mirrored below it, as x @ x^T is
+    symmetric.  Every row panel x[rows] is converted to ``dtype`` once and
+    each column panel once per tile, so no whole copy of x and no product
+    wider than one tile is held.  A diagonal tile is a panel times its own
+    transpose, which BLAS computes as a symmetric rank-k update.  The two
+    panels and the tile live in three buffers allocated once, as a fresh
+    allocation per tile would be paged in afresh each time."""
+    order = x.shape[0]
+    panels = max(1, -(-order // side))
+    side = max(1, -(-order // panels))
+    left_buf, right_buf = (np.empty((side, x.shape[1]), dtype) for _ in range(2))
+    tile_buf = np.empty((side, side), dtype)
+    for start in range(0, order, side):
+        rows = slice(start, start + side)
+        left = left_buf[: min(side, order - start)]
+        np.copyto(left, x[rows])
+        out[rows, rows] = entry(np.matmul(left, left.T, out=tile_buf[: len(left), : len(left)]))
+        for col_start in range(start + side, order, side):
+            cols = slice(col_start, col_start + side)
+            right = right_buf[: min(side, order - col_start)]
+            np.copyto(right, x[cols])
+            out[rows, cols] = entry(np.matmul(left, right.T,
+                                              out=tile_buf[: len(left), : len(right)]))
+            out[cols, rows] = out[rows, cols].T
+
+
 def build_A(space: ProjectiveSpace) -> ExactMatrix:
-    """0/1 incidence matrix: entry 1 iff the points' inner product is 0 mod m."""
-    gram = space.coords @ space.coords.T
-    gram %= space.m.value
+    """0/1 incidence matrix: entry 1 iff the points' inner product is 0 mod m.
+
+    The inner products are the Gram matrix of the coordinates, each a sum
+    of n products of entries below m, so bounded by n(m-1)^2: a float32
+    product for every space with n(m-1)^2 < 2^24.  Each tile is cast into
+    the storage dtype of that bound, reduced mod m and tested against 0."""
+    m, coords = space.m.value, space.coords
+    bound = space.n * (m - 1) ** 2
+    dtype = _exact_dtype(m - 1, bound, blas=True)
+    gram = _storage_dtype(bound)
+
+    def vanishes(tile: np.ndarray) -> np.ndarray:
+        residues = tile.astype(gram)
+        residues %= m
+        return residues == 0
+
     # a bool array is 0/1 in one byte, which is A's storage dtype
-    return ExactMatrix((gram == 0).view(np.int8), space, space)
+    incidence = np.empty((len(space), len(space)), dtype=bool)
+    _fill_gram(incidence, coords, dtype, _A_TILE, vanishes)
+    return ExactMatrix(incidence.view(np.int8), space, space)
 
 
 def build_B_product(a: ExactMatrix) -> ExactMatrix:
-    """Exact Gram matrix A @ A^t."""
+    """Exact Gram matrix A @ A^t.
+
+    In a float tier (float32 for a 0/1 A of order below 2^24) a product
+    of more than one tile is written tile by tile (``_fill_gram``) into a
+    result allocated in its storage dtype beforehand.  That dtype is the
+    one of the largest diagonal entry, which is the largest |entry|: by
+    Cauchy-Schwarz, |B_uv| = |<a_u, a_v>| <= sqrt(B_uu * B_vv) <=
+    max(B_uu, B_vv).  The diagonal entries are sums of squares of A's
+    entries, whose terms and partial sums are within the product's bound,
+    so they are summed exactly in the product's float dtype.  A product of
+    one tile (every verify order) is formed whole and stored in the dtype
+    of its largest entry, which spares that extra pass over A."""
     if not a.is_square:
         raise DomainError("the incidence matrix must be square")
     top = a.max_abs()
     dtype = _exact_dtype(top, top * top * a.cols, blas=True)
     if dtype is object:
         return a @ a.transpose()
-    # a float tier of A @ A^t (float32 for a 0/1 A of order below 2^24)
-    # from one copy of A, which BLAS multiplies by its own transpose (a
-    # symmetric rank-k update); the copy is freed before the cast into the
-    # storage dtype
-    x = a.array.astype(dtype)
-    prod = x @ x.T
-    del x
-    return ExactMatrix(_integers(prod), a.row_labels, a.row_labels)
+    x = a.array
+    side = max(_B_TILE, -(-a.rows // _B_PANELS))
+    if a.rows <= side:
+        whole = x.astype(dtype)
+        return ExactMatrix(_integers(whole @ whole.T), a.row_labels, a.row_labels)
+    largest = np.einsum("ij,ij->i", x, x, dtype=dtype).max(initial=0)
+    out = np.empty(x.shape, dtype=_storage_dtype(int(largest)))
+    _fill_gram(out, x, dtype, side)
+    return ExactMatrix(out, a.row_labels, a.row_labels)
 
 
 def _entry_table(p: int, e: int, n: int) -> list[int]:

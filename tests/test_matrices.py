@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import cached_property
 
@@ -282,6 +283,92 @@ def test_build_A_row_sums_and_symmetry():
     a = build_A(space)
     assert a.row_sums() == [theta(2, 2)] * 7
     assert a.is_symmetric()
+
+
+# tiles of at most 1, 3 and 5 rows (with 3 and 5 rows the last panel is
+# lower than the others on every order below but 40, which 5 divides), and
+# one tile holding the whole matrix
+TILES = [1, 3, 5, 10**6]
+
+
+@pytest.mark.parametrize("tile", TILES)
+def test_build_A_tiles_match_the_int64_gram_matrix(tile, monkeypatch):
+    monkeypatch.setattr(matrices, "_A_TILE", tile)
+    for n, m in ((3, 4), (3, 6), (4, 3)):
+        space = enumerate_space(n, m)
+        assert _exact_dtype(m - 1, n * (m - 1) ** 2, blas=True) is np.float32
+        gram = space.coords @ space.coords.T
+        a = build_A(space)
+        assert a.array.dtype == np.int8
+        assert np.array_equal(a.array, gram % m == 0)
+
+
+def test_build_A_in_the_float64_tier():
+    # n(m-1)^2 = 2 * 2902^2 is above 2^24, so the Gram tiles are float64;
+    # the 2904 rows make 12 panels of 242
+    space = enumerate_space(2, 2903)
+    assert _exact_dtype(2902, 2 * 2902**2, blas=True) is np.float64
+    a = build_A(space).array
+    assert a.dtype == np.int8
+    coords = space.coords
+    for start in range(0, len(space), 512):
+        rows = slice(start, start + 512)
+        assert np.array_equal(a[rows], coords[rows] @ coords.T % 2903 == 0)
+
+
+def _gram_cases():
+    rng = np.random.default_rng(7)
+    a = build_A(enumerate_space(3, 6))
+    return [
+        a,  # 0/1, B int8
+        4 * a,  # B up to 16 * 12 = 192: int16
+        ExactMatrix(rng.integers(-9, 10, size=(37, 37))),  # negative entries, int16
+        ExactMatrix(rng.integers(-3, 4, size=(13, 13))),  # negative entries, int8
+        ExactMatrix([[2**30, -1], [3, 2**30]]),  # an object product, B int64
+    ]
+
+
+# (_B_TILE, _B_PANELS): the TILES alone, then tiles of theta / 5 rows
+@pytest.mark.parametrize("tile, panels", [(tile, 10**6) for tile in TILES] + [(1, 5)])
+def test_build_B_product_tiles_match_the_object_product(tile, panels, monkeypatch):
+    monkeypatch.setattr(matrices, "_B_TILE", tile)
+    monkeypatch.setattr(matrices, "_B_PANELS", panels)
+    for a in _gram_cases():
+        x = a.array.astype(object)
+        expected = x @ x.T
+        b = build_B_product(a)
+        assert b.to_lists() == expected.tolist()
+        assert b.array.dtype == _storage_dtype(max(abs(v) for v in expected.flat))
+    assert [build_B_product(a).array.dtype for a in _gram_cases()] == [
+        np.int8, np.int16, np.int16, np.int8, np.int64]
+
+
+def _traced_peak(build, arg) -> int:
+    """The bytes ``build(arg)`` allocated at its peak, result included."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = build(arg)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    del result
+    return peak
+
+
+def test_constructions_hold_no_wide_temporary():
+    # whole-matrix int64 or float32 temporaries took 9 theta^2 bytes in
+    # build_A and 8 theta^2 in build_B_product; the tiles keep each within
+    # a small multiple of the one-byte result
+    space = enumerate_space(3, 32)
+    order = len(space)
+    a = build_A(space)
+    assert _traced_peak(build_A, space) <= 2 * order**2
+    assert _traced_peak(build_B_product, a) <= 3 * order**2
 
 
 def test_B_3_2_reference_grid():
