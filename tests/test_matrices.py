@@ -1,3 +1,4 @@
+import platform
 import random
 import tracemalloc
 from fractions import Fraction
@@ -369,6 +370,19 @@ def test_constructions_hold_no_wide_temporary():
     a = build_A(space)
     assert _traced_peak(build_A, space) <= 2 * order**2
     assert _traced_peak(build_B_product, a) <= 3 * order**2
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc thresholds")
+def test_a_repeated_build_takes_no_fresh_pages():
+    # the heap keeps what one build of A and B frees for the next; with
+    # glibc's default thresholds each build at (3,24) took its results and
+    # tile buffers from the system afresh, about 1700 minor page faults
+    resource = pytest.importorskip("resource")
+    space = enumerate_space(3, 24)
+    build_B_product(build_A(space))
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    build_B_product(build_A(space))
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
 
 def test_B_3_2_reference_grid():
