@@ -46,12 +46,14 @@ same ``projective.point_keys`` mod p^k (see ``build_B_analytic``).
 
 The four export formats (Matrix Market, CSV, JSON, aligned table) are
 rendered from one token table per matrix: each distinct entry value is
-formatted once, as a full token with its separators, and the entries
-pick their tokens one row block at a time (``_BLOCK_ENTRIES`` entries at
-most), each block one gather and one join.  ``export_blocks`` yields the
-blocks as they are made, so that a JSON or table export is written
-without its text being held whole, and each ``to_*`` function returns
-the join of the same blocks.
+formatted once, as a full token with its separators, stored as UTF-8
+bytes padded with NULs to the longest token, and the entries pick their
+tokens one row block at a time (``_BLOCK_ENTRIES`` entries at most).  A
+block is one uint8 buffer filled by ``np.take`` from the token table,
+whose NUL padding one ``bytes.translate`` deletes (``_render`` says why
+that is exact).  ``export_blocks`` yields the blocks as they are made,
+so that a JSON or table export is written without its text being held
+whole, and each ``to_*`` function returns the join of the same blocks.
 The output is byte-identical to earlier releases, which formatted every
 entry on its own.
 """
@@ -120,8 +122,9 @@ def _keep_freed_blocks() -> None:
     are still mapped and unmapped on their own, which keeps a large single
     build from holding that much freed heap: on a shared 2-core Xeon the
     peak of ``spectrum --verify`` at (3,67) falls from 244 to 220 MiB and
-    that of the CSV export of B_{3,67} rises from 137 to 144 MiB.  Nothing happens off Linux or where the C library has no
-    mallopt (musl's does nothing)."""
+    that of the CSV export of B_{3,67} rises from 137 to 144 MiB.
+    Nothing happens off Linux or where the C library has no mallopt
+    (musl's does nothing)."""
     if not sys.platform.startswith("linux"):
         return
     try:
@@ -676,6 +679,13 @@ def block_C_reference(
 # -------------------- export --------------------
 
 
+def _byte_table(strings: list[str]) -> np.ndarray:
+    """The UTF-8 encodings of ``strings`` as the rows of a (k, width) uint8
+    array, each padded with NUL bytes to the longest."""
+    table = np.array([s.encode() for s in strings], dtype=bytes)
+    return table.view(np.uint8).reshape(len(strings), table.itemsize)
+
+
 def _render(
     arr: np.ndarray,
     token: Callable[[str], str],
@@ -693,7 +703,21 @@ def _render(
     finds its token at ``entry - min`` when the values span at most
     ``arr.size`` (every B: its entries lie in [0, theta]), and at its
     place among the sorted distinct values otherwise (object arrays,
-    wide-ranging int64)."""
+    wide-ranging int64).
+
+    The text is assembled as bytes.  Every table (the tokens, the last
+    tokens, the row prefixes and the row suffixes) holds the UTF-8 bytes
+    of its strings padded with NUL bytes to the longest, one string a row,
+    and a block is one uint8 buffer with a fixed-width slot per piece of a
+    row: ``np.take`` writes the tokens of every entry but the last, a
+    second ``take`` the last tokens, and slice assignments the prefixes
+    and suffixes.  Deleting every NUL byte of the buffer then leaves
+    exactly the text, because every rendered string is ``str`` of an
+    integer, a point label (coordinate digits, commas and parentheses,
+    quoted by csv) or fixed format text: none holds U+0000, and UTF-8
+    encodes no other character with a 0x00 byte, so the only NUL bytes are
+    the padding."""
+    rows, cols = arr.shape
     lo = hi = 0
     if arr.dtype != object and arr.size:
         lo, hi = int(arr.min()), int(arr.max())
@@ -701,27 +725,48 @@ def _render(
         values = range(lo, hi + 1)
 
         def index(block: np.ndarray) -> np.ndarray:
-            return block.astype(np.intp) - lo
+            return np.subtract(block, lo, dtype=np.intp)
     else:
         distinct = np.unique(arr)
         values = distinct.tolist()
 
         def index(block: np.ndarray) -> np.ndarray:
             return np.searchsorted(distinct, block)
-    table = np.array([token(str(v)) for v in values], dtype=object)
-    if last_token is not None:
-        last_table = np.array([last_token(str(v)) for v in values], dtype=object)
-    step = max(1, _BLOCK_ENTRIES // max(arr.shape[1], 1))
-    for start in range(0, arr.shape[0], step):
-        rows = slice(start, start + step)
-        idx = index(arr[rows])
-        grid = np.empty((idx.shape[0], idx.shape[1] + 2), dtype=object)
-        grid[:, 0] = first if isinstance(first, str) else first[rows]
-        grid[:, 1:-1] = table[idx]
-        if last_token is not None:
-            grid[:, -2] = last_table[idx[:, -1]]
-        grid[:, -1] = last if isinstance(last, str) else last[rows]
-        yield "".join(grid.ravel().tolist())
+    texts = [str(v) for v in values]
+    tokens = _byte_table([token(s) for s in texts])
+    last_tokens = tokens if last_token is None else _byte_table([last_token(s) for s in texts])
+
+    def per_row(strings: str | list[str]) -> np.ndarray:
+        table = _byte_table([strings] if isinstance(strings, str) else strings)
+        return np.broadcast_to(table, (rows, table.shape[1]))
+
+    heads, tails = per_row(first), per_row(last)
+    # the byte columns of a row: its prefix, every token but the last,
+    # the last token (none in a row without entries), its suffix
+    inner, tw = max(cols - 1, 0), tokens.shape[1]
+    head_end = heads.shape[1]
+    last_start = head_end + inner * tw
+    tail_start = last_start + (last_tokens.shape[1] if cols else 0)
+
+    # a function, so that a block's buffers are freed before the next
+    # block's are allocated: held across the yield, they fragment the heap
+    # that the kept blocks of to_csv and to_matrix_market grow in (6 MiB
+    # more RSS for the CSV of B_{3,67})
+    def render(block: slice) -> str:
+        idx = index(arr[block])
+        buf = np.empty((idx.shape[0], tail_start + tails.shape[1]), dtype=np.uint8)
+        buf[:, :head_end] = heads[block]
+        # a view, since it only splits the contiguous last axis
+        slots = buf[:, head_end:last_start].reshape(idx.shape[0], inner, tw)
+        np.take(tokens, idx[:, :inner], axis=0, out=slots)
+        if cols:
+            np.take(last_tokens, idx[:, -1], axis=0, out=buf[:, last_start:tail_start])
+        buf[:, tail_start:] = tails[block]
+        return buf.tobytes().translate(None, b"\0").decode()
+
+    step = max(1, _BLOCK_ENTRIES // max(cols, 1))
+    for start in range(0, rows, step):
+        yield render(slice(start, start + step))
 
 
 def _labels(labels: ProjectiveSpace | None, count: int) -> list[str]:

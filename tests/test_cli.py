@@ -447,6 +447,16 @@ GOLDEN_DIGESTS = [
      "c5dd38acf39aa54cf484946a293cace717245e37cfa3253e9f75c576d86e6144"),
     ("matrix -n 3 -m 6 --ordering lex --which B --format json",
      "bdcb2cae0b25addc02c3f4768f013397b967f00a03f00f3a55322b4c83767c78"),
+    # theta 496, entries 28, 56 and 120: 2- and 3-digit tokens across
+    # the four row blocks of 132, 132, 132 and 100 rows
+    ("matrix -n 5 -m 4 --which B --format table",
+     "0b02b0be48501440bbd9de4e8a32f3f60382cced378c97d9c8cd4f0a37e3d446"),
+    ("matrix -n 5 -m 4 --which B --format csv",
+     "4be8dadea2a9e047d0ed2d092522555c3d51c8535fc5b557a4a8c2936d91b8e2"),
+    ("matrix -n 5 -m 4 --which B --format matrixmarket",
+     "d789e2cac38e4cc6f9ecc48f853626dfaadf37dca9389e5b045aaaa24ca3f222"),
+    ("matrix -n 5 -m 4 --which B --format json",
+     "ffd2cfa561dc738abe0baccdce96e8340ff8e02c03da06dac1cf9a1fc8ce40c8"),
     ("spectrum -n 3 -m 4 --verify",
      "26e8385565f7bbfe094c395847979289e923bebd4a7fd0725519b5f1e73c314f"),
     ("spectrum -n 3 -m 10 --verify",

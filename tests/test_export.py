@@ -104,12 +104,25 @@ BIG_12 = [[(i - j) * 2 ** (55 + i + j) + 7 * j for j in range(12)] for i in rang
 
 WIDE = np.array([[0, 10**12, -7], [5, -3, 2**61]], dtype=np.int64)
 
+
+def _mixed_widths():
+    """6 x 70 entries of 1 to 20 characters in every row: one digit or 18
+    and 19 digits, of both signs, in int64 storage (all below 2^62)."""
+    rng = np.random.default_rng(5)
+    small = rng.integers(-9, 10, size=(6, 70))
+    large = rng.integers(10**17, 4 * 10**18, size=(6, 70))
+    sign = rng.choice([-1, 1], size=(6, 70))
+    return np.where(rng.random((6, 70)) < 0.5, small, sign * large)
+
+
 CASES = {
     "negative": ExactMatrix([[-5, 3, 0], [12, -100, 7], [0, 0, -1]]),
     "negative-labelled": _labelled_b(2, 12, shift=9),
     "object-dtype": ExactMatrix([[10**30, -(2**70), 1], [0, 10**30, -1]]),
     "object-dtype-labelled": ExactMatrix(BIG_12, P_2_11, P_2_11),
     "int64-wide-span": ExactMatrix(WIDE),
+    # many columns of tokens padded to 20 bytes, most of them far shorter
+    "int64-mixed-widths": ExactMatrix(_mixed_widths()),
     # every int8 value but -128, as many values as entries: the offset
     # route, whose index entry - min does not fit int8
     "int8-full-span": ExactMatrix(np.arange(-127, 128).reshape(15, 17)),
@@ -121,6 +134,8 @@ CASES = {
     "column-vector": ExactMatrix([[1], [-2], [30]]),
     "constant": ExactMatrix(np.full((3, 4), 5, dtype=np.int64)),
     "B_{3,4}-unlabelled": ExactMatrix(_labelled_b(3, 4).array),  # the CLI always labels
+    # row labels of 5 to 7 characters, quoted by csv: prefixes of unequal width
+    "B_{3,12}-labelled": _labelled_b(3, 12),
     "0x0": ExactMatrix(np.zeros((0, 0), dtype=np.int64)),
     "3x0": ExactMatrix(np.zeros((3, 0), dtype=np.int64)),
     "0x3": ExactMatrix(np.zeros((0, 3), dtype=np.int64)),
@@ -136,6 +151,13 @@ def test_cases_reach_every_gather_route():
     # misses the offset route and takes np.unique, as object arrays do
     wide = CASES["int64-wide-span"].array
     assert wide.dtype == np.int64 and int(wide.max()) - int(wide.min()) > wide.size
+    mixed = CASES["int64-mixed-widths"].array
+    assert mixed.dtype == np.int64 and int(mixed.max()) - int(mixed.min()) > mixed.size
+    lengths = np.vectorize(lambda v: len(str(v)))(mixed)
+    assert all({1, 2, 18, 19, 20} <= set(row) for row in lengths.tolist())
+    labels = [point_label(pt) for pt in CASES["B_{3,12}-labelled"].row_labels]
+    assert all("," in label for label in labels)
+    assert {len(label) for label in labels} == {5, 6, 7}
     assert CASES["object-dtype"].array.dtype == object
     assert CASES["object-dtype-labelled"].array.dtype == object
     assert CASES["negative"].array.dtype == np.int8
