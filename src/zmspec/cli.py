@@ -477,14 +477,24 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except GuardrailError as exc:
-        print(f"guardrail: {exc}", file=sys.stderr)
+        _report(f"guardrail: {exc}")
         return EXIT_GUARDRAIL
     except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return EXIT_USAGE
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return EXIT_IO
+
+
+def _report(message: str) -> None:
+    """Print ``message`` to stderr.  A report that cannot be written, such
+    as one to a closed pipe, is dropped, so that the exit code still says
+    what went wrong."""
+    try:
+        print(message, file=sys.stderr)
+    except OSError:
+        pass
 
 
 def entry() -> None:

@@ -20,19 +20,21 @@ or int64 below 2^62, and object from there (``_storage_dtype``), never as
 floats.  A is int8, and so is B while its entries stay below 2^7.
 
 A and B are both Gram matrices, of the point coordinates (A is where
-that one vanishes mod m) and of A's rows, and ``_fill_gram`` builds
-both the same way: square tiles on and above the diagonal, each one BLAS
-product in the tier of the whole product's bound, written at once into
-the result, which is allocated in its storage dtype beforehand, and
-mirrored below the diagonal.  No theta x theta temporary is made: the
-coordinates' Gram matrix (bound n(m-1)^2, float32 for every benchmark
-space) is cast per tile into the storage dtype of that bound, reduced
-mod m and compared with 0, and A's rows enter B's product as float32
-copies of two row panels of at most 384 rows, or theta/5 rows for a
-larger theta, so below the int8 result's size once theta > 1536.  B's
+that one vanishes mod m) and of A's rows, and both are built from the
+tiles of one generator, ``_tiles``: square tiles on and above the
+diagonal, each one BLAS product in the tier of the whole product's bound,
+written at once into the result, which is allocated in its storage dtype
+beforehand, and mirrored below the diagonal.  No theta x theta temporary
+is made: the coordinates' Gram matrix (bound n(m-1)^2, float32 for every
+benchmark space) is cast per tile into the storage dtype of that bound,
+reduced mod m and compared with 0, and A's rows enter B's product as
+float32 copies of two row panels of at most 384 rows, or theta/5 rows for
+a larger theta, so below the int8 result's size once theta > 1536.  B's
 storage dtype is fixed from its largest diagonal entry before the first
-tile, which is its largest |entry| by Cauchy-Schwarz; a B of one tile is
-one product, stored like any other.  On glibc the module keeps freed
+tile, which is its largest |entry| by Cauchy-Schwarz.  The eigenbasis
+certificate's residual M V = V D (``ExactMatrix.scales_columns``) runs
+through the same tiles, with V^T in place of the second copy of the rows,
+and compares each tile as it is made.  On glibc the module keeps freed
 blocks of up to 16 MiB in the heap (``_keep_freed_blocks``), so that
 the next build reuses the pages of the last one's results and buffers
 instead of faulting fresh ones in.
@@ -67,7 +69,7 @@ import json
 import math
 import operator
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -87,8 +89,9 @@ _STORAGE = ((1 << 7, np.int8), (1 << 15, np.int16), (1 << 31, np.int32),
             (_INT64_LIMIT, np.int64))
 # the entries of one row block of an export, or of one tile of trace_of_square
 _BLOCK_ENTRIES = 1 << 16
-# the largest sides of the square tiles of the Gram products
-# (``_fill_gram``); every theta <= 217 of the verify grid is one tile.
+# the largest sides of the square tiles of the Gram products and of the
+# certificate's residual (``_tiles``); every theta <= 217 of the verify
+# grid is one tile.
 # A's products have n terms, so its tiles are small.  B's have theta terms,
 # and each float32 row panel of A they read takes 4 * side * theta bytes,
 # so B's rows are cut into at most _B_PANELS panels: from theta = 5 * 384
@@ -169,11 +172,11 @@ def _exact_dtype(*bounds: int, blas: bool = False) -> type:
     coordinates below m): float32 while n(m-1)^2 < 2^24, which holds for
     every (3,m) with m <= 2365 and every space of the benchmark, and
     float64 below 2^53.  B = A A^t has the bound theta, so it runs in
-    float32 for every theta < 2^24; the certificate's products B V_lambda
-    have the bound max|B| * theta, which is in the float32 tier for
-    B_{3,36} (72 * 3276) and B_{4,12} (364 * 4800).  Both Gram products
-    run in square tiles (``_fill_gram``), each one BLAS product in the
-    tier of the whole, as the bound of a tile is that of the product.
+    float32 for every theta < 2^24; the certificate's product B V has the
+    bound max|B| * theta, which is in the float32 tier for B_{3,36}
+    (72 * 3276) and B_{4,12} (364 * 4800).  The Gram products and B V run
+    in square tiles (``_tiles``), each one BLAS product in the tier of the
+    whole, as the bound of a tile is that of the product.
     Other operations stay in integer dtypes, where floats would gain
     nothing.  The checks are plain comparisons, so they hold under
     ``python -O``."""
@@ -334,10 +337,12 @@ class ExactMatrix:
     def _float_copy(self, dtype: type) -> np.ndarray:
         """The entries in the float dtype of a product's tier, for the left
         operand of that product.  The copy is made once and kept (until a
-        product in the other float tier replaces it), so that the products
-        M @ X_1, M @ X_2, ... of one M (the blocks of the eigenbasis
-        certificate) convert M once.  A right operand is converted afresh
-        instead, so that its copy is freed with the product."""
+        product in the other float tier replaces it), so that repeated
+        products M @ X_1, M @ X_2, ... of one M, such as a loop of
+        ``matvec`` calls, convert M once.  A right operand is converted
+        afresh instead, so that its copy is freed with the product.  The
+        tiled constructions and ``scales_columns`` convert row panels of
+        their own and never make this copy."""
         if self._float is None or self._float.dtype != dtype:
             self._float = self._array.astype(dtype)
         return self._float
@@ -393,6 +398,35 @@ class ExactMatrix:
         column = ExactMatrix([list(vec)]).transpose()
         return (self @ column).array[:, 0].tolist()
 
+    def scales_columns(self, v: "ExactMatrix", tags: Sequence[int]) -> bool:
+        """Whether M @ V == V diag(tags), i.e. M maps column j of V to
+        tags[j] times itself, for every j.
+
+        M V is formed in the square tiles of ``_tiles``, as B is, with
+        M's rows as the left operand and a contiguous copy of V^T as the
+        right one: each tile is one BLAS product in the tier of the bound
+        max|M| * max|V| * order (``_exact_dtype``), and M's kept float copy
+        is neither made nor used.  Each tile is compared with
+        V[rows, cols] * tags[cols] in one integer dtype that holds both
+        sides: int64 when max|V|, that bound and max|V| * max|tags| are
+        below 2^62, Python ints otherwise, so no float enters the
+        comparison and nothing can overflow.  The first tile that differs
+        ends the check.  Raises DomainError unless M is square, V has as
+        many rows as M and there is one tag per column of V."""
+        tags = [operator.index(lam) for lam in tags]
+        if not (self.is_square and v.rows == self.rows and len(tags) == v.cols):
+            raise DomainError(f"M {self.rows}x{self.cols}, V {v.rows}x{v.cols} and "
+                              f"{len(tags)} tags do not fit")
+        a, b = self._max_abs, v._max_abs
+        dtype = _exact_dtype(a, b, a * b * self.cols, blas=True)
+        compare = _exact_dtype(b, a * b * self.cols, b * max(map(abs, tags), default=0))
+        scale = np.array(tags, dtype=compare)
+        side = max(_B_TILE, -(-self.rows // _B_PANELS))
+        return all(
+            np.array_equal(tile.astype(compare),
+                           np.multiply(v.array[rows, cols], scale[cols], dtype=compare))
+            for rows, cols, tile in _tiles(self._array, v.array.T.copy(), dtype, side))
+
     def trace(self) -> int:
         if not self.is_square:
             raise DomainError("trace needs a square matrix")
@@ -422,28 +456,24 @@ class ExactMatrix:
 # -------------------- constructions --------------------
 
 
-def _fill_gram(
-    out: np.ndarray,
-    x: np.ndarray,
-    dtype: type,
-    side: int,
-    entry: Callable[[np.ndarray], np.ndarray] = lambda tile: tile,
-) -> None:
-    """Write entry(x @ x^T) into the square ``out``, one square tile of at
-    most ``side`` rows at a time: the rows are cut into as few panels as
-    that allows, all of one height but the last, which may be lower (a
-    sliver panel would cost as many products as a full one).
+def _tiles(x: np.ndarray, y: np.ndarray, dtype: type,
+           side: int) -> Iterator[tuple[slice, slice, np.ndarray]]:
+    """(rows, cols, x[rows] @ y[cols]^T) over square tiles of at most
+    ``side`` rows: the rows of x are cut into as few panels as that allows,
+    all of one height but the last, which may be lower (a sliver panel
+    would cost as many products as a full one), and the rows of y into
+    panels of the same height.
 
-    Each tile on or above the diagonal is one product in ``dtype``, exact by
-    the caller's bound on x @ x^T (``_exact_dtype``), and is written into
-    ``out`` through ``entry`` at once, which casts it into ``out``'s dtype;
-    a tile above the diagonal is then mirrored below it, as x @ x^T is
-    symmetric.  Every row panel x[rows] is converted to ``dtype`` once and
-    each column panel once per tile, so no whole copy of x and no product
-    wider than one tile is held.  A diagonal tile is a panel times its own
-    transpose, which BLAS computes as a symmetric rank-k update.  The two
-    panels and the tile live in three buffers allocated once, as a fresh
-    allocation per tile would be paged in afresh each time."""
+    Each tile is one product in ``dtype``, exact by the caller's bound on
+    the whole product (``_exact_dtype``), as the bound of a tile is that of
+    the product.  With y = x (the same array) only the tiles on and above
+    the diagonal are yielded, x @ x^T being symmetric, and a diagonal tile
+    is a panel times its own transpose, which BLAS computes as a symmetric
+    rank-k update.  Every row panel x[rows] is converted to ``dtype`` once
+    and each column panel once per tile, so no whole copy of x or y and no
+    product wider than one tile is held.  The two panels and the tile live
+    in three buffers allocated once, as a fresh allocation per tile would
+    be paged in afresh each time; a tile is overwritten by the next one."""
     order = x.shape[0]
     panels = max(1, -(-order // side))
     side = max(1, -(-order // panels))
@@ -453,14 +483,13 @@ def _fill_gram(
         rows = slice(start, start + side)
         left = left_buf[: min(side, order - start)]
         np.copyto(left, x[rows])
-        out[rows, rows] = entry(np.matmul(left, left.T, out=tile_buf[: len(left), : len(left)]))
-        for col_start in range(start + side, order, side):
+        for col_start in range(start if y is x else 0, y.shape[0], side):
             cols = slice(col_start, col_start + side)
-            right = right_buf[: min(side, order - col_start)]
-            np.copyto(right, x[cols])
-            out[rows, cols] = entry(np.matmul(left, right.T,
-                                              out=tile_buf[: len(left), : len(right)]))
-            out[cols, rows] = out[rows, cols].T
+            right = left
+            if y is not x or col_start != start:
+                right = right_buf[: min(side, y.shape[0] - col_start)]
+                np.copyto(right, y[cols])
+            yield rows, cols, np.matmul(left, right.T, out=tile_buf[: len(left), : len(right)])
 
 
 def build_A(space: ProjectiveSpace) -> ExactMatrix:
@@ -468,37 +497,33 @@ def build_A(space: ProjectiveSpace) -> ExactMatrix:
 
     The inner products are the Gram matrix of the coordinates, each a sum
     of n products of entries below m, so bounded by n(m-1)^2: a float32
-    product for every space with n(m-1)^2 < 2^24.  Each tile is cast into
-    the storage dtype of that bound, reduced mod m and tested against 0."""
+    product for every space with n(m-1)^2 < 2^24.  Each tile (``_tiles``)
+    is cast into the storage dtype of that bound, reduced mod m, tested
+    against 0 into the result and mirrored below the diagonal."""
     m, coords = space.m.value, space.coords
     bound = space.n * (m - 1) ** 2
     dtype = _exact_dtype(m - 1, bound, blas=True)
-    gram = _storage_dtype(bound)
-
-    def vanishes(tile: np.ndarray) -> np.ndarray:
-        residues = tile.astype(gram)
-        residues %= m
-        return residues == 0
-
     # a bool array is 0/1 in one byte, which is A's storage dtype
     incidence = np.empty((len(space), len(space)), dtype=bool)
-    _fill_gram(incidence, coords, dtype, _A_TILE, vanishes)
+    for rows, cols, tile in _tiles(coords, coords, dtype, _A_TILE):
+        residues = tile.astype(_storage_dtype(bound))
+        residues %= m
+        incidence[rows, cols] = residues == 0
+        incidence[cols, rows] = incidence[rows, cols].T
     return ExactMatrix(incidence.view(np.int8), space, space)
 
 
 def build_B_product(a: ExactMatrix) -> ExactMatrix:
     """Exact Gram matrix A @ A^t.
 
-    In a float tier (float32 for a 0/1 A of order below 2^24) a product
-    of more than one tile is written tile by tile (``_fill_gram``) into a
-    result allocated in its storage dtype beforehand.  That dtype is the
-    one of the largest diagonal entry, which is the largest |entry|: by
-    Cauchy-Schwarz, |B_uv| = |<a_u, a_v>| <= sqrt(B_uu * B_vv) <=
-    max(B_uu, B_vv).  The diagonal entries are sums of squares of A's
+    In a float tier (float32 for a 0/1 A of order below 2^24) it is
+    written tile by tile (``_tiles``) into a result allocated in its
+    storage dtype beforehand, each tile mirrored below the diagonal.  That
+    dtype is the one of the largest diagonal entry, which is the largest
+    |entry|: by Cauchy-Schwarz, |B_uv| = |<a_u, a_v>| <= sqrt(B_uu * B_vv)
+    <= max(B_uu, B_vv).  The diagonal entries are sums of squares of A's
     entries, whose terms and partial sums are within the product's bound,
-    so they are summed exactly in the product's float dtype.  A product of
-    one tile (every verify order) is formed whole and stored in the dtype
-    of its largest entry, which spares that extra pass over A."""
+    so they are summed exactly in the product's float dtype."""
     if not a.is_square:
         raise DomainError("the incidence matrix must be square")
     top = a.max_abs()
@@ -506,13 +531,11 @@ def build_B_product(a: ExactMatrix) -> ExactMatrix:
     if dtype is object:
         return a @ a.transpose()
     x = a.array
-    side = max(_B_TILE, -(-a.rows // _B_PANELS))
-    if a.rows <= side:
-        whole = x.astype(dtype)
-        return ExactMatrix(_integers(whole @ whole.T), a.row_labels, a.row_labels)
     largest = np.einsum("ij,ij->i", x, x, dtype=dtype).max(initial=0)
     out = np.empty(x.shape, dtype=_storage_dtype(int(largest)))
-    _fill_gram(out, x, dtype, side)
+    for rows, cols, tile in _tiles(x, x, dtype, max(_B_TILE, -(-a.rows // _B_PANELS))):
+        out[rows, cols] = tile
+        out[cols, rows] = out[rows, cols].T
     return ExactMatrix(out, a.row_labels, a.row_labels)
 
 

@@ -25,10 +25,11 @@ above, and each factor and partial-product space is enumerated once.
 
 Verification first certifies the whole spectrum at once from that
 eigenbasis: V has full rank over the rationals, proved from the arrays
-it is built from without any elimination, and for each eigenvalue
-lambda, B V_lambda == lambda V_lambda on the block V_lambda of V's
-columns tagged lambda, as exact ``ExactMatrix`` expressions, which fixes
-every multiplicity (see ``eigenbasis_nullities``).  The certificate is
+it is built from without any elimination, and B V == V D, with D the
+diagonal of the tags, checked exactly by ``ExactMatrix.scales_columns``
+in the square tiles B itself is built in, which says B V_lambda ==
+lambda V_lambda on the columns V_lambda tagged lambda and fixes every
+multiplicity (see ``eigenbasis_nullities``).  The certificate is
 also acceptance criterion 8 of the verification battery.  When the
 certificate declines, each multiplicity is checked by exact nullity, the
 kernel dimension of B - lambda*I over the rationals.
@@ -46,6 +47,7 @@ from __future__ import annotations
 import itertools
 import json
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -276,12 +278,14 @@ def eigenbasis_nullities(m: ExactMatrix, family: EigenFamily) -> dict[int, int] 
     1. V is order x order of full rank over the rationals, proved from the
        arrays V is built from, in O(theta) array checks and with no
        elimination (below);
-    2. M V_lambda == lambda * V_lambda for every distinct tag, as
-       ``ExactMatrix`` expressions on the columns ``family.matrix()``
-       builds from the same arrays: exact in every tier, since each runs
-       in the dtype ``matrices`` picks from a checked bound.  M is
-       converted for the product once, and kept, not once per block.
-       Together these say M V == V D, with D the diagonal of the tags.
+    2. M V == V D, with D the diagonal of the tags and V the matrix
+       ``family.matrix()`` builds from the same arrays, by one call of
+       ``M.scales_columns(V, tags)``: M V is formed tile by tile in the
+       float tier of its checked bound and each tile is compared with the
+       tags times V's entries in an integer dtype that holds both sides,
+       so the check is exact in every tier and keeps no float copy of M.
+       Column by column this says M V_lambda == lambda V_lambda for every
+       distinct tag.
 
     The rank follows from the family's construction, one step at a time:
 
@@ -327,22 +331,10 @@ def eigenbasis_nullities(m: ExactMatrix, family: EigenFamily) -> dict[int, int] 
     if not m.is_square:
         raise DomainError("nullity needs a square matrix")
     order = m.rows
-    if len(family.tags) != order or not _proves_full_rank(family, order):
+    if (len(family.tags) != order or not _proves_full_rank(family, order)
+            or not m.scales_columns(family.matrix(), family.tags)):
         return None
-    v = family.matrix()
-    columns: dict[int, list[int]] = {}
-    for j, lam in enumerate(family.tags):
-        columns.setdefault(lam, []).append(j)
-    # at most a quarter of the columns per product, so that the temporaries
-    # of one check (the columns, their copy for the product, the product
-    # and lambda times the columns) stay below one order x order matrix
-    width = max(1, order // 4)
-    for lam, cols in columns.items():
-        for start in range(0, len(cols), width):
-            block = ExactMatrix(v.array[:, cols[start : start + width]])
-            if m @ block != lam * block:
-                return None
-    return {lam: len(cols) for lam, cols in columns.items()}
+    return dict(Counter(family.tags))
 
 
 # -------------------- verification --------------------

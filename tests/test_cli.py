@@ -1,11 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import zmspec
 from zmspec import cli, matrices, projective
 from zmspec.cli import main
 
@@ -355,6 +360,25 @@ def test_unwritable_output_exit_code(tmp_path, capsys):
     code, out, err = run(capsys, "matrix", "-n", "2", "-m", "2", "-o", str(target))
     assert code == 4 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["theta", "-n", "3", "-m", "4"],
+    ["matrix", "-n", "3", "-m", "16", "--which", "B"],
+    ["spectrum", "-n", "3", "-m", "12", "--verify"],
+    ["selftest"],
+])
+def test_a_closed_pipe_on_stdout_and_stderr_exits_4(argv):
+    # as in `zmspec ... 2>&1 | head -1`: the error report goes to the same
+    # closed pipe, and once raised again there, the run exited 1, which
+    # says that a verification failed
+    src = str(Path(zmspec.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.Popen([sys.executable, "-m", "zmspec.cli", *argv], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+    child.stdout.close()
+    assert child.wait(timeout=120) == cli.EXIT_IO
 
 
 def test_commands_are_deterministic(capsys):

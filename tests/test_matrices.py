@@ -31,6 +31,7 @@ from zmspec import matrices, projective
 from zmspec.modular import crt_combine
 from zmspec.projective import (ProjectiveSpace, canonical_rep, enumerate_space, k_partition,
                                point_keys, point_label, theta)
+from zmspec.spectrum import eigvec_family_general
 
 
 def B_of(n, m, ordering="lex"):
@@ -342,6 +343,83 @@ def test_build_B_product_tiles_match_the_object_product(tile, panels, monkeypatc
         assert b.array.dtype == _storage_dtype(max(abs(v) for v in expected.flat))
     assert [build_B_product(a).array.dtype for a in _gram_cases()] == [
         np.int8, np.int16, np.int16, np.int8, np.int64]
+
+
+def _tiling(tile, monkeypatch):
+    """Cut the B product's rows into tiles of at most ``tile`` rows."""
+    monkeypatch.setattr(matrices, "_B_TILE", tile)
+    monkeypatch.setattr(matrices, "_B_PANELS", 10**6)
+
+
+@pytest.mark.parametrize("tile", TILES)
+def test_scales_columns_accepts_the_eigenbasis_and_nothing_near_it(tile, monkeypatch):
+    _tiling(tile, monkeypatch)
+    for n, m in ((3, 6), (3, 8)):
+        space = enumerate_space(n, m)
+        b = build_B_product(build_A(space))
+        family = eigvec_family_general(space)
+        v = family.matrix()
+        assert b.scales_columns(v, family.tags)
+        # each change sits in the last row or column, which with tiles of 3
+        # and 5 rows is the ragged last panel (theta is 91 and 112)
+        tags = list(family.tags)
+        tags[-1] += 1
+        assert not b.scales_columns(v, tags)
+        changed = v.array.copy()
+        changed[-1, -1] += 1
+        assert not b.scales_columns(ExactMatrix(changed), family.tags)
+        changed = b.array.copy()
+        changed[-1, -1] += 1
+        assert not ExactMatrix(changed).scales_columns(v, family.tags)
+        # M's float copy, kept for repeated products, is neither made nor used
+        assert b._float is None
+
+
+@pytest.mark.parametrize("tile", TILES)
+def test_scales_columns_takes_a_wide_or_empty_v(tile, monkeypatch):
+    _tiling(tile, monkeypatch)
+    m = ExactMatrix([[2, 0, 0], [0, 3, 1], [0, 1, 3]])
+    v = ExactMatrix([[1, 0, 0, 5, 0], [0, 1, 1, 0, 2], [0, 1, -1, 0, 2]])
+    assert m.scales_columns(v, [2, 4, 2, 2, 4])
+    assert not m.scales_columns(v, [2, 4, 2, 2, 2])
+    assert ExactMatrix.zeros(0, 0).scales_columns(ExactMatrix.zeros(0, 3), [1, 2, 3])
+    assert m.scales_columns(ExactMatrix.zeros(3, 0), [])
+
+
+@pytest.mark.parametrize("tile", TILES)
+def test_scales_columns_is_exact_past_the_int64_bound(tile, monkeypatch):
+    _tiling(tile, monkeypatch)
+    space = enumerate_space(3, 2)
+    b = build_B_product(build_A(space))
+    family = eigvec_family_general(space)
+    v = family.matrix()
+    for shift in (50, 60):
+        big = b * (1 << shift)
+        # the product is past float64 (max|B| = 3, order 7); its bound is
+        # below 2^62 at 2^50, so the comparison is int64, and above at 2^60
+        assert _exact_dtype(big.max_abs(), 1, big.max_abs() * 7, blas=True) is object
+        tags = [lam << shift for lam in family.tags]
+        assert big.scales_columns(v, tags)
+        # off in the lowest bit, which no float of this size holds
+        tags[0] += 1
+        assert not big.scales_columns(v, tags)
+        # small tags: the two sides differ, and nothing overflows
+        assert not big.scales_columns(v, family.tags)
+    # tags past 2^62 with a small product: Python ints again
+    assert not b.scales_columns(v, [lam << 62 for lam in family.tags])
+
+
+def test_scales_columns_refuses_mismatched_shapes():
+    m = ExactMatrix([[2, 0], [0, 3]])
+    assert m.scales_columns(ExactMatrix.identity(2), [2, 3])
+    for matrix, v, tags in (
+        (ExactMatrix([[2, 0, 0], [0, 3, 0]]), ExactMatrix.identity(2), [2, 3]),  # M not square
+        (m, ExactMatrix.identity(3), [2, 3, 1]),  # V with M's columns but not M's rows
+        (m, ExactMatrix.identity(2), [2]),  # a tag short
+        (m, ExactMatrix.identity(2), [2, 3, 4]),  # a tag too many
+    ):
+        with pytest.raises(DomainError):
+            matrix.scales_columns(v, tags)
 
 
 def _traced_peak(build, arg) -> int:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_matrices import _traced_peak
 
 from zmspec import spectrum
 from zmspec.errors import DomainError
@@ -368,6 +369,19 @@ def test_certificate_is_exact_past_the_int64_bound():
     # orders that do not match: a tag short, and a level 1 of another order
     assert eigenbasis_nullities(b, replace(family, tags=family.tags[:-1])) is None
     assert eigenbasis_nullities(b, replace(family, bases=(8,))) is None
+
+
+def test_certificate_holds_no_float_copy_of_B():
+    # the residual B V = V D once ran on a float32 copy of B kept with B,
+    # 4 theta^2 bytes, and peaked at 7.8 theta^2 bytes at (3,32); its tiles
+    # hold V, its transpose and two float32 row panels of theta/5 rows
+    space, b = B_of(3, 32)
+    family = eigvec_family_general(space)
+    nullities = {}
+    peak = _traced_peak(lambda fam: nullities.update(eigenbasis_nullities(b, fam)), family)
+    assert nullities == dict(spectrum_general(3, 32).merged())
+    assert peak <= 5 * len(space) ** 2
+    assert b._float is None
 
 
 @pytest.mark.parametrize("n, m", [(3, 6), (3, 8), (4, 4), (3, 12), (2, 12)])
