@@ -16,6 +16,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 from collections.abc import Callable, Iterable
 from contextlib import contextmanager, nullcontext
@@ -475,7 +476,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a short output still sits in stdout's buffer; flushed here, a
+        # closed pipe fails where the handler below can see it
+        sys.stdout.flush()
+        return code
     except GuardrailError as exc:
         _report(f"guardrail: {exc}")
         return EXIT_GUARDRAIL
@@ -484,6 +489,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except OSError as exc:
         _report(f"error: {exc}")
+        _silence_broken_streams()
         return EXIT_IO
 
 
@@ -495,6 +501,20 @@ def _report(message: str) -> None:
         print(message, file=sys.stderr)
     except OSError:
         pass
+
+
+def _silence_broken_streams() -> None:
+    """Point stdout and stderr at os.devnull where a flush fails, as on a
+    closed pipe.  Their unwritten bytes then go nowhere, so the
+    interpreter's own flush at exit cannot fail and turn the exit code
+    into 120."""
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stream.fileno())
+            os.close(devnull)
 
 
 def entry() -> None:

@@ -408,9 +408,9 @@ class ExactMatrix:
         max|M| * max|V| * order (``_exact_dtype``), and M's kept float copy
         is neither made nor used.  Each tile is compared with
         V[rows, cols] * tags[cols] in one integer dtype that holds both
-        sides: int64 when max|V|, that bound and max|V| * max|tags| are
-        below 2^62, Python ints otherwise, so no float enters the
-        comparison and nothing can overflow.  The first tile that differs
+        sides and the tags: int64 when max|V|, max|tags|, that bound and
+        max|V| * max|tags| are below 2^62, Python ints otherwise, so no
+        float enters the comparison and nothing can overflow.  The first tile that differs
         ends the check.  Raises DomainError unless M is square, V has as
         many rows as M and there is one tag per column of V."""
         tags = [operator.index(lam) for lam in tags]
@@ -419,7 +419,8 @@ class ExactMatrix:
                               f"{len(tags)} tags do not fit")
         a, b = self._max_abs, v._max_abs
         dtype = _exact_dtype(a, b, a * b * self.cols, blas=True)
-        compare = _exact_dtype(b, a * b * self.cols, b * max(map(abs, tags), default=0))
+        top = max(map(abs, tags), default=0)
+        compare = _exact_dtype(b, top, a * b * self.cols, b * top)
         scale = np.array(tags, dtype=compare)
         side = max(_B_TILE, -(-self.rows // _B_PANELS))
         return all(

@@ -362,21 +362,26 @@ def test_unwritable_output_exit_code(tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [
     ["theta", "-n", "3", "-m", "4"],
     ["matrix", "-n", "3", "-m", "16", "--which", "B"],
     ["spectrum", "-n", "3", "-m", "12", "--verify"],
     ["selftest"],
 ])
-def test_a_closed_pipe_on_stdout_and_stderr_exits_4(argv):
+def test_a_closed_pipe_on_stdout_and_stderr_exits_4(argv, flags):
     # as in `zmspec ... 2>&1 | head -1`: the error report goes to the same
     # closed pipe, and once raised again there, the run exited 1, which
-    # says that a verification failed
+    # says that a verification failed.  With stdout block-buffered, as it
+    # is on a pipe by default, a short output reaches the pipe only when
+    # flushed, and a failed flush at interpreter exit would exit 120.
     src = str(Path(zmspec.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    child = subprocess.Popen([sys.executable, "-m", "zmspec.cli", *argv], env=env,
-                             stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.Popen([sys.executable, *flags, "-m", "zmspec.cli", *argv],
+                             env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
     child.stdout.close()
     assert child.wait(timeout=120) == cli.EXIT_IO
 

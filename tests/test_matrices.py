@@ -384,6 +384,9 @@ def test_scales_columns_takes_a_wide_or_empty_v(tile, monkeypatch):
     assert not m.scales_columns(v, [2, 4, 2, 2, 2])
     assert ExactMatrix.zeros(0, 0).scales_columns(ExactMatrix.zeros(0, 3), [1, 2, 3])
     assert m.scales_columns(ExactMatrix.zeros(3, 0), [])
+    # a tag past int64 with a zero or empty V: 0 == 0 * tag, in Python ints
+    assert m.scales_columns(ExactMatrix.zeros(3, 2), [1 << 63, -(1 << 64)])
+    assert ExactMatrix.zeros(0, 0).scales_columns(ExactMatrix.zeros(0, 2), [1 << 63, 1])
 
 
 @pytest.mark.parametrize("tile", TILES)
