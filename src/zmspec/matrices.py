@@ -7,17 +7,19 @@ CRT relabeling that exhibits B_{n,m} as a tensor product over the
 prime-power factors, and the fiber-aligned blocks of B over a
 K-partition.  A labelled matrix carries the space of its rows and that of
 its columns, and a permutation is an int64 index array.  All arithmetic
-is exact: every operation is one numpy expression in the dtype that
-``_exact_dtype`` picks from a checked bound on the values it computes.  A
-matrix product has three tiers: one float32 BLAS product while its
-operand entries, products and partial sums stay below 2^24, one float64
-BLAS product while they stay below 2^53, each exact there in any
-summation order, and Python ints (an object array) above that.  Every
-other operation runs in int64 while its values stay below 2^62, and on
-Python ints above that.  Entries are stored apart from that rule, in the
-narrowest signed dtype that holds the largest |entry|: int8, int16, int32
-or int64 below 2^62, and object from there (``_storage_dtype``), never as
-floats.  A is int8, and so is B while its entries stay below 2^7.
+is exact, and one rule, ``_storage_dtype``, picks every integer dtype
+from a checked bound: the narrowest of int8, int16, int32 and int64 that
+holds every value below the bound (2^7, 2^15, 2^31 and 2^62), and Python
+ints (an object array) from 2^62.  Entries are stored in the dtype of
+their largest |entry|, never as floats, so A is int8, and so is B while
+its entries stay below 2^7.  Every other integer operation (sums,
+differences, scalar products, traces, row sums, Kronecker products and
+the certificate's comparisons) is one numpy expression in the dtype of
+a bound on its operands, partial sums and results.  A matrix product
+instead runs as one BLAS product in a float tier (``_product_dtype``):
+float32 while its operand entries, products and partial sums stay below
+2^24, float64 while they stay below 2^53, each exact there in any
+summation order, and Python ints above that.
 
 A and B are both Gram matrices, of the point coordinates (A is where
 that one vanishes mod m) and of A's rows, and both are built from the
@@ -75,18 +77,15 @@ import numpy as np
 
 from .counting import xi_data
 from .errors import DomainError, UnsupportedError
-from .modular import euler_phi
 from .projective import KPartition, ProjectivePoint, ProjectiveSpace, point_keys
 
-# below this, a sum of two values still fits int64
-_INT64_LIMIT = 1 << 62
 # every integer of absolute value at most this is a float32, or a float64
 _FLOAT32_LIMIT = 1 << 24
 _FLOAT64_LIMIT = 1 << 53
-# the signed dtypes an ExactMatrix stores its entries in, each with the
-# bound below which it holds every entry of either sign
-_STORAGE = ((1 << 7, np.int8), (1 << 15, np.int16), (1 << 31, np.int32),
-            (_INT64_LIMIT, np.int64))
+# the signed dtypes of every integer the module stores or computes, each
+# with the bound below which it holds every value of either sign; int64
+# stops at 2^62, below which a sum of two values still fits it
+_STORAGE = ((1 << 7, np.int8), (1 << 15, np.int16), (1 << 31, np.int32), (1 << 62, np.int64))
 # the entries of one row block of an export, or of one tile of trace_of_square
 _BLOCK_ENTRIES = 1 << 16
 # the largest sides of the square tiles of the Gram products and of the
@@ -141,60 +140,52 @@ def _keep_freed_blocks() -> None:
 _keep_freed_blocks()
 
 
-def _exact_dtype(*bounds: int, blas: bool = False) -> type:
-    """The dtype in which a computation runs, exact by its bounds:
+def _product_dtype(*bounds: int) -> type:
+    """The dtype in which a matrix product runs, exact by its bounds:
+    float32 when every bound is below 2^24, float64 when every bound is
+    below 2^53, and object (Python ints) otherwise.
 
-    - a matrix product (``blas``) runs in float32 when every bound is
-      below 2^24, in float64 when every bound is below 2^53, and in
-      object (Python ints) otherwise;
-    - any other operation runs in int64 when every bound is below 2^62,
-      and in object otherwise.
-
-    This is the only place the dtype of arithmetic is decided; where the
-    result is stored is ``_storage_dtype``'s choice.  Callers pass a bound
-    on the absolute value of every operand entry and of every partial and
-    final result entry, so the int64 path can never wrap, whatever
-    narrower dtype the operands are stored in.
-
-    The float tiers are exact for the same reason.  A product passes
-    max|a|, max|b| and max|a| * max|b| * inner, where inner is the shared
-    dimension.  Every operand entry, every product a_ik * b_kj and every
-    partial sum of such products is then an integer of absolute value
-    below 2^24 (2^53), the range in which float32 (float64) holds every
-    integer.  Each rounding step of the BLAS product therefore has an
-    exactly representable result and returns it unchanged, whatever
-    summation order, blocking or fused multiply-add the library uses.
-    The result holds integers below the limit, which the cast into their
-    storage dtype keeps exactly.  A product has no int64 tier: numpy has
-    no BLAS for int64, and no product the package forms on a space within
-    the guardrail gets near 2^53.  The Gram matrix of the coordinates,
-    whose zeros mod m are A, has the bound n(m-1)^2 (n products of
-    coordinates below m): float32 while n(m-1)^2 < 2^24, which holds for
-    every (3,m) with m <= 2365 and every space of the benchmark, and
-    float64 below 2^53.  B = A A^t has the bound theta, so it runs in
-    float32 for every theta < 2^24; the certificate's product B V has the
-    bound max|B| * theta, which is in the float32 tier for B_{3,36}
-    (72 * 3276) and B_{4,12} (364 * 4800).  The Gram products and B V run
-    in square tiles (``_tiles``), each one BLAS product in the tier of the
-    whole, as the bound of a tile is that of the product.
-    Other operations stay in integer dtypes, where floats would gain
-    nothing.  The checks are plain comparisons, so they hold under
+    A product passes max|a|, max|b| and max|a| * max|b| * inner, where
+    inner is the shared dimension.  Every operand entry, every product
+    a_ik * b_kj and every partial sum of such products is then an integer
+    of absolute value below 2^24 (2^53), the range in which float32
+    (float64) holds every integer.  Each rounding step of the BLAS product
+    therefore has an exactly representable result and returns it
+    unchanged, whatever summation order, blocking or fused multiply-add
+    the library uses.  The result holds integers below the limit, which
+    the cast into their storage dtype keeps exactly.  A product has no
+    integer tier: numpy has no BLAS for integers, and no product the
+    package forms on a space within the guardrail gets near 2^53.  The
+    Gram matrix of the coordinates, whose zeros mod m are A, has the bound
+    n(m-1)^2 (n products of coordinates below m): float32 while
+    n(m-1)^2 < 2^24, which holds for every (3,m) with m <= 2365 and every
+    space of the benchmark, and float64 below 2^53.  B = A A^t has the
+    bound theta, so it runs in float32 for every theta < 2^24; the
+    certificate's product B V has the bound max|B| * theta, which is in
+    the float32 tier for B_{3,36} (72 * 3276) and B_{4,12} (364 * 4800).
+    The Gram products and B V run in square tiles (``_tiles``), each one
+    BLAS product in the tier of the whole, as the bound of a tile is that
+    of the product.  The checks are plain comparisons, so they hold under
     ``python -O``."""
     bound = max(bounds)
-    if blas:
-        if bound < _FLOAT32_LIMIT:
-            return np.float32
-        return np.float64 if bound < _FLOAT64_LIMIT else object
-    return np.int64 if bound < _INT64_LIMIT else object
+    if bound < _FLOAT32_LIMIT:
+        return np.float32
+    return np.float64 if bound < _FLOAT64_LIMIT else object
 
 
-def _storage_dtype(max_abs: int) -> type:
-    """The dtype an ``ExactMatrix`` stores its entries in, given the largest
-    |entry|: the narrowest of int8, int16, int32 and int64 whose bound in
-    ``_STORAGE`` lies above it (int8 below 2^7, ..., int64 below 2^62), and
-    object from 2^62, as ``_exact_dtype`` has no integer tier there.  Each
-    signed dtype holds every value of absolute value below its bound."""
-    return next((dtype for limit, dtype in _STORAGE if max_abs < limit), object)
+def _storage_dtype(*bounds: int) -> type:
+    """The integer dtype of every value the module stores or computes
+    outside a matrix product, exact by its bounds: the narrowest of int8,
+    int16, int32 and int64 whose limit in ``_STORAGE`` lies above every
+    bound (int8 below 2^7, ..., int64 below 2^62), and object (Python
+    ints) from 2^62.  Each signed dtype holds every value of absolute
+    value below its limit.
+
+    An ``ExactMatrix`` passes its largest |entry|.  An operation passes a
+    bound on the absolute value of every operand entry and of every
+    partial and final result entry, so it can never wrap, and each
+    operand's own storage dtype casts safely into the one it gets."""
+    return next((dtype for limit, dtype in _STORAGE if max(bounds) < limit), object)
 
 
 def _integers(prod: np.ndarray) -> np.ndarray:
@@ -247,9 +238,9 @@ class ExactMatrix:
     ndarray, stored in the dtype ``_storage_dtype`` picks for the largest
     |entry|: int8, int16, int32 or int64 below 2^62, an object array of
     Python ints from there.  Each operation states a bound on the values
-    it computes and runs in the dtype ``_exact_dtype`` picks for that
-    bound, int64 or a float tier whatever the operands are stored in, so a
-    result is exact in every tier; then it is stored narrow again.  An
+    it computes and runs in the dtype that bound gets, from the same rule,
+    or from ``_product_dtype``'s float tiers for a product, so a result is
+    exact in every dtype; then it is stored narrow again.  An
     ndarray passed in that is already in its storage dtype is shared, not
     copied, and no method writes to the array, so transposes and index
     views share memory too.  A matrix that is the left operand of a float
@@ -279,11 +270,11 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, k: int) -> "ExactMatrix":
-        return cls(np.eye(k, dtype=np.int8))
+        return cls(np.eye(k, dtype=_storage_dtype(1)))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(np.zeros((rows, cols), dtype=np.int8))
+        return cls(np.zeros((rows, cols), dtype=_storage_dtype(0)))
 
     # -------------------- access --------------------
 
@@ -352,19 +343,20 @@ class ExactMatrix:
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check_same_shape(other)
-        dtype = _exact_dtype(self._max_abs + other._max_abs)
+        dtype = _storage_dtype(self._max_abs + other._max_abs)
         return ExactMatrix(self._as(dtype) + other._as(dtype), self.row_labels, self.col_labels)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check_same_shape(other)
-        dtype = _exact_dtype(self._max_abs + other._max_abs)
+        dtype = _storage_dtype(self._max_abs + other._max_abs)
         return ExactMatrix(self._as(dtype) - other._as(dtype), self.row_labels, self.col_labels)
 
     def __mul__(self, scalar: int) -> "ExactMatrix":
         if not isinstance(scalar, int):
             return NotImplemented
         s = int(scalar)
-        dtype = _exact_dtype(abs(s), self._max_abs, abs(s) * self._max_abs)
+        # s is within the bound, so it keeps the array's dtype
+        dtype = _storage_dtype(abs(s), self._max_abs, abs(s) * self._max_abs)
         return ExactMatrix(self._as(dtype) * s, self.row_labels, self.col_labels)
 
     __rmul__ = __mul__
@@ -381,7 +373,7 @@ class ExactMatrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         a, b = self._max_abs, other._max_abs
-        dtype = _exact_dtype(a, b, a * b * self.cols, blas=True)
+        dtype = _product_dtype(a, b, a * b * self.cols)
         if dtype is object:
             out = self._as(dtype) @ other._as(dtype)
         else:
@@ -405,22 +397,24 @@ class ExactMatrix:
         M V is formed in the square tiles of ``_tiles``, as B is, with
         M's rows as the left operand and a contiguous copy of V^T as the
         right one: each tile is one BLAS product in the tier of the bound
-        max|M| * max|V| * order (``_exact_dtype``), and M's kept float copy
-        is neither made nor used.  Each tile is compared with
-        V[rows, cols] * tags[cols] in one integer dtype that holds both
-        sides and the tags: int64 when max|V|, max|tags|, that bound and
-        max|V| * max|tags| are below 2^62, Python ints otherwise, so no
-        float enters the comparison and nothing can overflow.  The first tile that differs
-        ends the check.  Raises DomainError unless M is square, V has as
-        many rows as M and there is one tag per column of V."""
+        max|M| * max|V| * order (``_product_dtype``), and M's kept float
+        copy is neither made nor used.  Each tile is compared with
+        V[rows, cols] * tags[cols] in the dtype ``_storage_dtype`` gives
+        max|V|, max|tags|, that bound and max|V| * max|tags|, which holds
+        both sides and the tags: int16 for B_{3,10} (18 * 217 below 2^15),
+        int32 for B_{3,67} (68 * 4557), Python ints from 2^62, so no float
+        enters the comparison and nothing can overflow.  The first tile
+        that differs ends the check.  Raises DomainError unless M is
+        square, V has as many rows as M and there is one tag per column of
+        V."""
         tags = [operator.index(lam) for lam in tags]
         if not (self.is_square and v.rows == self.rows and len(tags) == v.cols):
             raise DomainError(f"M {self.rows}x{self.cols}, V {v.rows}x{v.cols} and "
                               f"{len(tags)} tags do not fit")
         a, b = self._max_abs, v._max_abs
-        dtype = _exact_dtype(a, b, a * b * self.cols, blas=True)
+        dtype = _product_dtype(a, b, a * b * self.cols)
         top = max(map(abs, tags), default=0)
-        compare = _exact_dtype(b, top, a * b * self.cols, b * top)
+        compare = _storage_dtype(b, top, a * b * self.cols, b * top)
         scale = np.array(tags, dtype=compare)
         side = max(_B_TILE, -(-self.rows // _B_PANELS))
         return all(
@@ -431,7 +425,7 @@ class ExactMatrix:
     def trace(self) -> int:
         if not self.is_square:
             raise DomainError("trace needs a square matrix")
-        dtype = _exact_dtype(self._max_abs * self.rows)
+        dtype = _storage_dtype(self._max_abs * self.rows)
         return int(self._array.diagonal().sum(dtype=dtype))
 
     def trace_of_square(self) -> int:
@@ -442,7 +436,7 @@ class ExactMatrix:
         max|M|^2 * order^2."""
         if not self.is_square:
             raise DomainError("trace needs a square matrix")
-        dtype = _exact_dtype(self._max_abs, self._max_abs**2 * self.rows**2)
+        dtype = _storage_dtype(self._max_abs, self._max_abs**2 * self.rows**2)
         side = max(1, math.isqrt(_BLOCK_ENTRIES))
         tiles = [slice(start, start + side) for start in range(0, self.rows, side)]
         x = self._array
@@ -450,7 +444,7 @@ class ExactMatrix:
                    for t in tiles for s in tiles)
 
     def row_sums(self) -> list[int]:
-        dtype = _exact_dtype(self._max_abs * self.cols)
+        dtype = _storage_dtype(self._max_abs * self.cols)
         return self._array.sum(axis=1, dtype=dtype).tolist()
 
 
@@ -466,7 +460,7 @@ def _tiles(x: np.ndarray, y: np.ndarray, dtype: type,
     panels of the same height.
 
     Each tile is one product in ``dtype``, exact by the caller's bound on
-    the whole product (``_exact_dtype``), as the bound of a tile is that of
+    the whole product (``_product_dtype``), as the bound of a tile is that of
     the product.  With y = x (the same array) only the tiles on and above
     the diagonal are yielded, x @ x^T being symmetric, and a diagonal tile
     is a panel times its own transpose, which BLAS computes as a symmetric
@@ -503,15 +497,14 @@ def build_A(space: ProjectiveSpace) -> ExactMatrix:
     against 0 into the result and mirrored below the diagonal."""
     m, coords = space.m.value, space.coords
     bound = space.n * (m - 1) ** 2
-    dtype = _exact_dtype(m - 1, bound, blas=True)
-    # a bool array is 0/1 in one byte, which is A's storage dtype
-    incidence = np.empty((len(space), len(space)), dtype=bool)
+    dtype = _product_dtype(m - 1, bound)
+    incidence = np.empty((len(space), len(space)), dtype=_storage_dtype(1))
     for rows, cols, tile in _tiles(coords, coords, dtype, _A_TILE):
         residues = tile.astype(_storage_dtype(bound))
         residues %= m
         incidence[rows, cols] = residues == 0
         incidence[cols, rows] = incidence[rows, cols].T
-    return ExactMatrix(incidence.view(np.int8), space, space)
+    return ExactMatrix(incidence, space, space)
 
 
 def build_B_product(a: ExactMatrix) -> ExactMatrix:
@@ -528,7 +521,7 @@ def build_B_product(a: ExactMatrix) -> ExactMatrix:
     if not a.is_square:
         raise DomainError("the incidence matrix must be square")
     top = a.max_abs()
-    dtype = _exact_dtype(top, top * top * a.cols, blas=True)
+    dtype = _product_dtype(top, top * top * a.cols)
     if dtype is object:
         return a @ a.transpose()
     x = a.array
@@ -542,9 +535,11 @@ def build_B_product(a: ExactMatrix) -> ExactMatrix:
 
 def _entry_table(p: int, e: int, n: int) -> list[int]:
     """The closed-form entries of B over p^e by valuation: entry nu is
-    (p^(nu+e(n-2)) - p^(min(nu,e-1)+(e-1)(n-2))) / phi(p^e), nu = 0..e.
-    Raises DomainError when a quotient is not an integer."""
-    phi = euler_phi(p**e)
+    (p^(nu+e(n-2)) - p^(min(nu,e-1)+(e-1)(n-2))) / phi(p^e), nu = 0..e,
+    with phi(p^e) = p^(e-1) (p - 1) read off the given p and e, so p^e is
+    never factorized.  Raises DomainError when a quotient is not an
+    integer."""
+    phi = p ** (e - 1) * (p - 1)
     table = []
     for nu in range(e + 1):
         num = p ** (nu + e * (n - 2)) - p ** (min(nu, e - 1) + (e - 1) * (n - 2))
@@ -599,13 +594,14 @@ def build_B_analytic(space: ProjectiveSpace) -> ExactMatrix:
 def tensor_product(m1: ExactMatrix, m2: ExactMatrix) -> ExactMatrix:
     """Kronecker product; row (i1, i2) of the result is flat index i1*rows2 + i2.
 
-    Each entry is one product, computed in the dtype of the bound and
-    written into a result allocated in the storage dtype of that bound."""
+    Each entry is one product, computed straight into a result allocated
+    in the dtype of the bound on the operands and the products."""
     a, b = m1.max_abs(), m2.max_abs()
     x, y = m1.array, m2.array
-    out = np.empty((m1.rows, m2.rows, m1.cols, m2.cols), dtype=_storage_dtype(a * b))
-    np.multiply(x[:, None, :, None], y[None, :, None, :], out=out,
-                dtype=_exact_dtype(a, b, a * b), casting="unsafe")
+    out = np.empty((m1.rows, m2.rows, m1.cols, m2.cols), dtype=_storage_dtype(a, b, a * b))
+    # in out's dtype, not the operands': int64 operands would otherwise
+    # multiply in int64 before reaching an object result
+    np.multiply(x[:, None, :, None], y[None, :, None, :], out=out, dtype=out.dtype)
     return ExactMatrix(out.reshape(m1.rows * m2.rows, m1.cols * m2.cols))
 
 

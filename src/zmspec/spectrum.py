@@ -70,7 +70,10 @@ class SpectrumTable:
     """Eigenvalue/multiplicity rows with their table-row provenance.
 
     Rows are kept unmerged (distinct provenance, possibly equal
-    eigenvalues); ``merged()`` is the view verification uses.
+    eigenvalues); ``merged()`` is the view verification uses.  ``m`` may
+    be given as a ``Modulus``, whose factorization then checks the total
+    without factorizing m (which refuses m past 10^9); it is kept as its
+    value.
     """
 
     n: int
@@ -78,8 +81,10 @@ class SpectrumTable:
     rows: tuple[SpectrumRow, ...]
 
     def __post_init__(self) -> None:
+        mod = as_modulus(self.m)
+        object.__setattr__(self, "m", mod.value)
         total = sum(r.multiplicity for r in self.rows)
-        expected = theta(self.n, self.m)
+        expected = theta(self.n, mod)
         if total != expected:
             raise DomainError(
                 f"multiplicities sum to {total}, expected theta = {expected}"
@@ -106,23 +111,28 @@ def spectrum_prime_power(n: int, p: int, e: int) -> SpectrumTable:
         raise DomainError(f"{p} is not prime")
     if e < 1:
         raise DomainError(f"exponent must be >= 1, got {e}")
+
+    def power(k: int) -> Modulus:
+        # p^k with the factorization the caller gave, never recomputed
+        return Modulus(p**k, ((p, k),))
+
     rows = [
         SpectrumRow(
-            p ** (2 * (e - 1) * (n - 2)) * theta(n - 1, p) ** 2, 1, f"{p}^{e}[s=1]"
+            p ** (2 * (e - 1) * (n - 2)) * theta(n - 1, power(1)) ** 2, 1, f"{p}^{e}[s=1]"
         ),
         SpectrumRow(
-            p ** ((2 * e - 1) * (n - 2)), theta(n, p) - 1, f"{p}^{e}[s=2]"
+            p ** ((2 * e - 1) * (n - 2)), theta(n, power(1)) - 1, f"{p}^{e}[s=2]"
         ),
     ]
     for s in range(3, e + 2):
         rows.append(
             SpectrumRow(
                 p ** ((2 * e + 1 - s) * (n - 2)),
-                (p ** (n - 1) - 1) * theta(n, p ** (s - 2)),
+                (p ** (n - 1) - 1) * theta(n, power(s - 2)),
                 f"{p}^{e}[s={s}]",
             )
         )
-    return SpectrumTable(n=n, m=p**e, rows=tuple(rows))
+    return SpectrumTable(n=n, m=power(e), rows=tuple(rows))
 
 
 def spectrum_general(n: int, m: int | Modulus) -> SpectrumTable:
@@ -137,7 +147,7 @@ def spectrum_general(n: int, m: int | Modulus) -> SpectrumTable:
             lam *= r.eigenvalue
             mult *= r.multiplicity
         rows.append(SpectrumRow(lam, mult, " x ".join(r.provenance for r in combo)))
-    return SpectrumTable(n=n, m=mod.value, rows=tuple(rows))
+    return SpectrumTable(n=n, m=mod, rows=tuple(rows))
 
 
 # -------------------- exact rank / nullity --------------------
@@ -454,11 +464,6 @@ def verify_spectrum(m: ExactMatrix, table: SpectrumTable) -> VerificationReport:
 # -------------------- eigenvector families --------------------
 
 
-def eigvec_all_ones(space: ProjectiveSpace) -> list[int]:
-    """The all-ones vector; eigenvector for the top eigenvalue (= row sum)."""
-    return [1] * len(space)
-
-
 def _base_level(size: int) -> np.ndarray:
     """[1 | e_i - e_last] of order ``size``: the all-ones column, then for
     j >= 1 column j is e_(j-1) - e_(size-1)."""
@@ -466,14 +471,6 @@ def _base_level(size: int) -> np.ndarray:
     v[:, 0] = 1
     v[-1, 1:] = -1
     return v
-
-
-def eigvec_R_d(space: ProjectiveSpace) -> ExactMatrix:
-    """Prime case: the theta - 1 columns (e_i - e_last); each has
-    eigenvalue p^(n-2).  Columns are independent (identity top block)."""
-    if not (space.m.is_prime_power and space.m.prime_power()[1] == 1):
-        raise DomainError(f"the difference columns need a prime modulus, got {space.m.value}")
-    return ExactMatrix(_base_level(len(space))[:, 1:])
 
 
 def eigvec_differences(partition: KPartition) -> ExactMatrix:
@@ -631,8 +628,6 @@ __all__ = [
     "SpectrumTable",
     "VerificationReport",
     "eigenbasis_nullities",
-    "eigvec_R_d",
-    "eigvec_all_ones",
     "eigvec_differences",
     "eigvec_family_general",
     "eigvec_family_prime_power",

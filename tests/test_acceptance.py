@@ -13,7 +13,7 @@ import numpy as np
 from zmspec import cli
 from zmspec.cli import main
 from zmspec.counting import LayerSpec, count_layer
-from zmspec.matrices import build_A, build_B_product
+from zmspec.matrices import ExactMatrix, build_A, build_B_product
 from zmspec.modular import euler_phi
 from zmspec.projective import (
     enumerate_space,
@@ -24,8 +24,6 @@ from zmspec.projective import (
     theta,
 )
 from zmspec.spectrum import (
-    eigvec_R_d,
-    eigvec_all_ones,
     eigvec_differences,
     eigvec_family_general,
     eigvec_family_prime_power,
@@ -187,11 +185,16 @@ def test_criterion_8_eigenvector_families(capsys):
     with capsys.disabled(), criterion(
         8, "every exhibited eigenvector family has zero residual and full claimed rank"
     ):
-        # prime case: all-ones and the difference columns
+        # prime case: the family's all-ones column 0 and the difference
+        # columns e_i - e_last after it
         space32, b32 = B_of(3, 2)
-        ones = eigvec_all_ones(space32)
+        v32 = eigvec_family_general(space32).matrix().array
+        ones = v32[:, 0].tolist()
+        assert ones == [1] * theta(3, 2)
         assert b32.matvec(ones) == [9 * x for x in ones]
-        rd = eigvec_R_d(space32)
+        rd = ExactMatrix(v32[:, 1:])
+        assert rd.to_lists() == [[int(i == j) - int(i == rd.rows - 1) for j in range(rd.cols)]
+                                 for i in range(rd.rows)]
         for j in range(rd.cols):
             col = [rd[i, j] for i in range(rd.rows)]
             assert b32.matvec(col) == [2 * x for x in col]

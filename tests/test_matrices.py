@@ -13,7 +13,7 @@ from zmspec.counting import xi_data
 from zmspec.errors import DomainError, UnsupportedError
 from zmspec.matrices import (
     ExactMatrix,
-    _exact_dtype,
+    _product_dtype,
     _storage_dtype,
     apply_simultaneous_permutation,
     block_C,
@@ -123,6 +123,43 @@ def test_int64_boundary_matches_python_ints(data, monkeypatch):
     assert m.row_sums() == [sum(r) for r in data]
 
 
+# the results at the edges of the int8, int16 and int32 storage bounds,
+# just inside and just outside, of either sign
+EDGES = [sign * t for k in (7, 15, 31) for t in (2**k - 1, 2**k) for sign in (1, -1)]
+
+
+@pytest.mark.parametrize("t", EDGES)
+def test_results_at_the_storage_edges_match_python_ints(t):
+    # every integer operation runs in the narrowest dtype of its bound, so
+    # a bound that missed an operand, a partial sum or the result would
+    # wrap at these values
+    half = t // 2
+    assert (ExactMatrix([[t - half, 1]]) + ExactMatrix([[half, -1]])).to_lists() == [[t, 0]]
+    assert (ExactMatrix([[t - half, 1]]) - ExactMatrix([[-half, 1]])).to_lists() == [[t, 0]]
+    assert (ExactMatrix([[1, -1, 0]]) * t).to_lists() == [[t, -t, 0]]
+    assert (-1 * ExactMatrix([[t, -t]])).to_lists() == [[-t, t]]
+    assert ExactMatrix([[t - half, 3], [5, half]]).trace() == t
+    assert ExactMatrix([[t - half, half], [half, t - half]]).row_sums() == [t, t]
+    # a^2 + 2c = t with a = t mod 2
+    low = t % 2
+    assert ExactMatrix([[low, 1], [(t - low) // 2, 0]]).trace_of_square() == t
+    # one factor 2 (t even) or 1 (t odd) times t / that factor
+    two = 2 - low
+    product = tensor_product(ExactMatrix([[two, -1], [1, 0]]), ExactMatrix([[t // two]]))
+    assert product.to_lists() == [[t, -(t // two)], [t // two, 0]]
+    # M V = V diag(tags) for the symmetric M = [[x, y], [y, x]] with x + y = t
+    m = ExactMatrix([[t - half, half], [half, t - half]])
+    v = ExactMatrix([[1, 1], [1, -1]])
+    assert m.scales_columns(v, [t, t - 2 * half])
+    assert not m.scales_columns(v, [t - 1, t - 2 * half])
+    assert ExactMatrix([[t]]).scales_columns(ExactMatrix.identity(1), [t])
+    assert not ExactMatrix([[t]]).scales_columns(ExactMatrix.identity(1), [t + 1])
+    # a small tag equal to t's low byte: a comparison in the tags' dtype
+    # rather than the product's would wrap t onto it
+    low_byte = (t + 2**7) % 2**8 - 2**7
+    assert ExactMatrix([[t]]).scales_columns(ExactMatrix.identity(1), [low_byte]) == (low_byte == t)
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 def test_float64_tier_ends_below_2_53(sign):
     # (2^27 + 1) * (2^26 + 1) = 2^53 + 2^27 + 2^26 + 1 is odd and above
@@ -130,9 +167,9 @@ def test_float64_tier_ends_below_2_53(sign):
     a, b = 2**27 + 1, 2**26 + 1
     assert (ExactMatrix([[sign * a]]) @ ExactMatrix([[b]])).to_lists() == [[sign * a * b]]
     assert ExactMatrix([[sign * a]]).matvec([b]) == [sign * a * b]
-    assert _exact_dtype(a, b, a * b, blas=True) is object
-    assert _exact_dtype(a, b - 2, a * (b - 2), blas=True) is np.float64
-    assert _exact_dtype(a, b - 2, a * (b - 2)) is np.int64
+    assert _product_dtype(a, b, a * b) is object
+    assert _product_dtype(a, b - 2, a * (b - 2)) is np.float64
+    assert _storage_dtype(a, b - 2, a * (b - 2)) is np.int64
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -142,9 +179,9 @@ def test_float32_tier_ends_below_2_24(sign):
     a = b = 2**12 + 1
     assert (ExactMatrix([[sign * a]]) @ ExactMatrix([[b]])).to_lists() == [[sign * a * b]]
     assert ExactMatrix([[sign * a]]).matvec([b]) == [sign * a * b]
-    assert _exact_dtype(a, b, a * b, blas=True) is np.float64
+    assert _product_dtype(a, b, a * b) is np.float64
     # (2^12 + 1)(2^12 - 1) = 2^24 - 1
-    assert _exact_dtype(a, b - 2, a * (b - 2), blas=True) is np.float32
+    assert _product_dtype(a, b - 2, a * (b - 2)) is np.float32
     assert (ExactMatrix([[sign * a]]) @ ExactMatrix([[b - 2]])).to_lists() == [[sign * (2**24 - 1)]]
 
 
@@ -298,7 +335,7 @@ def test_build_A_tiles_match_the_int64_gram_matrix(tile, monkeypatch):
     monkeypatch.setattr(matrices, "_A_TILE", tile)
     for n, m in ((3, 4), (3, 6), (4, 3)):
         space = enumerate_space(n, m)
-        assert _exact_dtype(m - 1, n * (m - 1) ** 2, blas=True) is np.float32
+        assert _product_dtype(m - 1, n * (m - 1) ** 2) is np.float32
         gram = space.coords @ space.coords.T
         a = build_A(space)
         assert a.array.dtype == np.int8
@@ -309,7 +346,7 @@ def test_build_A_in_the_float64_tier():
     # n(m-1)^2 = 2 * 2902^2 is above 2^24, so the Gram tiles are float64;
     # the 2904 rows make 12 panels of 242
     space = enumerate_space(2, 2903)
-    assert _exact_dtype(2902, 2 * 2902**2, blas=True) is np.float64
+    assert _product_dtype(2902, 2 * 2902**2) is np.float64
     a = build_A(space).array
     assert a.dtype == np.int8
     coords = space.coords
@@ -400,7 +437,7 @@ def test_scales_columns_is_exact_past_the_int64_bound(tile, monkeypatch):
         big = b * (1 << shift)
         # the product is past float64 (max|B| = 3, order 7); its bound is
         # below 2^62 at 2^50, so the comparison is int64, and above at 2^60
-        assert _exact_dtype(big.max_abs(), 1, big.max_abs() * 7, blas=True) is object
+        assert _product_dtype(big.max_abs(), 1, big.max_abs() * 7) is object
         tags = [lam << shift for lam in family.tags]
         assert big.scales_columns(v, tags)
         # off in the lowest bit, which no float of this size holds
@@ -451,6 +488,16 @@ def test_constructions_hold_no_wide_temporary():
     a = build_A(space)
     assert _traced_peak(build_A, space) <= 2 * order**2
     assert _traced_peak(build_B_product, a) <= 3 * order**2
+
+
+def test_scales_columns_compares_in_the_narrow_dtype():
+    # B_{3,10} V has the bound 18 * 217 < 2^15: the comparison of each tile
+    # in int16 instead of int64 took its peak from 1466 to about 830 KiB
+    space = enumerate_space(3, 10)
+    b = build_B_product(build_A(space))
+    family = eigvec_family_general(space)
+    v = family.matrix()
+    assert _traced_peak(lambda tags: b.scales_columns(v, tags), family.tags) <= 1024 * 1024
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc thresholds")

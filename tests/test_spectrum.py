@@ -16,9 +16,11 @@ from zmspec import spectrum
 from zmspec.errors import DomainError
 from zmspec.matrices import (
     ExactMatrix,
+    _entry_table,
     build_A,
     build_B_product,
 )
+from zmspec.modular import Modulus
 from zmspec.projective import delta_map, enumerate_space, k_partition, theta
 from zmspec.spectrum import (
     SpectrumRow,
@@ -26,8 +28,6 @@ from zmspec.spectrum import (
     _bareiss_rank,
     _rank_mod_p,
     eigenbasis_nullities,
-    eigvec_R_d,
-    eigvec_all_ones,
     eigvec_differences,
     eigvec_family_general,
     eigvec_family_prime_power,
@@ -107,6 +107,25 @@ def test_general_table_examples():
 def test_table_rejects_wrong_total():
     with pytest.raises(DomainError):
         SpectrumTable(n=3, m=2, rows=(SpectrumRow(9, 1, "x"),))
+    with pytest.raises(DomainError):
+        SpectrumTable(n=3, m=Modulus(1009**3, ((1009, 3),)), rows=(SpectrumRow(9, 1, "x"),))
+
+
+def test_tables_past_the_factorization_bound():
+    # p^e = 1009^3 > 10^9 is never factorized: the tables use the given
+    # factorization, where they once raised "exceeds the factorization bound"
+    p = 1009
+    mod = Modulus(p**3, ((p, 3),))
+    table = spectrum_prime_power(3, p, 3)
+    assert table.m == p**3 and table.total_multiplicity == theta(3, mod)
+    assert [(r.eigenvalue, r.multiplicity) for r in table.rows] == [
+        (p**4 * (p + 1) ** 2, 1), (p**5, p**2 + p), (p**4, (p**2 - 1) * (p**2 + p + 1)),
+        (p**3, (p**2 - 1) * p**2 * (p**2 + p + 1))]
+    both = spectrum_general(3, Modulus(2 * p**3, ((2, 1), (p, 3))))
+    assert both.m == 2 * p**3 and len(both.rows) == 2 * 4
+    assert both.total_multiplicity == theta(3, 2) * theta(3, mod)
+    # phi(p^3) = p^2 (p - 1): the entries over nu = 0..3 for n = 3
+    assert _entry_table(p, 3, 3) == [1, p, p**2, p**2 * (p + 1)]
 
 
 # -------------------- exact rank / nullity --------------------
@@ -543,35 +562,39 @@ def test_verify_rejects_mismatched_order():
 # -------------------- eigenvector families --------------------
 
 
+def _difference_columns(space):
+    """Columns 1..theta-1 of the family over a prime m, with their tags."""
+    family = eigvec_family_general(space)
+    return ExactMatrix(family.matrix().array[:, 1:]), family.tags[1:]
+
+
 def test_all_ones_eigenvector():
-    space, b = B_of(3, 2)
-    ones = eigvec_all_ones(space)
-    assert b.matvec(ones) == [9] * 7
-
-    space4, b4 = B_of(3, 4)
-    assert b4.matvec(eigvec_all_ones(space4)) == [36] * 28
-
-    space22, b22 = B_of(2, 2)
-    assert b22.matvec(eigvec_all_ones(space22)) == [1] * 3
+    # column 0 of every family is the all-ones vector, tagged with the row sum
+    for (n, m), top in (((3, 2), 9), ((3, 4), 36), ((2, 2), 1)):
+        space, b = B_of(n, m)
+        family = eigvec_family_general(space)
+        ones = family.matrix().array[:, 0].tolist()
+        assert ones == [1] * len(space) and family.tags[0] == top
+        assert b.matvec(ones) == [top] * len(space)
 
 
 def test_R_d_columns():
     space, b = B_of(3, 2)
-    rd = eigvec_R_d(space)
-    assert rd.cols == 6
+    rd, tags = _difference_columns(space)
+    # e_i - e_last: the identity over a row of -1
+    assert rd.to_lists() == np.vstack([np.eye(6, dtype=int), -np.ones((1, 6), int)]).tolist()
+    assert tags == (2,) * 6
     for j in range(6):
         col = [rd[i, j] for i in range(7)]
         assert b.matvec(col) == [2 * x for x in col]
     assert exact_rank(rd) == 6
 
     space23, b23 = B_of(2, 3)
-    rd23 = eigvec_R_d(space23)
+    rd23, tags23 = _difference_columns(space23)
+    assert rd23.cols == 3 and tags23 == (1,) * 3
     for j in range(rd23.cols):
         col = [rd23[i, j] for i in range(rd23.rows)]
         assert b23.matvec(col) == col  # eigenvalue 3^0 = 1
-
-    with pytest.raises(DomainError):
-        eigvec_R_d(enumerate_space(3, 4))
 
 
 def test_difference_vectors():
