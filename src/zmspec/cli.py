@@ -341,7 +341,7 @@ def check_eigenvectors(grid: Iterable[tuple[int, int]]) -> tuple | None:
     eigvec_family_general over P_{n,m} proves exactly the multiplicities of
     the closed-form table of B_{n,m}, built over the same space.  The
     certificate checks every column's residual and proves the full rank of
-    V over Q from the family's construction, which gives the columns of
+    V over Q from the labels V is built from, which gives the columns of
     each eigenvalue full column rank."""
     for n, m in grid:
         space = enumerate_space(n, m)

@@ -8,23 +8,23 @@ theta_{n,p^(s-2)}.  For composite m every choice of one row per
 prime-power factor contributes the product eigenvalue with the product
 multiplicity.
 
-The module constructs every eigenvector family the theory exhibits: the
-all-ones vector, the prime-case difference columns, the fiber-difference
-vectors, fiber-constant lifts from the previous prime-power level, and
-CRT-permuted Kronecker products.  A family is an ``EigenFamily``: the
-eigenvalue tags together with the arrays V is built from, which are the
-level-1 order of each prime-power factor, the K-partition of each lift
-and the CRT permutation of each Kronecker fold.  ``matrix()`` builds V
-from them with array operations (a lift is one row gather through the
-reduction map, a fold one Kronecker product with its rows scattered by
-the CRT permutation): an int8 matrix whose column j is an eigenvector
-with eigenvalue tags[j].  The family is built over a space the caller
-passes in, with its rows in that space's order; the K-partitions are
-taken top down from it, so each level's space is the base of the level
-above, and each factor and partial-product space is enumerated once.
+The module constructs every eigenvector family the theory exhibits from
+one description, an ``EigenFamily``: the eigenvalue tags together with
+the label of every point's class mod p^k, for each prime power p^e of m
+and each level k <= e, read from the coordinates of the space the
+caller passes in through ``point_keys``.  ``matrix()`` builds V from the
+labels alone.  Per prime power it starts from the all-ones vector and
+lifts it level by level: the columns of level k - 1 are repeated on the
+classes above each class, and the differences e_c - e_l of the classes
+under one class below join them (at level 1, the prime-case difference
+columns; at level e, the fiber differences).  Row x of V is the
+Kronecker product of each factor's row at x's top label, which is the
+CRT.  V is an int8 matrix whose column j is an eigenvector with
+eigenvalue tags[j], its rows in the order of the space; no other space
+is enumerated.
 
 Verification first certifies the whole spectrum at once from that
-eigenbasis: V has full rank over the rationals, proved from the arrays
+eigenbasis: V has full rank over the rationals, proved from the labels
 it is built from without any elimination, and B V == V D, with D the
 diagonal of the tags, checked exactly by ``ExactMatrix.scales_columns``
 in the square tiles B itself is built in, which says B V_lambda ==
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
@@ -53,9 +54,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .matrices import ExactMatrix, crt_permutation, is_permutation, tensor_product
+from .matrices import ExactMatrix, is_permutation
 from .modular import Modulus, as_modulus, is_prime
-from .projective import KPartition, ProjectiveSpace, enumerate_space, k_partition, theta
+from .projective import KPartition, ProjectiveSpace, enumerate_space, point_keys, theta
 
 
 @dataclass(frozen=True)
@@ -286,10 +287,10 @@ def eigenbasis_nullities(m: ExactMatrix, family: EigenFamily) -> dict[int, int] 
     lambda.  Two exact checks:
 
     1. V is order x order of full rank over the rationals, proved from the
-       arrays V is built from, in O(theta) array checks and with no
-       elimination (below);
+       labels V is built from, in O(theta log theta) array checks and with
+       no elimination (below);
     2. M V == V D, with D the diagonal of the tags and V the matrix
-       ``family.matrix()`` builds from the same arrays, by one call of
+       ``family.matrix()`` builds from the same labels, by one call of
        ``M.scales_columns(V, tags)``: M V is formed tile by tile in the
        float tier of its checked bound and each tile is compared with the
        tags times V's entries in an integer dtype that holds both sides,
@@ -297,46 +298,48 @@ def eigenbasis_nullities(m: ExactMatrix, family: EigenFamily) -> dict[int, int] 
        Column by column this says M V_lambda == lambda V_lambda for every
        distinct tag.
 
-    The rank follows from the family's construction, one step at a time:
+    The rank follows from one rule on the labels.  For each factor i, let
+    L_1, ..., L_e be its levels and L_0 = 0.  The family is accepted iff
+    every level is an int64 array with one label per row, and
 
-    - **Base.** Level 1 of a prime-power factor is [1 | e_i - e_last] of
-      order theta_1 >= 1.  The differences are independent and span the
-      vectors whose entries sum to zero, and 1 lies outside that span, so
-      the rank is theta_1.
-    - **Lift.** Level k is [V_{k-1}[beta] | D], with beta the partition's
-      ``base_position`` and D the fiber differences of its ``positions``,
-      an l x theta_{k-1} array with l >= 1: D has one column
-      e_x - e_y for each point x of the fiber over base point j other than
-      y = positions[l-1, j], with x = positions[a, j].  The lift is
-      accepted iff ``positions.ravel()`` is a permutation of
-      range(theta_k), theta_k = len(beta), and beta[positions[h]] ==
-      range(theta_{k-1}) for every row h.  Then the fibers {positions[h, j]}
-      partition the rows into theta_{k-1} sets of l points, and beta is j
-      on fiber j, so beta is onto and w -> w[beta] maps R^theta_{k-1} one
-      to one onto F, the vectors constant on each fiber: V_{k-1}[beta]
-      has rank rank(V_{k-1}) and lies in F.  Each fiber's l - 1 columns of
-      D are independent and span its sum-zero vectors, so D spans Z, the
-      vectors that sum to zero on each fiber, with rank
-      theta_{k-1} (l - 1).  F and Z are orthogonal complements, so the
-      ranks add: rank(V_k) = theta_{k-1} l = theta_k.
-    - **Kronecker.** A fold is P (V1 (x) V2), whose rows are those of the
-      Kronecker product scattered by the CRT ``forward`` array.  It is
-      accepted iff ``forward`` is a permutation of range(theta1 * theta2);
-      then P is a permutation matrix, and the rank is
-      rank(V1) * rank(V2) = theta1 * theta2.
+    - each L_k covers range(c_k), c_k = max(L_k) + 1: every label below
+      c_k is some row's;
+    - each L_k refines L_{k-1}: the rows of one class c of L_k share one
+      label parent_k[c] of L_{k-1};
+    - the joint top labels, the mixed-radix numbers (L_e of factor 1, L_e
+      of factor 2, ...), are a permutation of range(prod_i c_e), and that
+      product is the order.
 
-    So V has full rank theta, and theta must equal the order of M.  By (1)
-    V is invertible, so (2) gives M = V D V^-1, hence M - lambda*I =
-    V (D - lambda*I) V^-1 and the nullity of M - lambda*I is the number of
-    tags equal to lambda, for every integer lambda.  Nothing is assumed
-    about M or about where the arrays came from; a wrong description can
-    only make a check fail.  The checks are plain comparisons, so they
-    hold under ``python -O``.
+    Then, one step at a time:
+
+    - **Lift.** Factor i is built on its classes: V_0 = [1], and V_k is
+      [V_{k-1}[parent_k] | D_k], with D_k one column e_c - e_l for each
+      class c of L_k other than the last class l under its parent.  Every
+      class of L_{k-1} is some row's, and that row's class in L_k lies
+      under it, so parent_k is onto range(c_{k-1}), and w -> w[parent_k]
+      maps R^c_{k-1} one to one onto F, the vectors constant on the
+      fibers of parent_k: V_{k-1}[parent_k] has rank rank(V_{k-1}) and
+      lies in F.  The columns of one fiber are independent and span its
+      sum-zero vectors, so D_k spans Z, the vectors that sum to zero on
+      each fiber, with rank c_k - c_{k-1}.  F and Z are orthogonal
+      complements, so the ranks add: V_k is c_k x c_k of rank c_k, by
+      induction from V_0.  (V_1 is [1 | e_i - e_last].)
+    - **Fold.** Row x of V is the Kronecker product of factor i's row
+      V_e[L_e(x)] over the factors, which is row j(x) of the Kronecker
+      product of the V_e, with j(x) the joint top label of x.  That
+      product is square of rank prod_i c_e, the order, and j is a
+      permutation, so V is a row permutation of it.
+
+    So V is invertible: by (1) its rank is the order of M, and (2) gives
+    M = V D V^-1, hence M - lambda*I = V (D - lambda*I) V^-1 and the
+    nullity of M - lambda*I is the number of tags equal to lambda, for
+    every integer lambda.  Nothing is assumed about M or about where the
+    labels came from; wrong labels can only make a check fail.  The checks
+    are plain comparisons, so they hold under ``python -O``.
 
     Returns {lambda: number of tags equal to lambda}, or None when a step
-    declines: a tag count or the proved order is not M's order, a lift or
-    a fold fails its check, or a residual is nonzero.  A decline proves
-    nothing either way.
+    declines: the tag count is not M's order, the labels fail the rule,
+    or a residual is nonzero.  A decline proves nothing either way.
     """
     if not m.is_square:
         raise DomainError("nullity needs a square matrix")
@@ -464,15 +467,6 @@ def verify_spectrum(m: ExactMatrix, table: SpectrumTable) -> VerificationReport:
 # -------------------- eigenvector families --------------------
 
 
-def _base_level(size: int) -> np.ndarray:
-    """[1 | e_i - e_last] of order ``size``: the all-ones column, then for
-    j >= 1 column j is e_(j-1) - e_(size-1)."""
-    v = np.eye(size, k=1, dtype=np.int8)
-    v[:, 0] = 1
-    v[-1, 1:] = -1
-    return v
-
-
 def eigvec_differences(partition: KPartition) -> ExactMatrix:
     """Fiber-difference vectors: +1 at u in K_a, -1 at the K_l point with
     the same reduction, for a < l; eigenvalue p^(e(n-2)).  Coordinates
@@ -489,96 +483,84 @@ def eigvec_differences(partition: KPartition) -> ExactMatrix:
 
 @dataclass(frozen=True, eq=False)
 class EigenFamily:
-    """The eigenvector family of B_{n,m}, kept as the arrays V is built from.
+    """The eigenvector family of B_{n,m}, kept as the point labels V is
+    built from.
 
-    Column j of V is an eigenvector with eigenvalue ``tags[j]``.  Prime-power
-    factor i of m starts from level 1, [1 | e_i - e_last] of order
-    ``bases[i]`` = theta_{n,p}, and is lifted through each K-partition of
-    ``lifts[i]``, bottom up: level k is [V_{k-1}[base_position] | D], with
-    D the fiber differences of the partition's ``positions``.  The factors
-    are folded together in order: fold i is the Kronecker product of the
-    family so far and factor i + 1, its rows scattered by the CRT
-    ``forward`` array ``folds[i]``.
+    Column j of V is an eigenvector with eigenvalue ``tags[j]``.
+    ``levels[i][k-1]`` is the int64 label of every row's point mod p_i^k,
+    p_i^e_i the i-th prime power of m: points with the same label are one
+    point of P_{n,p_i^k}, and the labels are 0, 1, ... in the order of
+    their ``point_keys``.  Factor i is built on these classes, bottom up:
+    V_0 = [1], and level k is [V_{k-1}[parent_k] | D_k], with parent_k the
+    class below each class of level k and D_k one column e_c - e_l for
+    every class c other than the last class l under its parent.  The
+    factors' top levels are folded by Kronecker products, and row x of V
+    is the row of the Kronecker product at the joint top label of x.
 
-    ``matrix()`` builds V from these arrays only, and
-    ``eigenbasis_nullities`` proves the rank of V from the same arrays, so
+    ``matrix()`` builds V from the labels only, and
+    ``eigenbasis_nullities`` proves the rank of V from the same labels, so
     the certificate needs no elimination.  Only ``eigvec_family_general``
     builds a family."""
 
     tags: tuple[int, ...] = field(repr=False)
-    bases: tuple[int, ...]
-    lifts: tuple[tuple[KPartition, ...], ...] = field(repr=False)
-    folds: tuple[np.ndarray, ...] = field(repr=False)
+    levels: tuple[tuple[np.ndarray, ...], ...] = field(repr=False)
 
     def matrix(self) -> ExactMatrix:
         """V as an int8 theta x theta matrix (its entries are 0 and +-1),
         its rows in the order of the space the family was built on."""
-        def factor(i: int) -> ExactMatrix:
-            v = _base_level(self.bases[i])
-            for partition in self.lifts[i]:
-                v = np.hstack([v[partition.base_position], eigvec_differences(partition).array])
-            return ExactMatrix(v)
+        v = None
+        for labels in self.levels:
+            w, below = np.ones((1, 1), dtype=np.int8), 0
+            for level in labels:
+                w, below = _lift(w, _parents(level, below)), level
+            # each point's row of the factor, unless the points are in label
+            # order already (a lex-ordered prime space), and row by row the
+            # Kronecker product with the factors before it
+            w = w if np.array_equal(below, np.arange(len(w))) else w[below]
+            v = w if v is None else (v[:, :, None] * w[:, None, :]).reshape(len(w), -1)
+        return ExactMatrix(v)
 
-        v = factor(0)
-        for i, forward in enumerate(self.folds, 1):
-            kron = tensor_product(v, factor(i)).array
-            rows = np.empty_like(kron)
-            rows[forward] = kron
-            v = ExactMatrix(rows)
-        return v
+
+def _parents(level: np.ndarray, below) -> np.ndarray:
+    """For each label c of ``level``, the label ``below`` gives a point of
+    class c: for labels that nest, the one it gives every such point."""
+    parent = np.zeros(int(level.max()) + 1, dtype=np.int64)
+    parent[level] = below
+    return parent
+
+
+def _lift(v: np.ndarray, parent: np.ndarray) -> np.ndarray:
+    """[v[parent] | D] as one int8 array, with D one column e_c - e_l for
+    each class c, in order, other than the last class l of its parent."""
+    classes, below = np.arange(parent.size), len(v)
+    last = np.full(below, -1)
+    np.maximum.at(last, parent, classes)
+    rest = np.flatnonzero(last[parent] != classes)
+    out = np.zeros((parent.size, below + rest.size), dtype=np.int8)
+    out[:, :below] = v[parent]
+    cols = np.arange(below, out.shape[1])
+    out[rest, cols] = 1
+    out[last[parent[rest]], cols] = -1
+    return out
 
 
 def _proves_full_rank(family: EigenFamily, order: int) -> bool:
-    """Whether the family's arrays pass the base, lift and Kronecker checks
-    of ``eigenbasis_nullities``, which prove that V is order x order of
-    full rank."""
-    if not len(family.bases) == len(family.lifts) == len(family.folds) + 1:
-        return False
-    sizes = []
-    for size, lifts in zip(family.bases, family.lifts):
-        if size < 1:
-            return False
-        for partition in lifts:
-            positions, beta = partition.positions, partition.base_position
-            if not (
-                positions.ndim == 2 and len(positions) >= 1 and positions.shape[1] == size
-                and beta.ndim == 1 and beta.dtype.kind in "iu"
-                and is_permutation(positions.ravel(), beta.size)
-                and (beta[positions] == np.arange(size)).all()
-            ):
+    """Whether the family's labels pass the rule of
+    ``eigenbasis_nullities``, which proves that V is order x order of full
+    rank."""
+    tops = []
+    for labels in family.levels:
+        below = 0
+        for level in labels:
+            if not (level.shape == (order,) and level.dtype == np.int64
+                    and level.min() >= 0 and level.max() < order
+                    and np.bincount(level).all()
+                    and (_parents(level, below)[level] == below).all()):
                 return False
-            size = beta.size
-        sizes.append(size)
-    total = sizes[0]
-    for forward, size in zip(family.folds, sizes[1:]):
-        total *= size
-        if not is_permutation(forward, total):
-            return False
-    return total == order
-
-
-def _prime_power_factor(
-    space: ProjectiveSpace,
-) -> tuple[tuple[int, ...], int, tuple[KPartition, ...]]:
-    """The eigenvalue tags of the family of B_{n,p^e} over the given space
-    P_{n,p^e}, the order theta_{n,p} of its level 1, and its K-partitions
-    bottom up.
-
-    The K-partitions are taken top down, each partition's base space
-    being the next level, down to P_{n,p}.  Level 1 is tagged theta_{n-1,p}^2
-    for all-ones and p^(n-2) for each difference column; at each lift the
-    lifted tags scale by p^(2n-4), and the fiber differences are tagged
-    p^(e(n-2))."""
-    partitions: list[KPartition] = []
-    while space.m.prime_power()[1] > 1:
-        partitions.append(k_partition(space))
-        space = partitions[-1].base_space
-    n, p = space.n, space.m.value
-    tags = (theta(n - 1, p) ** 2,) + (p ** (n - 2),) * (len(space) - 1)
-    for partition in reversed(partitions):
-        tags = tuple(p ** (2 * n - 4) * lam for lam in tags)
-        tags += (p ** (partition.e * (n - 2)),) * (partition.positions.size - len(tags))
-    return tags, len(space), tuple(reversed(partitions))
+            below = level
+        tops.append(below)
+    counts = [int(np.max(top)) + 1 for top in tops]
+    return math.prod(counts) == order and is_permutation(np.ravel_multi_index(tops, counts), order)
 
 
 def eigvec_family_prime_power(
@@ -597,28 +579,22 @@ def eigvec_family_general(space: ProjectiveSpace) -> EigenFamily:
     P_{n,m}: V is theta x theta, its rows in the space's order, and
     column j is an eigenvector with eigenvalue tags[j].
 
-    The prime-power families of the factors of m are folded together one
-    factor at a time: the Kronecker product of the two V, its rows
-    re-indexed by the CRT permutation onto the space of the product of the
-    factors so far, tagged with the products of the factors' eigenvalues
-    in the same order.  Each proper factor space and each partial-product
-    space is enumerated once, in lex order, with the size of ``space`` as
-    the limit; ``space`` itself is not enumerated again."""
-    def space_of(m: int) -> ProjectiveSpace:
-        return space if m == space.m.value else enumerate_space(space.n, m, guardrail=len(space))
-
-    so_far, *factors = [space_of(p**e) for p, e in space.m.factors]
-    tags, base, lifts = _prime_power_factor(so_far)
-    bases, all_lifts, folds = [base], [lifts], []
-    for factor in factors:
-        factor_tags, base, lifts = _prime_power_factor(factor)
-        target = space_of(so_far.m.value * factor.m.value)
-        folds.append(crt_permutation(so_far, factor, target))
-        bases.append(base)
-        all_lifts.append(lifts)
+    For each prime power p^e of m and each level k <= e, the labels are
+    the ``np.unique`` indices of the ``point_keys`` of the space's own
+    coordinates mod p^k; no other space is enumerated.  A factor's
+    all-ones column is tagged p^(2(e-1)(n-2)) theta_{n-1,p}^2 and its
+    level-k difference columns p^((2e-k)(n-2)); a Kronecker fold takes
+    the products of the factors' tags in the same order."""
+    n, tags, levels = space.n, (1,), []
+    for p, e in space.m.factors:
+        factor_tags, labels = (theta(n - 1, p) ** 2 * p ** (2 * (e - 1) * (n - 2)),), []
+        for k in range(1, e + 1):
+            keys, level = np.unique(point_keys(space.coords, p**k), return_inverse=True)
+            factor_tags += (p ** ((2 * e - k) * (n - 2)),) * (keys.size - len(factor_tags))
+            labels.append(level)
         tags = tuple(lam1 * lam2 for lam1 in tags for lam2 in factor_tags)
-        so_far = target
-    return EigenFamily(tags, tuple(bases), tuple(all_lifts), tuple(folds))
+        levels.append(tuple(labels))
+    return EigenFamily(tags, tuple(levels))
 
 
 __all__ = [

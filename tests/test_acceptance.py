@@ -218,9 +218,9 @@ def test_criterion_8_eigenvector_families(capsys):
             eigvec_family_prime_power(3, 2, 2)[1]
         )
         assert cli.check_eigenvectors([(3, 4), (3, 6)]) is None
-        # the certificate proves the rank of V from the family's construction;
-        # elimination is the independent oracle, on a prime power, a lift
-        # and Kronecker folds
+        # the certificate proves the rank of V from the family's labels;
+        # elimination is the independent oracle, on a prime power with two
+        # levels and on Kronecker folds
         for n, m in [(3, 4), (3, 6), (3, 12)]:
             v = eigvec_family_general(enumerate_space(n, m)).matrix()
             assert exact_rank(v) == v.rows == theta(n, m)

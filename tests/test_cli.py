@@ -199,11 +199,12 @@ def test_each_space_is_scanned_once_per_command(monkeypatch, capsys):
     assert scans == {(3, 2): 1, (3, 9): 1, (3, 18): 1}
     scans.clear()
     assert run(capsys, "spectrum", "-n", "2", "-m", "30", "--verify")[0] == 0
-    # the family is built over the space of B's row labels
-    assert scans == {(2, 2): 1, (2, 3): 1, (2, 5): 1, (2, 6): 1, (2, 30): 1}
+    # the family is labelled from the coordinates of B's row labels, so no
+    # factor, partial product or lower level is enumerated
+    assert scans == {(2, 30): 1}
     scans.clear()
     assert cli.check_eigenvectors([(3, 4)]) is None
-    assert scans == {(3, 4): 1, (3, 2): 1}
+    assert scans == {(3, 4): 1}
 
 
 def test_verification_builds_no_point_objects(monkeypatch, capsys):

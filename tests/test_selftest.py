@@ -47,16 +47,15 @@ def _perturbed(spectrum):
     return wrong
 
 
-def _repeated_vector(family):
-    """The top K-partition's class K_1 replaced by K_0, so the family's
-    difference columns for K_0 appear twice."""
+def _repeated_label(family):
+    """Point 1 given point 0's top label in the first factor, so two rows
+    of V are equal."""
     def wrong(space):
         right = family(space)
-        *below, top = right.lifts[0]
-        positions = top.positions.copy()
-        positions[1] = positions[0]
-        lifts = ((*below, replace(top, positions=positions)), *right.lifts[1:])
-        return replace(right, lifts=lifts)
+        *below, top = right.levels[0]
+        top = top.copy()
+        top[1] = top[0]
+        return replace(right, levels=((*below, top), *right.levels[1:]))
     return wrong
 
 
@@ -69,7 +68,7 @@ CORRUPTIONS = [
     ("tensor-similarity", "tensor_product", _entry_plus_one),
     ("count-2x2-exhaustion", "count_2x2", _plus_one),
     ("layer-counts", "count_layer", _plus_one),
-    ("eigenvector-families", "eigvec_family_general", _repeated_vector),
+    ("eigenvector-families", "eigvec_family_general", _repeated_label),
     ("structural-identities", "block_C_reference", _entry_plus_one),
 ]
 

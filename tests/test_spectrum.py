@@ -289,50 +289,57 @@ def test_verify_falls_back_on_labels_that_are_not_the_points():
     _assert_decided_by_bareiss(ExactMatrix(b.array, shuffled, shuffled), spectrum_general(3, 4))
 
 
-def _with_top_lift(family, **changes):
-    """The family with the top K-partition of its first factor changed."""
-    *below, top = family.lifts[0]
-    return replace(family, lifts=((*below, replace(top, **changes)), *family.lifts[1:]))
+def _with_levels(family, *levels):
+    """The family with the levels of its first factor replaced."""
+    return replace(family, levels=(tuple(levels), *family.levels[1:]))
 
 
 def _crossing_difference(family):
-    """Two points of K_0 swapped between the fibers over base points 0 and
-    1, so the first difference column of the lift crosses two fibers."""
-    positions = family.lifts[0][-1].positions.copy()
-    positions[0, [0, 1]] = positions[0, [1, 0]]
-    return _with_top_lift(family, positions=positions)
+    """One point's level-2 label moved into a class under another level-1
+    label, so the levels do not nest and that class's difference column
+    crosses two fibers."""
+    level1, level2, *above = family.levels[0]
+    moved = level2.copy()
+    moved[0] = level2[np.argmax(level1 != level1[0])]
+    return _with_levels(family, level1, moved, *above)
 
 
 def _base_position_not_onto(family):
-    """The reduction map sends the fiber over base point 0 to base point 1."""
-    beta = family.lifts[0][-1].base_position.copy()
-    beta[beta == 0] = 1
-    return _with_top_lift(family, base_position=beta)
+    """The last level-1 label renumbered one higher, so a label id is
+    skipped and the level-2 classes do not reach every level-1 label."""
+    level1, *above = family.levels[0]
+    skipped = level1.copy()
+    skipped[skipped == skipped.max()] += 1
+    return _with_levels(family, skipped, *above)
 
 
 def _crt_slot_used_twice(family):
-    """The first fold sends pairs 0 and 1 to the same point."""
-    forward = family.folds[0].copy()
-    forward[1] = forward[0]
-    return replace(family, folds=(forward, *family.folds[1:]))
+    """Point 1 given the labels of point 0 in every factor, so two points
+    have the same joint top labels."""
+    levels = []
+    for labels in family.levels:
+        top = labels[-1].copy()
+        top[1] = top[0]
+        levels.append((*labels[:-1], top))
+    return replace(family, levels=tuple(levels))
 
 
-def _repeated_class(family):
-    """K_1 replaced by K_0, so the difference columns of K_0 appear twice."""
-    positions = family.lifts[0][-1].positions.copy()
-    positions[1] = positions[0]
-    return _with_top_lift(family, positions=positions)
+def _repeated_level(family):
+    """The top level replaced by the level below it: V keeps the lifted
+    columns only, and the label counts multiply to less than the order."""
+    *below, _ = family.levels[0]
+    return _with_levels(family, *below, below[-1])
 
 
 @pytest.mark.parametrize(
     "n, m, corrupt",
-    [(3, 4, _crossing_difference), (3, 4, _base_position_not_onto), (3, 6, _crt_slot_used_twice)],
+    [(3, 8, _crossing_difference), (3, 4, _base_position_not_onto), (3, 6, _crt_slot_used_twice)],
     ids=["crossing-difference", "base-position-not-onto", "crt-slot-used-twice"],
 )
 def test_certificate_declines_on_a_corrupted_description(monkeypatch, n, m, corrupt):
     space, b = B_of(n, m)
     family = corrupt(eigvec_family_general(space))
-    # refused by the construction checks, before any residual is formed
+    # refused by the label checks, before any residual is formed
     assert not spectrum._proves_full_rank(family, len(space))
     assert eigenbasis_nullities(b, family) is None
     _force_family(monkeypatch, family)
@@ -341,8 +348,9 @@ def test_certificate_declines_on_a_corrupted_description(monkeypatch, n, m, corr
 
 def test_certificate_declines_on_corrupted_vector(monkeypatch):
     # descriptions that pass the rank checks, with columns that are not
-    # eigenvectors: a wrong tag, and two rows of V swapped by a CRT
-    # forward that is still a permutation; only the residual declines
+    # eigenvectors: a wrong tag, and the mod-3 top labels of two points
+    # with one mod-2 label swapped, which swaps two rows of V; only the
+    # residual declines
     space, b = B_of(3, 4)
     family = eigvec_family_general(space)
     wrong_tag = replace(family, tags=family.tags[:5] + family.tags[:1] + family.tags[6:])
@@ -351,9 +359,15 @@ def test_certificate_declines_on_corrupted_vector(monkeypatch):
 
     space6, b6 = B_of(3, 6)
     family6 = eigvec_family_general(space6)
-    forward = family6.folds[0].copy()
-    forward[[0, 1]] = forward[[1, 0]]
-    swapped = replace(family6, folds=(forward,))
+    (mod2,), (mod3,) = family6.levels
+    pair = [0, np.argmax((mod2 == mod2[0]) & (mod3 != mod3[0]))]
+    swapped_labels = mod3.copy()
+    swapped_labels[pair] = mod3[pair[::-1]]
+    swapped = replace(family6, levels=((mod2,), (swapped_labels,)))
+    rows = np.arange(91)
+    rows[pair] = rows[pair[::-1]]
+    assert spectrum._proves_full_rank(swapped, 91)
+    assert np.array_equal(swapped.matrix().array, family6.matrix().array[rows])
     assert exact_rank(swapped.matrix()) == 91
     assert eigenbasis_nullities(b6, swapped) is None
 
@@ -361,13 +375,14 @@ def test_certificate_declines_on_corrupted_vector(monkeypatch):
     _assert_decided_by_bareiss(b, spectrum_general(3, 4))
 
 
-def test_certificate_declines_on_duplicated_column(monkeypatch):
+def test_certificate_declines_on_a_repeated_level(monkeypatch):
     space, b = B_of(3, 4)
-    family = _repeated_class(eigvec_family_general(space))
+    family = _repeated_level(eigvec_family_general(space))
     v = family.matrix()
     # every column is still an eigenvector, so only the rank check can decline
-    assert np.array_equal((b @ v).array, v.array * np.array(family.tags))
-    assert exact_rank(v) < v.rows
+    assert v.cols == 7 and exact_rank(v) == 7 < v.rows
+    assert np.array_equal((b @ v).array, v.array * np.array(family.tags[: v.cols]))
+    assert not spectrum._proves_full_rank(family, len(space))
     assert eigenbasis_nullities(b, family) is None
     _force_family(monkeypatch, family)
     _assert_decided_by_bareiss(b, spectrum_general(3, 4))
@@ -385,9 +400,9 @@ def test_certificate_is_exact_past_the_int64_bound():
     # V is still invertible here, so the residual, on Python ints, declines
     huge = replace(family, tags=tuple(lam << 61 for lam in family.tags))
     assert eigenbasis_nullities(big, huge) is None
-    # orders that do not match: a tag short, and a level 1 of another order
+    # orders that do not match: a tag short, and labels of another order
     assert eigenbasis_nullities(b, replace(family, tags=family.tags[:-1])) is None
-    assert eigenbasis_nullities(b, replace(family, bases=(8,))) is None
+    assert eigenbasis_nullities(b, replace(family, levels=((np.arange(8),),))) is None
 
 
 def test_certificate_holds_no_float_copy_of_B():
@@ -406,7 +421,7 @@ def test_certificate_holds_no_float_copy_of_B():
 @pytest.mark.parametrize("n, m", [(3, 6), (3, 8), (4, 4), (3, 12), (2, 12)])
 def test_certificate_runs_no_elimination(monkeypatch, n, m):
     # prime powers, lifts and Kronecker folds: every row is proved from the
-    # family's construction, with both elimination kernels unavailable
+    # family's labels, with both elimination kernels unavailable
     def refuse(*args):
         raise AssertionError("the certificate ran an elimination")
 
@@ -610,6 +625,19 @@ def test_difference_vectors():
     assert exact_rank(diffs) == 21
 
 
+@pytest.mark.parametrize("n, m", [(3, 4), (3, 8), (3, 9), (4, 4)])
+def test_top_level_spans_the_fiber_differences(n, m):
+    # eigvec_differences over the K-partition is the reference for the
+    # family's top level: its columns, tagged p^(e(n-2)), span one space
+    space = enumerate_space(n, m)
+    p, e = space.m.prime_power()
+    family = eigvec_family_general(space)
+    top = ExactMatrix(family.matrix().array[:, np.array(family.tags) == p ** (e * (n - 2))])
+    reference = eigvec_differences(k_partition(space))
+    both = ExactMatrix(np.hstack([top.array, reference.array]))
+    assert exact_rank(top) == exact_rank(reference) == exact_rank(both) == reference.cols
+
+
 def test_lift_examples():
     # the first theta(3,2) columns of the (3,4) family lift the (3,2) family
     part = k_partition(enumerate_space(3, 4))
@@ -674,13 +702,16 @@ def _family_digest(data) -> str:
     return hashlib.sha256(json.dumps(data).encode()).hexdigest()
 
 
-# sha256 of json [tags, rows of V], recorded from the list-building families
-# of earlier releases: the pair has their column order, signs and tags
+# sha256 of json [tags, rows of V].  The square-free ones were recorded from
+# the list-building families of earlier releases, and the pair keeps their
+# column order, signs and tags.  Where e >= 2, the difference columns of a
+# level follow the order of its point keys, which the K-partitions of
+# earlier releases did not; per tag, the columns span the same space.
 FAMILY_DIGESTS = {
-    (3, 4): "981a349eb43fc126bea7666e5ae9727aa905be2a01734cbf803299fa916e3b46",
+    (3, 4): "8208e461d9c8b7174afeda7ca338c54f1f56f005618eb9792df69b57f045c664",
     (3, 6): "308ddd83b7718b0c21ea652d2575092deacaca8c94b219dee3e5f7509c8db099",
     (2, 30): "37bfbfcfdac928fd985e1711a5c1def18520c9881595f63cea087df0b966e72a",
-    (3, 12): "4e55d44c98894f9193883c03ae43361ab7305bfa8be84437a0e8e68871ecc069",
+    (3, 12): "86b6ea849f0d792212ccd8d2fe4831b0b6825b7038c49fe30529d254d0d1f970",
     (4, 6): "7df1bd03a3f090e47df33bb7005aeaf4b5b34899ef774fab4292eb1fbd848ea1",
     (2, 105): "16043665588b4f42f6e1fd5f5c6dee5ef3d3fd1955966e910d2742a542eea5a6",
 }
@@ -697,7 +728,7 @@ def test_family_digest(n, m):
 def test_prime_power_family_list_digest():
     _, family = eigvec_family_prime_power(3, 2, 4)
     assert _family_digest([[lam, vec] for lam, vec in family]) == (
-        "60c1f1d8faf275bded774b942ee28595ec0d1d647862af5a366dff93fd485b73"
+        "40021ebf3e974c3a6097fc6decc21fe33ea4fd942c8336401e0471af9a0173f8"
     )
 
 
