@@ -6,6 +6,19 @@ mod p^e, the layer counts for the pair of inner-product equations
 count these differences produce.  Exhaustive brute-force counters are
 first-class operations so every closed form can be checked against a
 scan.
+
+Both brute-force counters run through one scan kernel, ``_scan``: the
+tuples to scan are the columns of an int64 enumeration grid
+(``_scan_grid``), and one integer product of the equations' coefficient
+rows with the grid, reduced mod q, marks the solutions.  A grid depends
+only on (q, step, n), so repeated scans of one modulus and layer build
+it once and share it read-only.  The products are exact in int64 while
+n(q-1)(q-step) < 2^63, which ``_scan`` checks before anything is built.
+The public counters stay below a third of that bound: the factorization
+bound keeps q at most 10^9, ``BRUTE_LAYER_LIMIT`` keeps n at most 20 once
+a coordinate takes two values, and the one-tuple layer g = e has
+q - step = 0.  The scan shares nothing with the closed forms: no minor,
+valuation or gcd enters it.
 """
 
 from __future__ import annotations
@@ -22,6 +35,12 @@ from .projective import ProjectivePoint
 
 BRUTE_MODULUS_LIMIT = 64
 BRUTE_LAYER_LIMIT = 1 << 20
+# the scan grids kept for reuse, and the most tuples a kept grid has: every
+# 2x2 grid (at most 64^2 tuples) and every layer of the benchmark and the
+# battery fits, while a larger layer's grid costs a scan's worth to build
+# and is made afresh
+_SCAN_GRIDS = 16
+_KEPT_GRID_TUPLES = 1 << 12
 
 
 @lru_cache(maxsize=None)
@@ -66,13 +85,50 @@ def count_2x2_brute(a: int, b: int, c: int, d: int, p: int, e: int) -> int:
     """Exhaustive count over all p^(2e) pairs (oracle for the closed form)."""
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
+    if e < 1:
+        raise DomainError(f"exponent must be >= 1, got {e}")
     q = p**e
     if q > BRUTE_MODULUS_LIMIT:
         raise GuardrailError(f"brute-force scan limited to p^e <= {BRUTE_MODULUS_LIMIT}")
-    xs = np.arange(q, dtype=np.int64)
-    first = (np.add.outer(a % q * xs % q, b % q * xs % q) % q) == 0
-    second = (np.add.outer(c % q * xs % q, d % q * xs % q) % q) == 0
-    return int(np.count_nonzero(first & second))
+    return _scan(((a, b), (c, d)), q, 1)
+
+
+@lru_cache(maxsize=_SCAN_GRIDS)
+def _scan_grid(q: int, step: int, n: int) -> np.ndarray:
+    """The read-only int64 n x N array whose columns are every n-tuple
+    with entries 0, step, 2*step, ... below q, in lex order; step = q
+    gives the one zero tuple.
+
+    Cached for the grids of at most ``_KEPT_GRID_TUPLES`` tuples, which
+    ``_scan`` looks up here; it calls ``_scan_grid.__wrapped__`` for a
+    larger one.  A kept grid with N >= 2 has n <= 12 (2^n <= N), so it
+    takes at most 12 * 2^12 * 8 bytes = 384 KiB, and the cache's 16
+    grids at most 6 MiB; a one-tuple grid takes n * 8 bytes.  The 15
+    grids of a crosscheck benchmark run, its warm-up included, take
+    36 KiB together."""
+    values = np.arange(0, q, step, dtype=np.int64)
+    grid = values[np.indices((len(values),) * n).reshape(n, -1)]
+    grid.flags.writeable = False
+    return grid
+
+
+def _scan(rows: tuple[tuple[int, ...], ...], q: int, step: int) -> int:
+    """Number of columns w of the grid ``_scan_grid(q, step, n)``, n the
+    length of each row, with <r, w> = 0 mod q for every coefficient row r.
+
+    The rows are reduced mod q as Python ints, so entries of any size are
+    fine, and then multiply the grid in int64: each sum is n products of
+    a reduced coefficient (at most q - 1) and a grid entry (at most
+    q - step), so it is exact while n(q-1)(q-step) < 2^63.  A plain
+    comparison checks that before any array is made, so it holds under
+    ``python -O``; GuardrailError otherwise."""
+    n = len(rows[0])
+    if n * (q - 1) * (q - step) >= 1 << 63:
+        raise GuardrailError(f"a scan of {n}-tuples mod {q} in steps of {step} "
+                             "would overflow int64")
+    coeffs = np.array([[x % q for x in row] for row in rows], dtype=np.int64)
+    build = _scan_grid if (q // step) ** n <= _KEPT_GRID_TUPLES else _scan_grid.__wrapped__
+    return int(np.count_nonzero((coeffs @ build(q, step, n) % q == 0).all(axis=0)))
 
 
 @dataclass(frozen=True)
@@ -158,17 +214,9 @@ def count_layer_brute(u: ProjectivePoint, v: ProjectivePoint, g: int) -> int:
     """Exhaustive scan of the layer (oracle for count_layer)."""
     p, e = _check_pair(u, v)
     size = layer_scan_size(LayerSpec(g=g, p=p, e=e, n=u.dimension))
-    q = p**e
-    step = p**g
     if size > BRUTE_LAYER_LIMIT:
         raise GuardrailError(f"layer scan of {size} tuples exceeds the oracle scale")
-    values = np.arange(0, q, step, dtype=np.int64) if g < e else np.array([0], dtype=np.int64)
-    # column t of the grid is the t-th tuple of the layer
-    grid = values[np.indices((len(values),) * u.dimension).reshape(u.dimension, -1)]
-    uu = np.array(u.coords, dtype=np.int64)
-    vv = np.array(v.coords, dtype=np.int64)
-    hits = ((uu @ grid) % q == 0) & ((vv @ grid) % q == 0)
-    return int(np.count_nonzero(hits))
+    return _scan((u.coords, v.coords), p**e, p**g)
 
 
 def count_primitive(u: ProjectivePoint, v: ProjectivePoint) -> int:

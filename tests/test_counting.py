@@ -1,9 +1,11 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zmspec import counting
 from zmspec.counting import (
     LayerSpec,
     count_2x2,
@@ -12,6 +14,7 @@ from zmspec.counting import (
     count_layer_brute,
     count_primitive,
     good_pair,
+    layer_scan_size,
     xi_data,
 )
 from zmspec.errors import DomainError, GuardrailError
@@ -50,6 +53,79 @@ def test_count_2x2_sampled_large_moduli(quad, pe):
     a, b, c, d = quad
     p, e = pe
     assert count_2x2(a, b, c, d, p, e) == count_2x2_brute(a, b, c, d, p, e)
+
+
+@pytest.mark.parametrize("coeffs", [(2**70 + 1, -3, -(2**65), 7), (-1, 2**64, 2**63, -(2**70)),
+                                    (-(2**70), -(2**70), 2**70 - 1, 3)])
+@pytest.mark.parametrize("p,e", [(2, 1), (2, 3), (3, 2), (5, 1), (2, 6)])
+def test_count_2x2_brute_reduces_coefficients_of_any_size(coeffs, p, e):
+    assert count_2x2_brute(*coeffs, p, e) == count_2x2(*coeffs, p, e)
+
+
+@pytest.mark.parametrize("q,step,n", [(4, 1, 2), (5, 1, 2), (8, 2, 3), (9, 3, 3), (8, 8, 3),
+                                      (27, 9, 2), (64, 1, 2), (2, 1, 5), (1009, 1009, 2)])
+def test_scan_grid_lists_the_tuples_in_lex_order(q, step, n):
+    grid = counting._scan_grid(q, step, n)
+    values = np.arange(0, q, step, dtype=np.int64) if step < q else np.array([0], dtype=np.int64)
+    expected = values[np.indices((len(values),) * n).reshape(n, -1)]
+    assert grid.dtype == np.int64 and np.array_equal(grid, expected)
+    assert [tuple(w) for w in grid.T] == sorted(itertools.product(values.tolist(), repeat=n))
+    with pytest.raises(ValueError):
+        grid[0, 0] = 1
+    assert counting._scan_grid(q, step, n) is grid
+
+
+def test_scan_grid_cache_is_bounded():
+    info = counting._scan_grid.cache_info()
+    assert info.maxsize == counting._SCAN_GRIDS < 100
+    # the docstring's worst case: 12 coordinates of 2 values, 8 bytes each
+    assert 12 * 2**12 * 8 * counting._SCAN_GRIDS <= 6 << 20
+    assert "6 MiB" in counting._scan_grid.__doc__
+    # a grid above the kept size is built for its scan alone
+    u, v = canonical_rep((0, 0, 1), 32), canonical_rep((0, 1, 0), 32)
+    assert layer_scan_size(LayerSpec(g=0, p=2, e=5, n=3)) > counting._KEPT_GRID_TUPLES
+    assert count_layer_brute(u, v, 0) == count_layer(u, v, LayerSpec(g=0, p=2, e=5, n=3))
+    assert counting._scan_grid.cache_info()[1:] == info[1:]
+
+
+def test_refused_scans_build_no_grid(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("a refused scan reached the kernel")
+
+    monkeypatch.setattr(counting, "_scan", no_scan)
+    info = counting._scan_grid.cache_info()
+    with pytest.raises(GuardrailError):
+        count_2x2_brute(1, 0, 0, 1, 2, 7)  # q = 128 > 64
+    with pytest.raises(DomainError):
+        count_2x2_brute(1, 0, 0, 1, 4, 1)  # 4 is not prime
+    for e in (0, -1):  # q = 1 and q = 1/2, as count_2x2 refuses them
+        with pytest.raises(DomainError, match="exponent"):
+            count_2x2_brute(1, 0, 0, 1, 2, e)
+    u, v = canonical_rep((0, 0, 1), 128), canonical_rep((0, 1, 0), 128)
+    with pytest.raises(GuardrailError):
+        count_layer_brute(u, v, 0)  # 2^21 tuples
+    with pytest.raises(DomainError):
+        count_layer_brute(u, v, 8)  # g > e
+    with pytest.raises(DomainError):
+        count_layer_brute(u, canonical_rep((0, 1, 0), 64), 0)  # two moduli
+    with pytest.raises(DomainError):
+        count_layer_brute(u, canonical_rep((0, 1), 128), 0)  # two dimensions
+    with pytest.raises(DomainError):
+        count_layer_brute(canonical_rep((0, 1), 6), canonical_rep((1, 0), 6), 0)  # composite
+    assert counting._scan_grid.cache_info() == info
+
+
+def test_scan_refuses_sums_past_int64():
+    info = counting._scan_grid.cache_info()
+    # n(q-1)(q-step) >= 2^63: refused before a grid (of 4 and 64 tuples) is built
+    with pytest.raises(GuardrailError, match="int64"):
+        counting._scan(((1, 1), (1, 1)), 2**32, 2**31)
+    with pytest.raises(GuardrailError, match="int64"):
+        counting._scan(((1,) * 3,), 2**32, 2**30)
+    assert counting._scan_grid.cache_info() == info
+    # one below the bound, and a one-tuple grid whose entries are all zero
+    assert counting._scan(((1, 1), (1, 1)), 2**31, 2**30) == 2
+    assert counting._scan(((2**70 + 5, -3),), 2**62, 2**62) == 1
 
 
 def test_xi_data_equal_points():

@@ -604,6 +604,20 @@ def test_permutation_validation():
     assert apply_simultaneous_permutation(m, (2, 0, 1))[0, 1] == m[2, 0]
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_simultaneous_permutation_equals_the_ix_gather(seed):
+    # seed 0 has entries past 2^62, so an object array
+    rng = np.random.default_rng(seed)
+    size = 5 + 9 * seed
+    data = rng.integers(-100, 100, size=(size, size))
+    m = ExactMatrix(data.astype(object) * 2**70 if seed == 0 else data)
+    assert (m.array.dtype == object) == (seed == 0)
+    forward = rng.permutation(size)
+    conj = apply_simultaneous_permutation(m, forward)
+    assert conj.array.dtype == m.array.dtype
+    assert np.array_equal(conj.array, m.array[np.ix_(forward, forward)])
+
+
 def test_crt_permutation_examples():
     perm = _crt(2, 2, 3)
     s1 = enumerate_space(2, 2)
