@@ -27,8 +27,7 @@ from .errors import DomainError, GuardrailError
 from .matrices import (
     ExactMatrix,
     apply_simultaneous_permutation,
-    block_C,
-    block_C_reference,
+    block_identity,
     build_A,
     build_B_analytic,
     build_B_product,
@@ -42,7 +41,6 @@ from .projective import (
     ProjectiveSpace,
     canonical_rep,
     enumerate_space,
-    k_partition,
     orbit_size,
     point_label,
     points_to_csv,
@@ -355,8 +353,11 @@ def check_structure(
     grid: tuple[Iterable[tuple[int, int, int]], Iterable[tuple[int, int, int]]],
 ) -> tuple | None:
     """Criterion 9: the point count and the orbit sizes phi(m) on the
-    (n, m, theta) items, and the block identity C_ab = reference on the
-    K-partitions of the (n, p, e) items; ``grid`` is the pair of lists."""
+    (n, m, theta) items, and the block identity on the (n, p, e) items:
+    B_{n,p^e} in the k-grouped order, whose l = p^(n-1) row slices are
+    the classes of the K-partition, equals ``block_identity`` of the
+    lex-ordered B_{n,p^(e-1)}, every block C_ab in one comparison;
+    ``grid`` is the pair of lists."""
     points, blocks = grid
     for n, m, count in points:
         space = enumerate_space(n, m, "lex")
@@ -366,11 +367,9 @@ def check_structure(
         if any(orbit_size(pt) != phi for pt in space.points):
             return (n, m, "orbit size")
     for n, p, e in blocks:
-        part = k_partition(enumerate_space(n, p**e))
-        big, base = _build_b(part.space), _build_b(part.base_space)
-        for a, b in itertools.product(range(part.l), repeat=2):
-            if block_C(a, b, part, big) != block_C_reference(a, b, part, base):
-                return (n, p, e, a, b)
+        base = _build_b(enumerate_space(n, p ** (e - 1)))
+        if _build_b(enumerate_space(n, p**e, "k-grouped")) != block_identity(n, p, e, base):
+            return (n, p, e)
     return None
 
 

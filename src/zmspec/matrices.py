@@ -4,9 +4,10 @@ The incidence matrix A (1 where two points have vanishing inner
 product), its Gram matrix B = A*A^t built two independent ways (exact
 product and the closed-form prime-power entry), Kronecker products, the
 CRT relabeling that exhibits B_{n,m} as a tensor product over the
-prime-power factors, and the fiber-aligned blocks of B over a
-K-partition.  A labelled matrix carries the space of its rows and that of
-its columns, and a permutation is an int64 index array.  All arithmetic
+prime-power factors, and the whole k-grouped B that the paper's block
+identity predicts from the B one level down.  A labelled matrix
+carries the space of its rows and that of its columns, and a
+permutation is an int64 index array.  All arithmetic
 is exact, and one rule, ``_storage_dtype``, picks every integer dtype
 from a checked bound: the narrowest of int8, int16, int32 and int64 that
 holds every value below the bound (2^7, 2^15, 2^31 and 2^62), and Python
@@ -77,7 +78,8 @@ import numpy as np
 
 from .counting import xi_data
 from .errors import DomainError, UnsupportedError
-from .projective import KPartition, ProjectivePoint, ProjectiveSpace, point_keys
+from .modular import is_prime
+from .projective import ProjectivePoint, ProjectiveSpace, point_keys, theta
 
 # every integer of absolute value at most this is a float32, or a float64
 _FLOAT32_LIMIT = 1 << 24
@@ -658,49 +660,30 @@ def apply_simultaneous_permutation(m: ExactMatrix, forward: np.ndarray) -> Exact
     return ExactMatrix(m.array[f][:, f])
 
 
-def block_C(a: int, b: int, partition: KPartition, big_b: ExactMatrix) -> ExactMatrix:
-    """The K_a x K_b block of B, rows/columns aligned by base-point position
-    so that pairs with equal reductions sit on the block diagonal.  It is
-    unlabelled: no space has the points of one class K_a.
+def block_identity(n: int, p: int, e: int, base_b: ExactMatrix) -> ExactMatrix:
+    """The paper's block identity for B_{n,p^e}, p prime, e >= 2, as the whole
+    matrix it predicts in the k-grouped order, from the lex-ordered
+    B' = B_{n,p^(e-1)}:
 
-    B's rows follow the space of its row labels, which must be P_{n,m} of
-    the partition (DomainError otherwise), and the partitioned space's
-    order when it has none.  A B labelled by the partitioned space itself
-    is indexed by the partition's positions directly; over another space
-    object its rows are found by ``positions`` in B's space, which sorts
-    its point keys once for all the blocks."""
-    if not 0 <= a < partition.l or not 0 <= b < partition.l:
-        raise DomainError(f"class indices must lie in [0, {partition.l})")
-    space, rows = partition.space, big_b.row_labels
-    if big_b.rows != len(space):
-        raise DomainError("matrix order does not match the partitioned space")
-    positions = partition.positions
-    # B over the partitioned space itself has its rows at the positions already
-    if rows is not None and rows is not space:
-        if (rows.n, rows.m) != (space.n, space.m):
-            raise DomainError(f"B is labelled by P_{{{rows.n},{rows.m.value}}}, not by "
-                              f"the partitioned P_{{{space.n},{space.m.value}}}")
-        # the row of B holding each point of the partition
-        positions = rows.positions(space.coords)[positions]
-    return ExactMatrix(big_b.array[np.ix_(positions[a], positions[b])])
+        J_l (x) (p^(n-3) B' - p^((e-1)(n-2)-1) I) + p^(e(n-2)) I,
 
-
-def block_C_reference(
-    a: int, b: int, partition: KPartition, base_b: ExactMatrix
-) -> ExactMatrix:
-    """The predicted block: p^(n-3) * B_{n,p^(e-1)} - p^((e-1)(n-2)-1) * I,
-    plus p^(e(n-2)) * I on the diagonal blocks.  Defined for n >= 3 only
-    (the leading coefficient is fractional at n = 2)."""
-    p, e, n = partition.p, partition.e, partition.n
+    J_l the all-ones l x l matrix, l = p^(n-1).  In the k-grouped order
+    the class K_a is rows a*theta' .. (a+1)*theta' - 1, each class sorted
+    by the lex position of its reduction, so block (a, b) of the result is
+    C_ab = p^(n-3) B' - p^((e-1)(n-2)-1) I, plus p^(e(n-2)) I when a = b.
+    Defined for n >= 3 only (the leading coefficient is fractional at
+    n = 2).  The result is unlabelled."""
     if n < 3:
         raise UnsupportedError("the block identity needs n >= 3")
-    if base_b.rows != len(partition.base_space):
-        raise DomainError("base matrix order does not match the base space")
+    if e < 2 or not is_prime(p):
+        raise DomainError(f"the block identity needs a prime p and e >= 2, got {p}^{e}")
+    if not base_b.is_square or base_b.rows != theta(n, p ** (e - 1)):
+        raise DomainError(f"base matrix order does not match P_{{{n},{p ** (e - 1)}}}")
     ident = ExactMatrix.identity(base_b.rows)
-    out = p ** (n - 3) * base_b - p ** ((e - 1) * (n - 2) - 1) * ident
-    if a == b:
-        out = out + p ** (e * (n - 2)) * ident
-    return out
+    block = p ** (n - 3) * base_b - p ** ((e - 1) * (n - 2) - 1) * ident
+    ones = ExactMatrix(np.ones((p ** (n - 1),) * 2, dtype=_storage_dtype(1)))
+    whole = tensor_product(ones, block)
+    return whole + p ** (e * (n - 2)) * ExactMatrix.identity(whole.rows)
 
 
 # -------------------- export --------------------
@@ -896,8 +879,7 @@ def to_table(m: ExactMatrix) -> str:
 __all__ = [
     "ExactMatrix",
     "apply_simultaneous_permutation",
-    "block_C",
-    "block_C_reference",
+    "block_identity",
     "build_A",
     "build_B_analytic",
     "build_B_product",

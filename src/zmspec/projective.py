@@ -4,31 +4,33 @@ P_{n,m} is the set of primitive n-tuples mod m (gcd of all entries and m
 equal to 1) taken modulo scaling by units.  This module enumerates the
 point set, fixes canonical orbit representatives, computes the point
 count, and implements the reduction map between prime-power levels
-together with its fibers and the partition of P_{n,p^e} into fiber
-transversals K_1, ..., K_{p^(n-1)}.
+together with its fibers.  The partition of P_{n,p^e} into fiber
+transversals K_1, ..., K_{p^(n-1)} is the k-grouped space: its classes
+are consecutive slices of its rows.
 
 A space is its coordinate array: row i of ``ProjectiveSpace.coords`` is
 the canonical representative of point i.  The enumeration builds, as one
 array in lex order, the primitive tuples whose first nonzero entry
 divides m, and keeps the first of each point key, which is the orbit
-minimum; the k-grouped space is the lex array with its rows reordered.
+minimum; the k-grouped space is the lex array with its rows reordered
+by ``_k_grouped_order``.
 ``ProjectivePoint`` objects are built only when ``points`` is first
 read, and each checks its row by the unit walk ``_is_orbit_minimum``.
 Which point a coordinate tuple represents is decided in one place,
 ``point_keys``: one int64 key per tuple, equal for two tuples iff they
 represent the same point.  ``ProjectiveSpace.positions`` maps any array
 of tuples to points by looking their keys up among the space's own keys,
-sorted once per space.  The reduction map behind the K-partition and the
-CRT map behind the tensor lemma are such lookups, and the closed-form B
+sorted once per space.  The reduction map behind the k-grouped order and
+the CRT map behind the tensor lemma are such lookups, and the closed-form B
 compares the keys of its points at each level p^k.  ``canonical_rep``,
 ``delta_map`` and ``fiber`` compute the same answers one point at a time
 and are kept as independent oracles.
 
 Each space is scanned once per command: whatever needs a space takes the
 space itself, and a labelled matrix carries the space of its rows and
-columns.  ``k_partition`` takes P_{n,p^e} and enumerates only its base
-P_{n,p^(e-1)}, with the size of the space it came from as the limit, so
-a user's limit enters only through ``enumerate_space``.
+columns.  The k-grouped P_{n,p^e} enumerates its base P_{n,p^(e-1)}
+with its own size as the limit, so a user's limit enters only through
+the space asked for.
 """
 
 from __future__ import annotations
@@ -323,8 +325,11 @@ def enumerate_space(
 
     ``lex`` orders points by their canonical coordinate tuples.
     ``k-grouped`` (prime powers p^e with e >= 2 only) concatenates the
-    partition classes K_1..K_{p^(n-1)}, each sorted by the position of
-    its reduction in the lex-ordered base space P_{n,p^(e-1)}.
+    classes K_1..K_l of the K-partition, l = p^(n-1), each of
+    theta' = theta_{n,p^(e-1)} points sorted by the position of their
+    reduction in the lex-ordered base space P_{n,p^(e-1)}: rows
+    h*theta' .. (h+1)*theta' - 1 are K_{h+1}, and rows i and j lie over
+    one base point iff i = j mod theta'.
     """
     if n < 2:
         raise DomainError(f"dimension must be >= 2, got {n}")
@@ -349,9 +354,33 @@ def enumerate_space(
     space = ProjectiveSpace(n, mod, "lex", coords)
     if ordering == "lex":
         return space
-    grouped = coords[k_partition(space).positions.ravel()]
+    grouped = coords[_k_grouped_order(space)]
     grouped.flags.writeable = False
     return ProjectiveSpace(n, mod, ordering, grouped)
+
+
+def _k_grouped_order(space: ProjectiveSpace) -> np.ndarray:
+    """The lex positions of the points of P_{n,p^e} in k-grouped order:
+    K_1, ..., K_l, l = p^(n-1), where K_h holds the h-th member (in lex
+    order) of the fiber over every base point of P_{n,p^(e-1)}, in the
+    lex order of the base points.  Each class meets every fiber once.
+
+    Only the base space is enumerated, in lex order, with the space's
+    size as its limit.  The reduction map is one lookup: the base space's
+    ``positions`` of the coordinates of every point.  A stable sort keeps
+    each fiber in the space's lex order."""
+    p, e = space.m.prime_power()
+    base = enumerate_space(space.n, p ** (e - 1), "lex", guardrail=len(space))
+    reduction = base.positions(space.coords)
+    size = p ** (space.n - 1)
+    sizes = np.bincount(reduction, minlength=len(base))
+    if (sizes != size).any():
+        pos = int(np.argmax(sizes != size))
+        raise DomainError(
+            f"fiber over base point {pos} has size {sizes[pos]}, expected {size}"
+        )
+    # column u of the reshape is the fiber over base point u, so row h is K_h
+    return np.argsort(reduction, kind="stable").reshape(len(base), size).T.ravel()
 
 
 def neighborhood(u: ProjectivePoint, space: ProjectiveSpace) -> list[ProjectivePoint]:
@@ -425,71 +454,6 @@ def rho_fiber_size(v: ProjectivePoint, p: int, e: int, n: int) -> int:
     return count
 
 
-@dataclass(frozen=True, eq=False)
-class KPartition:
-    """Partition of P_{n,p^e} into l = p^(n-1) transversals of all fibers.
-
-    Class K_h collects, for every base point u of P_{n,p^(e-1)} in lex
-    order, the h-th member (lex rank) of the fiber over u.  Each class
-    therefore meets every fiber exactly once, and within a class points
-    are aligned with the lex order of their reductions.
-
-    ``positions`` is the read-only l x theta_{n,p^(e-1)} array whose row h
-    holds the positions in ``space`` of the points of K_h, and
-    ``base_position[i]`` is the position in ``base_space`` of the
-    reduction of point i of ``space``.  ``classes``, the points of each
-    K_h, is read from ``positions`` the first time it is asked for.
-    """
-
-    p: int
-    e: int
-    n: int
-    base_space: ProjectiveSpace
-    space: ProjectiveSpace
-    positions: np.ndarray = field(repr=False)
-    base_position: np.ndarray = field(repr=False)
-
-    @property
-    def l(self) -> int:
-        return self.positions.shape[0]
-
-    @cached_property
-    def classes(self) -> tuple[tuple[ProjectivePoint, ...], ...]:
-        points = self.space.points
-        return tuple(tuple(map(points.__getitem__, row)) for row in self.positions.tolist())
-
-
-def k_partition(space: ProjectiveSpace) -> KPartition:
-    """Build the canonical fiber-transversal partition of the space
-    P_{n,p^e}, with positions in the space's own order.
-
-    Only the base space P_{n,p^(e-1)} is enumerated, in lex order, with
-    the space's size as its limit.  The reduction map is one lookup: the
-    base space's ``positions`` of the coordinates of every point.
-    A stable sort keeps each fiber in the space's order, which is its lex
-    order in both the lex and the k-grouped ordering."""
-    p, e = space.m.prime_power()
-    if e < 2:
-        raise DomainError(f"the partition needs e >= 2, got e = {e}")
-    n = space.n
-    base_space = enumerate_space(n, p ** (e - 1), "lex", guardrail=len(space))
-    base_position = base_space.positions(space.coords)
-
-    size = p ** (n - 1)
-    sizes = np.bincount(base_position, minlength=len(base_space))
-    if (sizes != size).any():
-        pos = int(np.argmax(sizes != size))
-        raise DomainError(
-            f"fiber over base point {pos} has size {sizes[pos]}, expected {size}"
-        )
-
-    # column u of the reshape is the fiber over base point u, so row h is K_h
-    order = np.argsort(base_position, kind="stable")
-    positions = np.ascontiguousarray(order.reshape(len(base_space), size).T)
-    positions.flags.writeable = base_position.flags.writeable = False
-    return KPartition(p, e, n, base_space, space, positions, base_position)
-
-
 def points_to_csv(space: ProjectiveSpace) -> str:
     """Point list as CSV: index column plus one column per coordinate."""
     buf = io.StringIO()
@@ -507,7 +471,6 @@ def orbit_size(pt: ProjectivePoint) -> int:
 
 
 __all__ = [
-    "KPartition",
     "ProjectivePoint",
     "ProjectiveSpace",
     "canonical_rep",
@@ -515,7 +478,6 @@ __all__ = [
     "enumerate_space",
     "fiber",
     "is_primitive",
-    "k_partition",
     "neighborhood",
     "orbit_size",
     "point_keys",

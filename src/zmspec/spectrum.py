@@ -21,7 +21,9 @@ columns; at level e, the fiber differences).  Row x of V is the
 Kronecker product of each factor's row at x's top label, which is the
 CRT.  V is an int8 matrix whose column j is an eigenvector with
 eigenvalue tags[j], its rows in the order of the space; no other space
-is enumerated.
+is enumerated.  ``eigvec_differences`` builds the fiber differences a
+second way, from the row slices of the k-grouped space alone (its
+classes K_1, ..., K_l), as the tests' reference for the top level.
 
 Verification first certifies the whole spectrum at once from that
 eigenbasis: V has full rank over the rationals, proved from the labels
@@ -56,7 +58,7 @@ import numpy as np
 from .errors import DomainError
 from .matrices import ExactMatrix, is_permutation
 from .modular import Modulus, as_modulus, is_prime
-from .projective import KPartition, ProjectiveSpace, enumerate_space, point_keys, theta
+from .projective import ProjectiveSpace, enumerate_space, point_keys, theta
 
 
 @dataclass(frozen=True)
@@ -467,17 +469,21 @@ def verify_spectrum(m: ExactMatrix, table: SpectrumTable) -> VerificationReport:
 # -------------------- eigenvector families --------------------
 
 
-def eigvec_differences(partition: KPartition) -> ExactMatrix:
-    """Fiber-difference vectors: +1 at u in K_a, -1 at the K_l point with
-    the same reduction, for a < l; eigenvalue p^(e(n-2)).  Coordinates
-    follow the partition's (lex-ordered) space."""
-    positions = partition.positions
-    plus = positions[:-1].ravel()
-    minus = np.tile(positions[-1], partition.l - 1)
-    cols = np.arange(plus.size)
-    data = np.zeros((positions.size, plus.size), dtype=np.int8)
-    data[plus, cols] = 1
-    data[minus, cols] = -1
+def eigvec_differences(space: ProjectiveSpace) -> ExactMatrix:
+    """Fiber-difference vectors over the k-grouped P_{n,p^e}: +1 at u in
+    K_a, -1 at the point of the last class K_l with the same reduction,
+    for a < l; eigenvalue p^(e(n-2)).  The classes are the l = p^(n-1)
+    row slices of theta' rows of the space, aligned by reduction, so the
+    column of row i < (l-1) theta' has its -1 at row (l-1) theta' +
+    i mod theta'.  Any other ordering raises DomainError."""
+    if space.ordering != "k-grouped":
+        raise DomainError(f"fiber differences need the k-grouped space, got {space.ordering!r}")
+    p, _ = space.m.prime_power()
+    last = len(space) - len(space) // p ** (space.n - 1)  # the first row of K_l
+    cols = np.arange(last)
+    data = np.zeros((len(space), last), dtype=np.int8)
+    data[cols, cols] = 1
+    data[last + cols % (len(space) - last), cols] = -1
     return ExactMatrix(data)
 
 

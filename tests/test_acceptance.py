@@ -18,7 +18,6 @@ from zmspec.modular import euler_phi
 from zmspec.projective import (
     enumerate_space,
     fiber,
-    k_partition,
     point_label,
     rho_fiber_size,
     theta,
@@ -200,10 +199,10 @@ def test_criterion_8_eigenvector_families(capsys):
             assert b32.matvec(col) == [2 * x for x in col]
         assert exact_rank(rd) == theta(3, 2) - 1
 
-        # e >= 2: difference vectors over the partition
-        part = k_partition(enumerate_space(3, 4))
-        _, b34 = B_of(3, 4)
-        diffs = eigvec_differences(part)
+        # e >= 2: difference vectors over the K-partition, the classes of
+        # the k-grouped space
+        space34, b34 = B_of(3, 4, "k-grouped")
+        diffs = eigvec_differences(space34)
         assert diffs.cols == (2**2 - 1) * theta(3, 2) == 21
         for j in range(diffs.cols):
             col = [diffs[i, j] for i in range(diffs.rows)]
@@ -244,7 +243,7 @@ def test_criterion_9_structural_properties(capsys):
             assert rho_fiber_size(v0, p, e, n) == p**n * euler_phi(p ** (e - 1))
 
         # point counts and orbit sizes = phi(m); the block identity over the
-        # four listed parameter triples
+        # listed parameter triples, up to (3, 5, 2): theta 775, l = 25
         points = [(3, 4, 28), (2, 6, 12), (2, 9, 12), (3, 6, 91)]
-        blocks = [(3, 2, 2), (3, 2, 3), (3, 3, 2), (4, 2, 2)]
+        blocks = [(3, 2, 2), (3, 2, 3), (3, 3, 2), (4, 2, 2), (3, 5, 2)]
         assert cli.check_structure((points, blocks)) is None

@@ -2,7 +2,6 @@ import platform
 import random
 import tracemalloc
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 import pytest
@@ -16,8 +15,7 @@ from zmspec.matrices import (
     _product_dtype,
     _storage_dtype,
     apply_simultaneous_permutation,
-    block_C,
-    block_C_reference,
+    block_identity,
     build_A,
     build_B_analytic,
     build_B_product,
@@ -27,10 +25,9 @@ from zmspec.matrices import (
     to_csv,
     to_matrix_market,
 )
-from zmspec import matrices, projective
+from zmspec import matrices
 from zmspec.modular import crt_combine
-from zmspec.projective import (ProjectiveSpace, canonical_rep, enumerate_space, k_partition,
-                               point_keys, point_label, theta)
+from zmspec.projective import canonical_rep, enumerate_space, point_keys, point_label, theta
 from zmspec.spectrum import eigvec_family_general
 
 
@@ -710,11 +707,13 @@ def test_tensor_similarity(n, m1, m2):
 
 
 def test_blocks_match_worked_example():
-    part = k_partition(enumerate_space(3, 4))
-    _, b = B_of(3, 4)
+    # in the k-grouped order class K_a is rows 7a .. 7a + 6, each aligned
+    # by reduction: block (a, c) is 6 on the diagonal when a = c, 2 when
+    # a != c, and 1 off it
+    _, b = B_of(3, 4, "k-grouped")
     for a in range(4):
         for c in range(4):
-            blk = block_C(a, c, part, b)
+            blk = b.array[7 * a:7 * a + 7, 7 * c:7 * c + 7]
             if a == c:
                 assert all(
                     blk[i, j] == (6 if i == j else 1) for i in range(7) for j in range(7)
@@ -723,73 +722,7 @@ def test_blocks_match_worked_example():
                 assert all(
                     blk[i, j] == (2 if i == j else 1) for i in range(7) for j in range(7)
                 )
-
-
-def test_block_C_follows_the_row_labels_of_any_ordering():
-    # B's rows are found through its labels, so a k-grouped B gives the
-    # lex B's blocks against the lex partition; no space describes a class
-    # K_a, so the blocks are unlabelled
-    part = k_partition(enumerate_space(3, 4))
-    _, lex = B_of(3, 4)
-    _, grouped = B_of(3, 4, "k-grouped")
-    assert grouped != lex
-    for a in range(4):
-        for c in range(4):
-            mine, ref = block_C(a, c, part, grouped), block_C(a, c, part, lex)
-            assert mine == ref
-            assert mine.row_labels is mine.col_labels is None
-
-
-def test_block_C_sorts_no_keys_but_those_of_B(monkeypatch):
-    # a B over another enumeration of the partitioned space: all the blocks
-    # look their rows up among the sorted point keys of B's own space,
-    # which are sorted once; no other space is built and no other space's
-    # keys are sorted
-    space, b = B_of(3, 4)
-    part = k_partition(enumerate_space(3, 4))
-    built, sorted_for = [], []
-    real_init, real_keys = ProjectiveSpace.__init__, ProjectiveSpace._sorted_keys.func
-
-    def counted_init(self, *args, **kwargs):
-        built.append(args)
-        real_init(self, *args, **kwargs)
-
-    def counted_keys(self):
-        sorted_for.append(self)
-        return real_keys(self)
-
-    monkeypatch.setattr(ProjectiveSpace, "__init__", counted_init)
-    monkeypatch.setattr(ProjectiveSpace, "_sorted_keys", cached_property(counted_keys))
-    ProjectiveSpace._sorted_keys.__set_name__(ProjectiveSpace, "_sorted_keys")
-    for a in range(part.l):
-        for c in range(part.l):
-            block_C(a, c, part, b)
-    assert built == [] and sorted_for == [space]
-
-
-def test_block_C_over_the_partitioned_space_computes_no_point_keys(monkeypatch):
-    # B labelled by the partition's own space has its rows at the
-    # partition's positions, so no block looks a point up
-    space, b = B_of(3, 4)
-    part = k_partition(space)
-    calls = []
-    real = projective.point_keys
-    monkeypatch.setattr(projective, "point_keys", lambda *args: calls.append(args) or real(*args))
-    blocks = [block_C(a, c, part, b) for a in range(part.l) for c in range(part.l)]
-    assert len(blocks) == 16 and calls == []
-    # the same blocks as through the lookup over another enumeration
-    other = k_partition(enumerate_space(3, 4))
-    assert blocks == [block_C(a, c, other, b) for a in range(part.l) for c in range(part.l)]
-    assert calls
-
-
-def test_block_C_refuses_B_of_another_space():
-    # P_{2,5} and P_{2,4} both have 6 points
-    part = k_partition(enumerate_space(2, 4))
-    _, b = B_of(2, 5)
-    assert b.rows == len(part.space) == 6
-    with pytest.raises(DomainError, match=r"labelled by P_\{2,5\}"):
-        block_C(0, 1, part, b)
+    assert block_identity(3, 2, 2, B_of(3, 2)[1]) == b
 
 
 @pytest.mark.parametrize(
@@ -808,22 +741,38 @@ def test_labels_must_be_a_space_of_as_many_points(relabel):
 
 
 def test_block_reference_identity():
-    part = k_partition(enumerate_space(3, 4))
-    _, b = B_of(3, 4)
-    _, base_b = B_of(3, 2)
-    # the off-diagonal prediction is B_{3,2} - I: diagonal 2, off-diagonal 1
-    ref = block_C_reference(0, 1, part, base_b)
-    assert all(ref[i, j] == (2 if i == j else 1) for i in range(7) for j in range(7))
-    for a in range(4):
-        for c in range(4):
-            assert block_C(a, c, part, b) == block_C_reference(a, c, part, base_b)
+    # the whole k-grouped B_{n,p^e} is J_l (x) C + p^(e(n-2)) I, with the
+    # off-diagonal block C = p^(n-3) B_{n,p^(e-1)} - p^((e-1)(n-2)-1) I
+    for n, p, e in [(3, 2, 2), (3, 2, 3), (3, 3, 2), (4, 2, 2)]:
+        _, b = B_of(n, p**e, "k-grouped")
+        _, base_b = B_of(n, p ** (e - 1))
+        predicted = block_identity(n, p, e, base_b)
+        assert predicted == b
+        assert predicted.row_labels is predicted.col_labels is None
+        size = base_b.rows
+        off = p ** (n - 3) * base_b - p ** ((e - 1) * (n - 2) - 1) * ExactMatrix.identity(size)
+        assert ExactMatrix(predicted.array[:size, size:2 * size]) == off
+    # the off-diagonal prediction at (3, 2, 2) is B_{3,2} - I: diagonal 2,
+    # off-diagonal 1
+    off = block_identity(3, 2, 2, B_of(3, 2)[1]).array[:7, 7:14]
+    assert off.tolist() == [[2 if i == j else 1 for j in range(7)] for i in range(7)]
 
 
 def test_block_reference_rejects_n2():
-    part = k_partition(enumerate_space(2, 4))
     _, base_b = B_of(2, 2)
     with pytest.raises(UnsupportedError):
-        block_C_reference(0, 0, part, base_b)
+        block_identity(2, 2, 2, base_b)
+
+
+def test_block_reference_rejects_a_base_of_the_wrong_order():
+    # B_{3,3} (13 points) is not the base of P_{3,4}, which is P_{3,2}
+    _, base_b = B_of(3, 3)
+    with pytest.raises(DomainError, match=r"P_\{3,2\}"):
+        block_identity(3, 2, 2, base_b)
+    # e = 1 has no level below, and 4^2 is no p^e with p prime
+    for p, e in [(2, 1), (4, 2)]:
+        with pytest.raises(DomainError, match="prime p and e >= 2"):
+            block_identity(3, p, e, base_b)
 
 
 def test_matrix_market_format():

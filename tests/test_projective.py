@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import time
@@ -19,7 +18,6 @@ from zmspec.projective import (
     enumerate_space,
     fiber,
     is_primitive,
-    k_partition,
     neighborhood,
     orbit_size,
     point_keys,
@@ -405,10 +403,17 @@ def test_rho_fiber_size():
     assert len(fiber(v, 2, 2, 3)) * euler_phi(4) == rho_fiber_size(v, 2, 2, 3)
 
 
+def _classes(n, p, e):
+    """The K-partition of P_{n,p^e}: the l = p^(n-1) row slices of the
+    k-grouped space, as tuples of points."""
+    points = enumerate_space(n, p**e, "k-grouped").points
+    size = theta(n, p ** (e - 1))
+    return [points[h * size:(h + 1) * size] for h in range(p ** (n - 1))]
+
+
 def test_k_partition_matches_worked_example():
-    part = k_partition(enumerate_space(3, 4))
-    assert part.l == 4
-    rows = [[point_label(pt) for pt in cls] for cls in part.classes]
+    rows = [[point_label(pt) for pt in cls] for cls in _classes(3, 2, 2)]
+    assert len(rows) == 4
     assert rows[0] == ["001", "010", "011", "100", "101", "110", "111"]
     assert rows[1] == ["021", "012", "013", "102", "103", "112", "113"]
     assert rows[2] == ["201", "210", "211", "120", "121", "130", "131"]
@@ -417,12 +422,12 @@ def test_k_partition_matches_worked_example():
 
 def test_k_partition_properties():
     for p, e, n in [(2, 2, 3), (3, 2, 2), (2, 3, 2)]:
-        part = k_partition(enumerate_space(n, p**e))
-        assert part.l == p ** (n - 1)
-        all_pts = [pt for cls in part.classes for pt in cls]
+        classes = _classes(n, p, e)
+        assert len(classes) == p ** (n - 1)
+        all_pts = [pt for cls in classes for pt in cls]
         assert len(all_pts) == len(set(all_pts)) == theta(n, p**e)
         # every class meets every fiber exactly once
-        for cls in part.classes:
+        for cls in classes:
             assert len(cls) == theta(n, p ** (e - 1))
             images = [delta_map(pt, p, e) for pt in cls]
             assert len(set(images)) == len(images)
@@ -431,32 +436,16 @@ def test_k_partition_properties():
 @pytest.mark.parametrize("n,p,e", [(2, 2, 3), (2, 3, 3), (3, 2, 2), (2, 2, 2)])
 def test_k_partition_matches_delta_map(n, p, e):
     # oracle: fibers collected point by point through delta_map, each in
-    # lex order; K_h takes the h-th member of every fiber
-    part = k_partition(enumerate_space(n, p**e))
-    fibers = {v: [] for v in part.base_space.points}
-    for pt in part.space.points:
+    # lex order; K_h takes the h-th member of every fiber, in the lex
+    # order of the base points
+    fibers = {v: [] for v in enumerate_space(n, p ** (e - 1)).points}
+    for pt in enumerate_space(n, p**e).points:
         fibers[delta_map(pt, p, e)].append(pt)
-    classes = tuple(zip(*fibers.values()))
-    assert part.classes == classes
-    assert [[part.space.points[i] for i in row] for row in part.positions.tolist()] == [
-        list(cls) for cls in classes
-    ]
-    assert part.base_position.tolist() == [
-        part.base_space.position(delta_map(pt, p, e)) for pt in part.space.points
-    ]
+    classes = list(zip(*fibers.values()))
+    assert _classes(n, p, e) == classes
     grouped = enumerate_space(n, p**e, "k-grouped")
     assert grouped.points == tuple(pt for cls in classes for pt in cls)
     assert [grouped.position(pt) for pt in grouped.points] == list(range(len(grouped)))
-
-
-def test_k_partition_classes_are_read_from_positions_when_asked():
-    # test_k_partition_matches_delta_map checks their content
-    part = k_partition(enumerate_space(3, 4))
-    assert "classes" not in vars(part)
-    assert part.l == len(part.classes) == part.positions.shape[0]
-    for name in ("classes", "l"):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(part, name, ())
 
 
 def test_reprs_name_the_space_not_its_points():
@@ -466,17 +455,15 @@ def test_reprs_name_the_space_not_its_points():
     assert repr(space) == (
         "ProjectiveSpace(n=3, m=Modulus(value=32, factors=((2, 5),)), ordering='lex')"
     )
-    part = k_partition(space)
-    assert len(repr(part)) < 250 and repr(space) in repr(part)
     assert "points" not in vars(space)
     assert space.points[5].coords == tuple(space.coords[5].tolist())
     assert "points" in vars(space)
 
 
 def test_k_partition_3_2_2():
-    part = k_partition(enumerate_space(2, 9))
-    assert part.l == 3
-    assert all(len(cls) == 4 for cls in part.classes)
+    classes = _classes(2, 3, 2)
+    assert len(classes) == 3
+    assert all(len(cls) == 4 for cls in classes)
     assert theta(2, 9) == 12
 
 
@@ -491,7 +478,7 @@ def test_k_partition_rejects_wrong_fiber_sizes(monkeypatch, capsys):
         lambda self, rows: np.zeros(len(rows), dtype=np.int64),
     )
     with pytest.raises(DomainError, match="fiber over base point"):
-        k_partition(enumerate_space(3, 4))
+        enumerate_space(3, 4, "k-grouped")
     argv = ["matrix", "-n", "3", "-m", "4", "--ordering", "k-grouped"]
     assert cli.main(argv) == cli.EXIT_USAGE
     assert "fiber over base point" in capsys.readouterr().err

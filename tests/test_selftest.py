@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import zmspec
-from zmspec import cli
+from zmspec import cli, projective
 from zmspec.matrices import ExactMatrix
 from zmspec.spectrum import SpectrumRow, SpectrumTable
 
@@ -69,7 +69,7 @@ CORRUPTIONS = [
     ("count-2x2-exhaustion", "count_2x2", _plus_one),
     ("layer-counts", "count_layer", _plus_one),
     ("eigenvector-families", "eigvec_family_general", _repeated_label),
-    ("structural-identities", "block_C_reference", _entry_plus_one),
+    ("structural-identities", "block_identity", _entry_plus_one),
 ]
 
 
@@ -85,6 +85,21 @@ def test_corrupted_subject_fails_its_check(monkeypatch, capsys, name, binding, c
     assert case is not None
     assert cli.main(["selftest"]) == cli.EXIT_MISMATCH
     assert f"FAIL {name} {case}" in capsys.readouterr().out.splitlines()
+
+
+def test_criteria_1_and_9_read_the_k_grouped_order(monkeypatch):
+    # two rows swapped inside the first class K_1 keep every class a
+    # transversal of the fibers but break its alignment with the others
+    real = projective._k_grouped_order
+
+    def swapped(space):
+        order = real(space).copy()
+        order[[0, 1]] = order[[1, 0]]
+        return order
+
+    monkeypatch.setattr(projective, "_k_grouped_order", swapped)
+    assert cli.check_b_grid([cli.B34_WORKED]) is not None
+    assert cli.check_structure(SELFTEST_GRIDS["structural-identities"][1]) is not None
 
 
 def test_selftest_survives_python_O():

@@ -21,7 +21,7 @@ from zmspec.matrices import (
     build_B_product,
 )
 from zmspec.modular import Modulus
-from zmspec.projective import delta_map, enumerate_space, k_partition, theta
+from zmspec.projective import delta_map, enumerate_space, theta
 from zmspec.spectrum import (
     SpectrumRow,
     SpectrumTable,
@@ -613,9 +613,9 @@ def test_R_d_columns():
 
 
 def test_difference_vectors():
-    part = k_partition(enumerate_space(3, 4))
-    _, b = B_of(3, 4)
-    diffs = eigvec_differences(part)
+    space = enumerate_space(3, 4, "k-grouped")
+    b = build_B_product(build_A(space))
+    diffs = eigvec_differences(space)
     assert diffs.cols == 21 == (2**2 - 1) * theta(3, 2)
     for j in range(diffs.cols):
         col = [diffs[i, j] for i in range(diffs.rows)]
@@ -623,33 +623,40 @@ def test_difference_vectors():
         assert sorted(nonzero) == [-1, 1]
         assert b.matvec(col) == [4 * x for x in col]
     assert exact_rank(diffs) == 21
+    # column c pairs row c of K_1, K_2 or K_3 with the row of K_4 over the
+    # same base point, 21 + c mod 7
+    assert [np.flatnonzero(col).tolist() for col in diffs.array.T[:8]] == [
+        [0, 21], [1, 22], [2, 23], [3, 24], [4, 25], [5, 26], [6, 27], [7, 21]]
+    with pytest.raises(DomainError, match="k-grouped"):
+        eigvec_differences(enumerate_space(3, 4))
 
 
 @pytest.mark.parametrize("n, m", [(3, 4), (3, 8), (3, 9), (4, 4)])
 def test_top_level_spans_the_fiber_differences(n, m):
-    # eigvec_differences over the K-partition is the reference for the
-    # family's top level: its columns, tagged p^(e(n-2)), span one space
-    space = enumerate_space(n, m)
+    # eigvec_differences over the k-grouped space is the reference for the
+    # top level of the family built on the same space: its columns, tagged
+    # p^(e(n-2)), span one space
+    space = enumerate_space(n, m, "k-grouped")
     p, e = space.m.prime_power()
     family = eigvec_family_general(space)
     top = ExactMatrix(family.matrix().array[:, np.array(family.tags) == p ** (e * (n - 2))])
-    reference = eigvec_differences(k_partition(space))
+    reference = eigvec_differences(space)
     both = ExactMatrix(np.hstack([top.array, reference.array]))
     assert exact_rank(top) == exact_rank(reference) == exact_rank(both) == reference.cols
 
 
 def test_lift_examples():
     # the first theta(3,2) columns of the (3,4) family lift the (3,2) family
-    part = k_partition(enumerate_space(3, 4))
-    _, b4 = B_of(3, 4)
-    family2 = eigvec_family_general(enumerate_space(3, 2))
+    space4, b4 = B_of(3, 4)
+    space2 = enumerate_space(3, 2)
+    family2 = eigvec_family_general(space2)
     tags2, v2 = family2.tags, family2.matrix()
-    family4 = eigvec_family_general(enumerate_space(3, 4))
+    family4 = eigvec_family_general(space4)
     tags4, v4 = family4.tags, family4.matrix()
     lifted = v4.array[:, : v2.cols]
     assert lifted[:, 0].tolist() == [1] * 28  # lift of all-ones is all-ones
-    for x, pt in enumerate(part.space.points):
-        base = part.base_space.position(delta_map(pt, 2, 2))
+    for x, pt in enumerate(space4.points):
+        base = space2.position(delta_map(pt, 2, 2))
         assert lifted[x].tolist() == v2.array[base].tolist()
     assert tags4[: v2.cols] == tuple(2**2 * lam for lam in tags2) == (36,) + (8,) * 6
     assert np.array_equal((b4 @ ExactMatrix(lifted)).array, lifted * np.array(tags4[:7]))
