@@ -12,6 +12,7 @@ limit of 5000.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import itertools
 import json
@@ -59,6 +60,46 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_GUARDRAIL = 3
 EXIT_IO = 4
+
+# glibc's mallopt parameters (malloc.h) and the values _keep_freed_blocks
+# gives them
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 16 << 20
+_TRIM_THRESHOLD = 32 << 20
+
+
+@functools.cache
+def _keep_freed_blocks() -> None:
+    """Have glibc's malloc serve blocks of up to 16 MiB from its heap and
+    keep up to 32 MiB of free heap instead of handing it back, for the
+    rest of the process.  ``main`` calls this first, once per process.
+
+    By default glibc maps each block above a threshold that starts at
+    128 KiB and rises only to the largest mapped block freed so far, and
+    returns the top of the heap to the system once more than twice that is
+    free.  The tiled constructions of ``matrices`` free nothing larger
+    than their theta^2 results and buffers, so each build of A or B took
+    every page of them from the system afresh: about 2600 minor faults a
+    pass over the crosscheck benchmark and 8800 over build-export, kernel
+    time whose cost varies with the load of the machine.  With both
+    thresholds fixed, a freed block is reused by the next build, and those
+    passes take none.  Blocks above 16 MiB (an int8 theta x theta array
+    once theta > 4096) are still mapped and unmapped on their own, which
+    keeps a large single build from holding that much freed heap: on a
+    shared 2-core Xeon ``spectrum --verify`` peaks at 136 MiB at (3,67)
+    and 170 MiB at (4,12) either way, and the CSV export of B_{3,67} at
+    144 MiB against 136 MiB without the switch.  Nothing happens off Linux
+    or where the C library has no mallopt (musl's does nothing)."""
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 def _validate(n: int, m: int, guardrail: int | None = None, flag: str = "-m") -> None:
@@ -472,6 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_blocks()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -5,27 +5,27 @@ product), its Gram matrix B = A*A^t built two independent ways (exact
 product and the closed-form prime-power entry), Kronecker products, the
 CRT relabeling that exhibits B_{n,m} as a tensor product over the
 prime-power factors, and the whole k-grouped B that the paper's block
-identity predicts from the B one level down.  A labelled matrix
-carries the space of its rows and that of its columns, and a
-permutation is an int64 index array.  All arithmetic
+identity predicts from the B one level down.  A labelled matrix is
+square and carries the one space whose points index both its rows and
+its columns, and a permutation is an int64 index array.  All arithmetic
 is exact, and one rule, ``_storage_dtype``, picks every integer dtype
 from a checked bound: the narrowest of int8, int16, int32 and int64 that
 holds every value below the bound (2^7, 2^15, 2^31 and 2^62), and Python
 ints (an object array) from 2^62.  Entries are stored in the dtype of
 their largest |entry|, never as floats, so A is int8, and so is B while
 its entries stay below 2^7.  Every other integer operation (sums,
-differences, scalar products, traces, row sums, Kronecker products and
-the certificate's comparisons) is one numpy expression in the dtype of
+differences, scalar products, traces, Kronecker products and the
+certificate's comparisons) is one numpy expression in the dtype of
 a bound on its operands, partial sums and results.  A matrix product
-instead runs as one BLAS product in a float tier (``_product_dtype``):
+instead runs in the tier ``_product_dtype`` picks: one BLAS product in
 float32 while its operand entries, products and partial sums stay below
-2^24, float64 while they stay below 2^53, each exact there in any
+2^24, in float64 while they stay below 2^53, each exact there in any
 summation order, and Python ints above that.
 
 A and B are both Gram matrices, of the point coordinates (A is where
 that one vanishes mod m) and of A's rows, and both are built from the
 tiles of one generator, ``_tiles``: square tiles on and above the
-diagonal, each one BLAS product in the tier of the whole product's bound,
+diagonal, each one product in the tier of the whole product's bound,
 written at once into the result, which is allocated in its storage dtype
 beforehand, and mirrored below the diagonal.  No theta x theta temporary
 is made: the coordinates' Gram matrix (bound n(m-1)^2, float32 for every
@@ -37,10 +37,8 @@ storage dtype is fixed from its largest diagonal entry before the first
 tile, which is its largest |entry| by Cauchy-Schwarz.  The eigenbasis
 certificate's residual M V = V D (``ExactMatrix.scales_columns``) runs
 through the same tiles, with V^T in place of the second copy of the rows,
-and compares each tile as it is made.  On glibc the module keeps freed
-blocks of up to 16 MiB in the heap (``_keep_freed_blocks``), so that
-the next build reuses the pages of the last one's results and buffers
-instead of faulting fresh ones in.
+and compares each tile as it is made.  The one product outside the tiles
+is ``ExactMatrix.matvec``, a matrix times one vector.
 
 The closed-form B over p^e reads each entry from nu, the p-adic
 valuation of the gcd of the 2x2 minors of the pair (capped at e), and
@@ -66,12 +64,10 @@ entry on its own.
 from __future__ import annotations
 
 import csv
-import ctypes
 import io
 import json
 import math
 import operator
-import sys
 from collections.abc import Callable, Iterator, Sequence
 
 import numpy as np
@@ -101,45 +97,6 @@ _BLOCK_ENTRIES = 1 << 16
 _A_TILE = 256
 _B_TILE = 384
 _B_PANELS = 5
-# glibc's mallopt parameters (malloc.h) and the values _keep_freed_blocks
-# gives them
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_MMAP_THRESHOLD = 16 << 20
-_TRIM_THRESHOLD = 32 << 20
-
-
-def _keep_freed_blocks() -> None:
-    """Have glibc's malloc serve blocks of up to 16 MiB from its heap and
-    keep up to 32 MiB of free heap instead of handing it back.
-
-    By default glibc maps each block above a threshold that starts at
-    128 KiB and rises only to the largest mapped block freed so far, and
-    returns the top of the heap to the system once more than twice that is
-    free.  The tiled constructions free nothing larger than their theta^2
-    results and buffers, so each build of A or B took every page of them
-    from the system afresh: about 2600 minor faults a pass over the
-    crosscheck benchmark and 8800 over build-export, kernel time whose cost
-    varies with the load of the machine.  With both thresholds fixed, a
-    freed block is reused by the next build, and those passes take none.
-    Blocks above 16 MiB (an int8 theta x theta array once theta > 4096)
-    are still mapped and unmapped on their own, which keeps a large single
-    build from holding that much freed heap: on a shared 2-core Xeon the
-    peak of ``spectrum --verify`` at (3,67) falls from 244 to 220 MiB and
-    that of the CSV export of B_{3,67} rises from 137 to 144 MiB.
-    Nothing happens off Linux or where the C library has no mallopt
-    (musl's does nothing)."""
-    if not sys.platform.startswith("linux"):
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
-    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
-
-
-_keep_freed_blocks()
 
 
 def _product_dtype(*bounds: int) -> type:
@@ -166,9 +123,9 @@ def _product_dtype(*bounds: int) -> type:
     certificate's product B V has the bound max|B| * theta, which is in
     the float32 tier for B_{3,36} (72 * 3276) and B_{4,12} (364 * 4800).
     The Gram products and B V run in square tiles (``_tiles``), each one
-    BLAS product in the tier of the whole, as the bound of a tile is that
-    of the product.  The checks are plain comparisons, so they hold under
-    ``python -O``."""
+    product in the tier of the whole, as the bound of a tile is that of
+    the product, and a matrix times a vector is ``ExactMatrix.matvec``.
+    The checks are plain comparisons, so they hold under ``python -O``."""
     bound = max(bounds)
     if bound < _FLOAT32_LIMIT:
         return np.float32
@@ -188,13 +145,6 @@ def _storage_dtype(*bounds: int) -> type:
     partial and final result entry, so it can never wrap, and each
     operand's own storage dtype casts safely into the one it gets."""
     return next((dtype for limit, dtype in _STORAGE if max(bounds) < limit), object)
-
-
-def _integers(prod: np.ndarray) -> np.ndarray:
-    """The entries of an exact float product, integers below 2^53, in
-    their storage dtype."""
-    top = max(-float(prod.min()), float(prod.max())) if prod.size else 0
-    return prod.astype(_storage_dtype(int(top)))
 
 
 def _exact_array(data) -> tuple[np.ndarray, int]:
@@ -232,51 +182,39 @@ def _exact_array(data) -> tuple[np.ndarray, int]:
 
 
 class ExactMatrix:
-    """Dense matrix of arbitrary-precision integers with optional point labels.
+    """Dense matrix of arbitrary-precision integers, optionally labelled.
 
-    ``row_labels`` and ``col_labels`` are each None or the ProjectiveSpace
-    whose points index the rows or the columns, with exactly as many points
-    as there are rows or columns.  The entries live in one read-only 2-d
-    ndarray, stored in the dtype ``_storage_dtype`` picks for the largest
-    |entry|: int8, int16, int32 or int64 below 2^62, an object array of
-    Python ints from there.  Each operation states a bound on the values
-    it computes and runs in the dtype that bound gets, from the same rule,
-    or from ``_product_dtype``'s float tiers for a product, so a result is
-    exact in every dtype; then it is stored narrow again.  An
-    ndarray passed in that is already in its storage dtype is shared, not
-    copied, and no method writes to the array, so transposes and index
-    views share memory too.  A matrix that is the left operand of a float
-    product keeps the copy of its entries in that tier's dtype for later
-    products.
+    ``space`` is None or the ProjectiveSpace whose points index both the
+    rows and the columns, so a labelled matrix is square, of the order of
+    its space.  The entries live in one read-only 2-d ndarray, stored in
+    the dtype ``_storage_dtype`` picks for the largest |entry|: int8,
+    int16, int32 or int64 below 2^62, an object array of Python ints from
+    there.  Each operation states a bound on the values it computes and
+    runs in the dtype that bound gets, from the same rule, or from
+    ``_product_dtype``'s tiers for a product, so a result is exact in every
+    dtype; then it is stored narrow again.  An ndarray passed in that is
+    already in its storage dtype is shared, not copied, and no method
+    writes to the array.  A matrix that ``matvec`` multiplied in a float
+    tier keeps the copy of its entries in that tier's dtype for later
+    calls.
     """
 
-    __slots__ = ("_array", "_max_abs", "_float", "row_labels", "col_labels")
+    __slots__ = ("_array", "_max_abs", "_float", "space")
 
-    def __init__(
-        self,
-        data: list[list[int]] | np.ndarray,
-        row_labels: ProjectiveSpace | None = None,
-        col_labels: ProjectiveSpace | None = None,
-    ):
+    def __init__(self, data: list[list[int]] | np.ndarray, space: ProjectiveSpace | None = None):
         self._array, self._max_abs = _exact_array(data)
         self._float: np.ndarray | None = None
-        for side, labels, count in (("row", row_labels, self.rows),
-                                    ("column", col_labels, self.cols)):
-            if labels is not None and not (isinstance(labels, ProjectiveSpace)
-                                           and len(labels) == count):
-                raise DomainError(f"{side} labels must be a space of {count} points")
-        self.row_labels = row_labels
-        self.col_labels = col_labels
+        if space is not None and not (isinstance(space, ProjectiveSpace)
+                                      and len(space) == self.rows == self.cols):
+            raise DomainError(f"the labels of a {self.rows}x{self.cols} matrix must be a space "
+                              "of as many points as it has rows and columns")
+        self.space = space
 
     # -------------------- constructors --------------------
 
     @classmethod
     def identity(cls, k: int) -> "ExactMatrix":
         return cls(np.eye(k, dtype=_storage_dtype(1)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(np.zeros((rows, cols), dtype=_storage_dtype(0)))
 
     # -------------------- access --------------------
 
@@ -309,9 +247,6 @@ class ExactMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def is_symmetric(self) -> bool:
-        return self.is_square and np.array_equal(self._array, self._array.T)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -327,31 +262,15 @@ class ExactMatrix:
     def _as(self, dtype: type) -> np.ndarray:
         return self._array.astype(dtype, copy=False)
 
-    def _float_copy(self, dtype: type) -> np.ndarray:
-        """The entries in the float dtype of a product's tier, for the left
-        operand of that product.  The copy is made once and kept (until a
-        product in the other float tier replaces it), so that repeated
-        products M @ X_1, M @ X_2, ... of one M, such as a loop of
-        ``matvec`` calls, convert M once.  A right operand is converted
-        afresh instead, so that its copy is freed with the product.  The
-        tiled constructions and ``scales_columns`` convert row panels of
-        their own and never make this copy."""
-        if self._float is None or self._float.dtype != dtype:
-            self._float = self._array.astype(dtype)
-        return self._float
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self._array.T, self.col_labels, self.row_labels)
-
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check_same_shape(other)
         dtype = _storage_dtype(self._max_abs + other._max_abs)
-        return ExactMatrix(self._as(dtype) + other._as(dtype), self.row_labels, self.col_labels)
+        return ExactMatrix(self._as(dtype) + other._as(dtype), self.space)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check_same_shape(other)
         dtype = _storage_dtype(self._max_abs + other._max_abs)
-        return ExactMatrix(self._as(dtype) - other._as(dtype), self.row_labels, self.col_labels)
+        return ExactMatrix(self._as(dtype) - other._as(dtype), self.space)
 
     def __mul__(self, scalar: int) -> "ExactMatrix":
         if not isinstance(scalar, int):
@@ -359,7 +278,7 @@ class ExactMatrix:
         s = int(scalar)
         # s is within the bound, so it keeps the array's dtype
         dtype = _storage_dtype(abs(s), self._max_abs, abs(s) * self._max_abs)
-        return ExactMatrix(self._as(dtype) * s, self.row_labels, self.col_labels)
+        return ExactMatrix(self._as(dtype) * s, self.space)
 
     __rmul__ = __mul__
 
@@ -369,34 +288,29 @@ class ExactMatrix:
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
 
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise DomainError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        a, b = self._max_abs, other._max_abs
-        dtype = _product_dtype(a, b, a * b * self.cols)
-        if dtype is object:
-            out = self._as(dtype) @ other._as(dtype)
-        else:
-            # one BLAS product, exact by the bound, cast into its storage
-            # dtype; the right operand's copy is freed before the cast
-            out = _integers(self._float_copy(dtype) @ other._as(dtype))
-        return ExactMatrix(out, self.row_labels, other.col_labels)
-
     def matvec(self, vec: list[int] | tuple[int, ...]) -> list[int]:
         """Exact matrix-vector product; the entries of ``vec`` must be
-        integers, as the constructor's are.  In a float tier M's kept
-        copy (``_float_copy``) multiplies the vector, so a loop of calls
-        on one M converts M once."""
+        integers, as the constructor's are.
+
+        The product runs in the tier of the bound max|M| * max|vec| * cols
+        (``_product_dtype``).  In a float tier it multiplies a copy of M's
+        entries in that tier's dtype, which M keeps until a call in the
+        other float tier replaces it, so that a loop of calls on one M, such
+        as the residual checks of an eigenvector family, converts M once:
+        448 calls on B_{3,16} took 18-27 ms against 33-43 ms with M
+        converted on every call, on a shared 2-core Xeon.  The vector is converted
+        afresh each time, and the exact float result is cast into the
+        storage dtype of the bound."""
         if len(vec) != self.cols:
             raise DomainError(f"vector length {len(vec)} does not match {self.cols} columns")
         row, top = _exact_array([list(vec)])
-        a = self._max_abs
-        dtype = _product_dtype(a, top, a * top * self.cols)
+        bound = self._max_abs * top * self.cols
+        dtype = _product_dtype(self._max_abs, top, bound)
         if dtype is object:
             return (self._as(dtype) @ row[0].astype(dtype)).tolist()
-        return _integers(self._float_copy(dtype) @ row[0].astype(dtype)).tolist()
+        if self._float is None or self._float.dtype != dtype:
+            self._float = self._array.astype(dtype)
+        return (self._float @ row[0].astype(dtype)).astype(_storage_dtype(bound)).tolist()
 
     def scales_columns(self, v: "ExactMatrix", tags: Sequence[int]) -> bool:
         """Whether M @ V == V diag(tags), i.e. M maps column j of V to
@@ -450,10 +364,6 @@ class ExactMatrix:
         x = self._array
         return sum(int(np.multiply(x[t, s], x[s, t].T, dtype=dtype).sum())
                    for t in tiles for s in tiles)
-
-    def row_sums(self) -> list[int]:
-        dtype = _storage_dtype(self._max_abs * self.cols)
-        return self._array.sum(axis=1, dtype=dtype).tolist()
 
 
 # -------------------- constructions --------------------
@@ -512,33 +422,32 @@ def build_A(space: ProjectiveSpace) -> ExactMatrix:
         residues %= m
         incidence[rows, cols] = residues == 0
         incidence[cols, rows] = incidence[rows, cols].T
-    return ExactMatrix(incidence, space, space)
+    return ExactMatrix(incidence, space)
 
 
 def build_B_product(a: ExactMatrix) -> ExactMatrix:
-    """Exact Gram matrix A @ A^t.
+    """Exact Gram matrix A @ A^t, labelled by A's space.
 
-    In a float tier (float32 for a 0/1 A of order below 2^24) it is
-    written tile by tile (``_tiles``) into a result allocated in its
-    storage dtype beforehand, each tile mirrored below the diagonal.  That
-    dtype is the one of the largest diagonal entry, which is the largest
-    |entry|: by Cauchy-Schwarz, |B_uv| = |<a_u, a_v>| <= sqrt(B_uu * B_vv)
+    It is written tile by tile (``_tiles``) into a result allocated in its
+    storage dtype beforehand, each tile mirrored below the diagonal, in
+    the tier of the bound max|A|^2 * order: float32 for a 0/1 A of order
+    below 2^24, Python ints from 2^53.  The storage dtype is the one of
+    the largest diagonal entry, which is the largest |entry|: by
+    Cauchy-Schwarz, |B_uv| = |<a_u, a_v>| <= sqrt(B_uu * B_vv)
     <= max(B_uu, B_vv).  The diagonal entries are sums of squares of A's
     entries, whose terms and partial sums are within the product's bound,
-    so they are summed exactly in the product's float dtype."""
+    so they are summed exactly in the product's dtype."""
     if not a.is_square:
         raise DomainError("the incidence matrix must be square")
     top = a.max_abs()
     dtype = _product_dtype(top, top * top * a.cols)
-    if dtype is object:
-        return a @ a.transpose()
     x = a.array
     largest = np.einsum("ij,ij->i", x, x, dtype=dtype).max(initial=0)
     out = np.empty(x.shape, dtype=_storage_dtype(int(largest)))
     for rows, cols, tile in _tiles(x, x, dtype, max(_B_TILE, -(-a.rows // _B_PANELS))):
         out[rows, cols] = tile
         out[cols, rows] = out[rows, cols].T
-    return ExactMatrix(out, a.row_labels, a.row_labels)
+    return ExactMatrix(out, a.space)
 
 
 def _entry_table(p: int, e: int, n: int) -> list[int]:
@@ -596,7 +505,7 @@ def build_B_analytic(space: ProjectiveSpace) -> ExactMatrix:
         nu += np.equal.outer(keys, keys)
     entries = _entry_table(p, e, space.n)
     by_nu = np.array(entries, dtype=_storage_dtype(max(entries)))
-    return ExactMatrix(by_nu[nu], space, space)
+    return ExactMatrix(by_nu[nu], space)
 
 
 def tensor_product(m1: ExactMatrix, m2: ExactMatrix) -> ExactMatrix:
@@ -779,10 +688,11 @@ def _render(
         yield render(slice(start, start + step))
 
 
-def _labels(labels: ProjectiveSpace | None, count: int) -> list[str]:
-    """Point labels, or the indices 0..count-1 when there are none."""
-    if labels is not None:
-        return list(labels.labels)
+def _labels(space: ProjectiveSpace | None, count: int) -> list[str]:
+    """The point labels of ``space``, or the indices 0..count-1 when there
+    is none."""
+    if space is not None:
+        return list(space.labels)
     return [str(i) for i in range(count)]
 
 
@@ -794,21 +704,23 @@ def _matrix_market(m: ExactMatrix) -> Iterator[str]:
 def _csv(m: ExactMatrix) -> Iterator[str]:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([""] + _labels(m.col_labels, m.cols))
+    writer.writerow([""] + _labels(m.space, m.cols))
     # one single-field row per row label, so that csv quotes the labels
     # holding a comma; no label is empty or holds a newline
-    writer.writerows([label] for label in _labels(m.row_labels, m.rows))
+    writer.writerows([label] for label in _labels(m.space, m.rows))
     header, *row_labels, _ = buf.getvalue().split("\n")
     yield header + "\n"
     yield from _render(m.array, lambda s: "," + s, row_labels, "\n")
 
 
 def _json(m: ExactMatrix) -> Iterator[str]:
+    labels = None if m.space is None else list(m.space.labels)
     obj = {
         "rows": m.rows,
         "cols": m.cols,
-        "row_labels": None if m.row_labels is None else _labels(m.row_labels, m.rows),
-        "col_labels": None if m.col_labels is None else _labels(m.col_labels, m.cols),
+        # one space labels the rows and the columns
+        "row_labels": labels,
+        "col_labels": labels,
         # with no entries json renders the (empty) rows itself; otherwise
         # the entries are spliced in where this null ends the text
         "entries": None if m.array.size else [[] for _ in range(m.rows)],
@@ -829,8 +741,8 @@ def _table(m: ExactMatrix) -> Iterator[str]:
     arr = m.array
     # the longest entry is the largest or, with its sign, the smallest
     width = max(len(str(arr.max())), len(str(arr.min()))) if arr.size else 0
-    labels = _labels(m.row_labels, m.rows)
-    if m.row_labels is not None:
+    labels = _labels(m.space, m.rows)
+    if m.space is not None:
         labels = [f"({label})" for label in labels]
     lw = max(map(len, labels), default=0)
     labels = [label.ljust(lw) for label in labels]

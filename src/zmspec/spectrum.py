@@ -423,12 +423,12 @@ def verify_spectrum(m: ExactMatrix, table: SpectrumTable) -> VerificationReport:
 
     The claims are first decided together by ``eigenbasis_nullities`` on
     the family of ``eigvec_family_general``, which is an exact proof for
-    any matrix and any family.  The family is built over M's row labels,
-    the space whose points index M's rows, so B_{n,m} in any ordering is
-    certified without enumerating P_{n,m} again.  Only when M has no
-    labels is the lex-ordered P_{n,m} enumerated for it, with the matrix
-    order as the limit.  If the certificate declines (for instance when M
-    is a relabelled B_{n,m} without labels) every claim is decided by
+    any matrix and any family.  The family is built over ``M.space``, the
+    space whose points index M's rows and columns, so B_{n,m} in any
+    ordering is certified without enumerating P_{n,m} again.  Only when M
+    has no space is the lex-ordered P_{n,m} enumerated for it, with the
+    matrix order as the limit.  If the certificate declines (for instance when M
+    is a relabelled B_{n,m} without a space) every claim is decided by
     ``exact_nullity`` instead.  Each row records its method."""
     if not m.is_square:
         raise DomainError("verification needs a square matrix")
@@ -438,7 +438,7 @@ def verify_spectrum(m: ExactMatrix, table: SpectrumTable) -> VerificationReport:
             f"multiplicity {table.total_multiplicity}"
         )
     merged = table.merged()
-    space = m.row_labels
+    space = m.space
     if space is None:
         space = enumerate_space(table.n, table.m, guardrail=m.rows)
     certified = eigenbasis_nullities(m, eigvec_family_general(space))

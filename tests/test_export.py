@@ -42,13 +42,13 @@ def oracle_matrix_market(m):
 def oracle_csv(m):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if m.col_labels is not None:
-        header = [""] + [point_label(pt) for pt in m.col_labels]
+    if m.space is not None:
+        header = [""] + [point_label(pt) for pt in m.space]
     else:
         header = [""] + [str(j) for j in range(m.cols)]
     writer.writerow(header)
     for i, row in enumerate(m.array):
-        label = point_label(m.row_labels.points[i]) if m.row_labels else str(i)
+        label = point_label(m.space.points[i]) if m.space else str(i)
         writer.writerow([label] + row.tolist())
     return buf.getvalue()
 
@@ -57,8 +57,8 @@ def oracle_json(m):
     obj = {
         "rows": m.rows,
         "cols": m.cols,
-        "row_labels": [point_label(pt) for pt in m.row_labels] if m.row_labels else None,
-        "col_labels": [point_label(pt) for pt in m.col_labels] if m.col_labels else None,
+        "row_labels": [point_label(pt) for pt in m.space] if m.space else None,
+        "col_labels": [point_label(pt) for pt in m.space] if m.space else None,
         "entries": [list(map(str, row.tolist())) for row in m.array],
     }
     return json.dumps(obj, indent=2)
@@ -68,8 +68,8 @@ def oracle_table(m):
     # each line is the padded label followed by " " + entry per entry, so a
     # matrix without columns gives bare labels and one without rows gives ""
     width = max((len(str(x)) for x in m.array.flat), default=0)
-    if m.row_labels is not None:
-        labels = [f"({point_label(pt)})" for pt in m.row_labels]
+    if m.space is not None:
+        labels = [f"({point_label(pt)})" for pt in m.space]
     else:
         labels = [str(i) for i in range(m.rows)]
     lw = max(map(len, labels), default=0)
@@ -119,7 +119,7 @@ CASES = {
     "negative": ExactMatrix([[-5, 3, 0], [12, -100, 7], [0, 0, -1]]),
     "negative-labelled": _labelled_b(2, 12, shift=9),
     "object-dtype": ExactMatrix([[10**30, -(2**70), 1], [0, 10**30, -1]]),
-    "object-dtype-labelled": ExactMatrix(BIG_12, P_2_11, P_2_11),
+    "object-dtype-labelled": ExactMatrix(BIG_12, P_2_11),
     "int64-wide-span": ExactMatrix(WIDE),
     # many columns of tokens padded to 20 bytes, most of them far shorter
     "int64-mixed-widths": ExactMatrix(_mixed_widths()),
@@ -139,10 +139,9 @@ CASES = {
     "0x0": ExactMatrix(np.zeros((0, 0), dtype=np.int64)),
     "3x0": ExactMatrix(np.zeros((3, 0), dtype=np.int64)),
     "0x3": ExactMatrix(np.zeros((0, 3), dtype=np.int64)),
-    "3x0-labelled": ExactMatrix(np.zeros((3, 0), dtype=np.int64), P_2_2, None),
-    "0x3-labelled": ExactMatrix(np.zeros((0, 3), dtype=np.int64), None, P_2_2),
-    "12x0-labelled": ExactMatrix(np.zeros((12, 0), dtype=np.int64), P_2_11, None),
-    "0x12-labelled": ExactMatrix(np.zeros((0, 12), dtype=np.int64), None, P_2_11),
+    # one token for every entry, and the smallest labelled order
+    "3x3-labelled-zero": ExactMatrix(np.zeros((3, 3), dtype=np.int64), P_2_2),
+    "12x12-labelled-zero": ExactMatrix(np.zeros((12, 12), dtype=np.int64), P_2_11),
 }
 
 
@@ -155,7 +154,7 @@ def test_cases_reach_every_gather_route():
     assert mixed.dtype == np.int64 and int(mixed.max()) - int(mixed.min()) > mixed.size
     lengths = np.vectorize(lambda v: len(str(v)))(mixed)
     assert all({1, 2, 18, 19, 20} <= set(row) for row in lengths.tolist())
-    labels = [point_label(pt) for pt in CASES["B_{3,12}-labelled"].row_labels]
+    labels = [point_label(pt) for pt in CASES["B_{3,12}-labelled"].space]
     assert all("," in label for label in labels)
     assert {len(label) for label in labels} == {5, 6, 7}
     assert CASES["object-dtype"].array.dtype == object

@@ -1,3 +1,4 @@
+import math
 import platform
 import random
 import tracemalloc
@@ -25,7 +26,7 @@ from zmspec.matrices import (
     to_csv,
     to_matrix_market,
 )
-from zmspec import matrices
+from zmspec import cli, matrices
 from zmspec.modular import crt_combine
 from zmspec.projective import canonical_rep, enumerate_space, point_keys, point_label, theta
 from zmspec.spectrum import eigvec_family_general
@@ -41,27 +42,36 @@ def _crt(n, m1, m2):
     return crt_permutation(*(enumerate_space(n, m) for m in (m1, m2, m1 * m2)))
 
 
+def _zeros(rows, cols):
+    return ExactMatrix(np.zeros((rows, cols), dtype=np.int8))
+
+
+def _object_product(x, y):
+    """x @ y on Python ints: an oracle that shares no code with the float tiers."""
+    return x.array.astype(object) @ y.array.astype(object)
+
+
 def test_exact_matrix_basics():
     m = ExactMatrix([[1, 2], [3, 4]])
     assert m[0, 1] == 2 and m.rows == m.cols == 2
     assert (m + m)[1, 1] == 8
     assert (3 * m)[1, 0] == 9
-    assert (m - m) == ExactMatrix.zeros(2, 2)
-    assert m.transpose()[0, 1] == 3
+    assert (m - m) == _zeros(2, 2)
     assert m.trace() == 5
-    assert (m @ ExactMatrix.identity(2)) == m
+    assert build_B_product(m).to_lists() == [[5, 11], [11, 25]]
     assert m.matvec([1, 1]) == [3, 7]
     with pytest.raises(DomainError):
         ExactMatrix([[1, 2], [3]])
     with pytest.raises(DomainError):
-        m @ ExactMatrix.zeros(3, 3)
+        m + ExactMatrix.identity(3)
+    with pytest.raises(DomainError):
+        m.matvec([1, 1, 1])
 
 
 def test_exact_matrix_big_values():
     big = 10**30
     m = ExactMatrix([[big, 0], [0, big]])
-    prod = m @ m
-    assert prod[0, 0] == big * big
+    assert build_B_product(m).to_lists() == [[big * big, 0], [0, big * big]]
     assert m.matvec([1, 2]) == [big, 2 * big]
 
 
@@ -103,8 +113,9 @@ def test_int64_boundary_matches_python_ints(data, monkeypatch):
     assert (m - o).to_lists() == [[a - b for a, b in zip(r, s)] for r, s in zip(data, other)]
     assert (3 * m).to_lists() == [[3 * a for a in r] for r in data]
     assert (m * -(2**40)).to_lists() == [[-(2**40) * a for a in r] for r in data]
-    assert (m @ o).to_lists() == [
-        [sum(a * b for a, b in zip(r, c)) for c in zip(*other)] for r in data
+    # the Gram product of data and its transpose, through the tiles
+    assert build_B_product(m).to_lists() == [
+        [sum(a * b for a, b in zip(r, s)) for s in data] for r in data
     ]
     assert m.matvec(vec) == [sum(a * b for a, b in zip(r, vec)) for r in data]
     assert tensor_product(m, o).to_lists() == [
@@ -117,7 +128,6 @@ def test_int64_boundary_matches_python_ints(data, monkeypatch):
         assert m.trace_of_square() == sum(
             data[i][j] * data[j][i] for i in range(n) for j in range(n)
         )
-    assert m.row_sums() == [sum(r) for r in data]
 
 
 # the results at the edges of the int8, int16 and int32 storage bounds,
@@ -136,7 +146,9 @@ def test_results_at_the_storage_edges_match_python_ints(t):
     assert (ExactMatrix([[1, -1, 0]]) * t).to_lists() == [[t, -t, 0]]
     assert (-1 * ExactMatrix([[t, -t]])).to_lists() == [[-t, t]]
     assert ExactMatrix([[t - half, 3], [5, half]]).trace() == t
-    assert ExactMatrix([[t - half, half], [half, t - half]]).row_sums() == [t, t]
+    # the rows' inner product is (t - half) + half
+    gram = build_B_product(ExactMatrix([[1, 1], [t - half, half]]))
+    assert gram.to_lists() == [[2, t], [t, (t - half) ** 2 + half**2]]
     # a^2 + 2c = t with a = t mod 2
     low = t % 2
     assert ExactMatrix([[low, 1], [(t - low) // 2, 0]]).trace_of_square() == t
@@ -157,12 +169,37 @@ def test_results_at_the_storage_edges_match_python_ints(t):
     assert ExactMatrix([[t]]).scales_columns(ExactMatrix.identity(1), [low_byte]) == (low_byte == t)
 
 
+# tiles of at most 1, 3 and 5 rows (with 3 and 5 rows the last panel is
+# lower than the others on every order below but 40, which 5 divides), and
+# one tile holding the whole matrix
+TILES = [1, 3, 5, 10**6]
+
+
+def _gram_matches_the_object_product(a, dtype, monkeypatch):
+    """build_B_product(A) runs in the tier ``dtype`` and equals A A^t on
+    Python ints, in the storage dtype of its largest entry, for every
+    tiling of TILES."""
+    x = np.array(a, dtype=object)
+    expected = x @ x.T
+    for tile in TILES:
+        monkeypatch.setattr(matrices, "_B_TILE", tile)
+        monkeypatch.setattr(matrices, "_B_PANELS", 10**6)
+        b = build_B_product(ExactMatrix(a))
+        assert b.to_lists() == expected.tolist()
+        assert b.array.dtype == _storage_dtype(max(abs(v) for v in expected.flat))
+    top = max(abs(v) for row in a for v in row)
+    assert _product_dtype(top, top * top * len(a)) is dtype
+
+
 @pytest.mark.parametrize("sign", [1, -1])
-def test_float64_tier_ends_below_2_53(sign):
-    # (2^27 + 1) * (2^26 + 1) = 2^53 + 2^27 + 2^26 + 1 is odd and above
-    # 2^53, where float64 holds only even integers: a float product rounds it
+def test_float64_tier_ends_below_2_53(sign, monkeypatch):
+    # a^2 + c^2 is odd, and max|A|^2 * 2 is just below 2^53 with
+    # (a, c) = (2^26 - 1, 2^26 - 2) and just above with (2^26 + 1, 2^26):
+    # above 2^53 float64 holds only even integers, so a float product
+    # would round 2^53 + 2^27 + 1
+    for a, c, dtype in ((2**26 - 1, 2**26 - 2, np.float64), (2**26 + 1, 2**26, object)):
+        _gram_matches_the_object_product([[sign * a, c], [c, 0]], dtype, monkeypatch)
     a, b = 2**27 + 1, 2**26 + 1
-    assert (ExactMatrix([[sign * a]]) @ ExactMatrix([[b]])).to_lists() == [[sign * a * b]]
     assert ExactMatrix([[sign * a]]).matvec([b]) == [sign * a * b]
     assert _product_dtype(a, b, a * b) is object
     assert _product_dtype(a, b - 2, a * (b - 2)) is np.float64
@@ -170,47 +207,47 @@ def test_float64_tier_ends_below_2_53(sign):
 
 
 @pytest.mark.parametrize("sign", [1, -1])
-def test_float32_tier_ends_below_2_24(sign):
-    # (2^12 + 1)^2 = 2^24 + 2^13 + 1 is odd and above 2^24, where float32
-    # holds only even integers: a float32 product rounds it
+def test_float32_tier_ends_below_2_24(sign, monkeypatch):
+    # (2^12 - 1)^2 = 2^24 - 2^13 + 1 is odd and the largest square below
+    # 2^24; (2^12 + 1)^2 = 2^24 + 2^13 + 1 is odd and above 2^24, where
+    # float32 holds only even integers: a float32 product rounds it
+    for a, dtype in ((2**12 - 1, np.float32), (2**12 + 1, np.float64)):
+        _gram_matches_the_object_product([[sign * a]], dtype, monkeypatch)
     a = b = 2**12 + 1
-    assert (ExactMatrix([[sign * a]]) @ ExactMatrix([[b]])).to_lists() == [[sign * a * b]]
     assert ExactMatrix([[sign * a]]).matvec([b]) == [sign * a * b]
     assert _product_dtype(a, b, a * b) is np.float64
     # (2^12 + 1)(2^12 - 1) = 2^24 - 1
     assert _product_dtype(a, b - 2, a * (b - 2)) is np.float32
-    assert (ExactMatrix([[sign * a]]) @ ExactMatrix([[b - 2]])).to_lists() == [[sign * (2**24 - 1)]]
+    assert ExactMatrix([[sign * a]]).matvec([b - 2]) == [sign * (2**24 - 1)]
 
 
 def test_kept_left_copy_follows_the_tier():
-    # the left operand keeps its float copy in the dtype of its last
-    # product's tier, so that a float32 product is not run in float64
+    # the matrix keeps its float copy in the dtype of its last call's
+    # tier, so that a float32 product is not run in float64
     m = ExactMatrix([[2**12 + 1, 3]])
     for top, dtype in ((2**10, np.float32), (2**30, np.float64), (2**10, np.float32)):
-        col = ExactMatrix([[top + 1], [-top]])
-        assert (m @ col).to_lists() == [[(2**12 + 1) * (top + 1) - 3 * top]]
+        assert m.matvec([top + 1, -top]) == [(2**12 + 1) * (top + 1) - 3 * top]
         assert m._float.dtype == dtype
 
 
 def _check_product_across(data, limit):
-    rows, inner, cols = (data.draw(st.integers(1, 6)) for _ in range(3))
-    top_a = data.draw(st.integers(1, 1 << (limit - 13)))
-    # max|a| * max|b| * inner just below 2^limit (the float tier ending
-    # there) or just above
+    order = data.draw(st.integers(1, 8))
+    # max|A|^2 * order just below 2^limit (the float tier ending there) or
+    # at or just above it: the largest top below, the smallest one at or above
     above = data.draw(st.booleans())
-    top_b = (1 << limit) // (top_a * inner) + 1 if above else ((1 << limit) - 1) // (top_a * inner)
-    assert (top_a * top_b * inner < 1 << limit) != above
-
-    def matrix(shape, top):
-        rng = random.Random(data.draw(st.integers(0, 2**32)))
-        entries = [rng.randint(-top, top) for _ in range(shape[0] * shape[1])]
-        entries[rng.randrange(len(entries))] = rng.choice([top, -top])
-        return [entries[i * shape[1]:(i + 1) * shape[1]] for i in range(shape[0])]
-
-    a, b = matrix((rows, inner), top_a), matrix((inner, cols), top_b)
-    product = (ExactMatrix(a) @ ExactMatrix(b)).array
+    top = math.isqrt(((1 << limit) - 1) // order) + above
+    assert (top * top * order < 1 << limit) != above
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    a = [[rng.randint(-top, top) for _ in range(order)] for _ in range(order)]
+    # one row of +-top, whose diagonal entry is the bound itself
+    a[rng.randrange(order)] = [rng.choice([top, -top]) for _ in range(order)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matrices, "_B_TILE", data.draw(st.sampled_from(TILES)))
+        patch.setattr(matrices, "_B_PANELS", 10**6)
+        product = build_B_product(ExactMatrix(a)).array
     # the object-dtype product, on Python ints
-    expected = np.array(a, dtype=object) @ np.array(b, dtype=object)
+    x = np.array(a, dtype=object)
+    expected = x @ x.T
     assert product.tolist() == expected.tolist()
     # stored in the narrowest dtype of the ladder that holds its largest entry
     assert product.dtype == _storage_dtype(max(abs(x) for x in expected.flat))
@@ -252,7 +289,7 @@ def test_stored_array_is_read_only_and_shared():
     with pytest.raises(ValueError):
         m.array[0, 0] = 5
     with pytest.raises(ValueError):
-        m.transpose().array[0, 1] = 5
+        (3 * m).array[0, 1] = 5
     assert own.flags.writeable and np.shares_memory(m.array, own)
     # one in a wider dtype is copied into it, and left as it was
     wide = np.array([[1, 2], [3, -300]], dtype=np.int64)
@@ -289,7 +326,8 @@ def test_trace_of_square_matches_product(monkeypatch):
     # square tiles of side 1, 2 and 3, and one tile of the whole matrix
     for block_entries in (1, 4, 9, 1 << 16):
         monkeypatch.setattr(matrices, "_BLOCK_ENTRIES", block_entries)
-        assert small.trace_of_square() == (small @ small).trace()
+        # small is symmetric, so its square is its Gram matrix
+        assert small.trace_of_square() == build_B_product(small).trace()
         assert m.trace_of_square() == sum(
             data[i][j] * data[j][i] for i in range(5) for j in range(5)
         )
@@ -300,11 +338,11 @@ def test_constructions_are_stored_narrow():
     a = build_A(space)
     assert a.array.dtype == np.int8
     assert b.array.dtype == np.int8 and build_B_analytic(space).array.dtype == np.int8
-    assert (b @ b).array.dtype == np.int8  # entries up to 72
-    assert (b @ (3 * b)).array.dtype == np.int16  # up to 216
+    assert build_B_product(b).array.dtype == np.int8  # entries up to 72
+    assert build_B_product(3 * b).array.dtype == np.int16  # up to 648
     assert tensor_product(b, b).array.dtype == np.int8  # up to 36
     assert tensor_product(100 * b, b).array.dtype == np.int16
-    assert ExactMatrix.identity(3).array.dtype == ExactMatrix.zeros(2, 3).array.dtype == np.int8
+    assert ExactMatrix.identity(3).array.dtype == np.int8
 
 
 def test_build_A_2_2():
@@ -316,15 +354,9 @@ def test_build_A_2_2():
 
 def test_build_A_row_sums_and_symmetry():
     space = enumerate_space(3, 2)
-    a = build_A(space)
-    assert a.row_sums() == [theta(2, 2)] * 7
-    assert a.is_symmetric()
-
-
-# tiles of at most 1, 3 and 5 rows (with 3 and 5 rows the last panel is
-# lower than the others on every order below but 40, which 5 divides), and
-# one tile holding the whole matrix
-TILES = [1, 3, 5, 10**6]
+    a = build_A(space).array
+    assert a.sum(axis=1).tolist() == [theta(2, 2)] * 7
+    assert np.array_equal(a, a.T)
 
 
 @pytest.mark.parametrize("tile", TILES)
@@ -416,11 +448,11 @@ def test_scales_columns_takes_a_wide_or_empty_v(tile, monkeypatch):
     v = ExactMatrix([[1, 0, 0, 5, 0], [0, 1, 1, 0, 2], [0, 1, -1, 0, 2]])
     assert m.scales_columns(v, [2, 4, 2, 2, 4])
     assert not m.scales_columns(v, [2, 4, 2, 2, 2])
-    assert ExactMatrix.zeros(0, 0).scales_columns(ExactMatrix.zeros(0, 3), [1, 2, 3])
-    assert m.scales_columns(ExactMatrix.zeros(3, 0), [])
+    assert _zeros(0, 0).scales_columns(_zeros(0, 3), [1, 2, 3])
+    assert m.scales_columns(_zeros(3, 0), [])
     # a tag past int64 with a zero or empty V: 0 == 0 * tag, in Python ints
-    assert m.scales_columns(ExactMatrix.zeros(3, 2), [1 << 63, -(1 << 64)])
-    assert ExactMatrix.zeros(0, 0).scales_columns(ExactMatrix.zeros(0, 2), [1 << 63, 1])
+    assert m.scales_columns(_zeros(3, 2), [1 << 63, -(1 << 64)])
+    assert _zeros(0, 0).scales_columns(_zeros(0, 2), [1 << 63, 1])
 
 
 @pytest.mark.parametrize("tile", TILES)
@@ -503,6 +535,7 @@ def test_a_repeated_build_takes_no_fresh_pages():
     # glibc's default thresholds each build at (3,24) took its results and
     # tile buffers from the system afresh, about 1700 minor page faults
     resource = pytest.importorskip("resource")
+    cli._keep_freed_blocks()  # what cli.main does first
     space = enumerate_space(3, 24)
     build_B_product(build_A(space))
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -585,9 +618,10 @@ def test_tensor_mixed_product_property():
     for _ in range(5):
         m1, n1 = rand_matrix(2, 3), rand_matrix(3, 2)
         m2, n2 = rand_matrix(3, 2), rand_matrix(2, 3)
-        lhs = tensor_product(m1, m2) @ tensor_product(n1, n2)
-        rhs = tensor_product(m1 @ n1, m2 @ n2)
-        assert lhs == rhs
+        lhs = _object_product(tensor_product(m1, m2), tensor_product(n1, n2))
+        rhs = tensor_product(ExactMatrix(_object_product(m1, n1)),
+                             ExactMatrix(_object_product(m2, n2)))
+        assert np.array_equal(lhs, rhs.array)
 
 
 def test_permutation_validation():
@@ -687,7 +721,7 @@ def test_apply_simultaneous_permutation_identity_and_invariants():
 
     perm = _crt(2, 2, 3)
     conj = apply_simultaneous_permutation(b, perm)
-    assert conj.row_labels is conj.col_labels is None
+    assert b.space is not None and conj.space is None
     flat = sorted(x for row in b.to_lists() for x in row)
     assert sorted(x for row in conj.to_lists() for x in row) == flat
     assert sorted(b[i, i] for i in range(b.rows)) == sorted(
@@ -734,10 +768,12 @@ def test_blocks_match_worked_example():
 def test_labels_must_be_a_space_of_as_many_points(relabel):
     # P_{3,3} has 13 points, B_{3,4} 28 rows
     space, b = B_of(3, 4)
-    labels = relabel(space)
-    for rows, cols in ((labels, None), (None, labels)):
-        with pytest.raises(DomainError, match="labels must be a space of 28 points"):
-            ExactMatrix(b.array, rows, cols)
+    assert b.space is space and ExactMatrix(b.array, space).space is space
+    with pytest.raises(DomainError, match="28x28 matrix must be a space of as many points"):
+        ExactMatrix(b.array, relabel(space))
+    # one space labels the rows and the columns, so a labelled matrix is square
+    with pytest.raises(DomainError, match="28x27 matrix must be a space"):
+        ExactMatrix(b.array[:, 1:], space)
 
 
 def test_block_reference_identity():
@@ -748,7 +784,7 @@ def test_block_reference_identity():
         _, base_b = B_of(n, p ** (e - 1))
         predicted = block_identity(n, p, e, base_b)
         assert predicted == b
-        assert predicted.row_labels is predicted.col_labels is None
+        assert predicted.space is None
         size = base_b.rows
         off = p ** (n - 3) * base_b - p ** ((e - 1) * (n - 2) - 1) * ExactMatrix.identity(size)
         assert ExactMatrix(predicted.array[:size, size:2 * size]) == off

@@ -165,3 +165,18 @@ def test_the_package_exports_exactly_the_module_lists():
         if not name.startswith("_") and not isinstance(value, type(zmspec))
     }
     assert public == set(owner)
+
+
+def test_no_package_module_runs_a_call_at_import():
+    # importing the package changes no setting of the process: a module's
+    # top level defines and assigns, and its one bare expression is its
+    # docstring
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for index, node in enumerate(ast.parse(path.read_text(encoding="utf-8")).body)
+        if isinstance(node, ast.Expr)
+        and not (index == 0 and isinstance(node.value, ast.Constant)
+                 and isinstance(node.value.value, str))
+    ]
+    assert found == []
