@@ -88,9 +88,11 @@ def _keep_freed_blocks() -> None:
     once theta > 4096) are still mapped and unmapped on their own, which
     keeps a large single build from holding that much freed heap: on a
     shared 2-core Xeon ``spectrum --verify`` peaks at 136 MiB at (3,67)
-    and 170 MiB at (4,12) either way, and the CSV export of B_{3,67} at
-    144 MiB against 136 MiB without the switch.  Nothing happens off Linux
-    or where the C library has no mallopt (musl's does nothing)."""
+    either way, and at (4,12) at 172 MiB against 170 MiB without the
+    switch (B's packed right panel, 9 MiB there, stays in the heap), and
+    the CSV export of B_{3,67} at 144 MiB against 136 MiB.  Nothing
+    happens off Linux or where the C library has no mallopt (musl's does
+    nothing)."""
     if not sys.platform.startswith("linux"):
         return
     try:

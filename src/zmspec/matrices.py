@@ -31,14 +31,23 @@ beforehand, and mirrored below the diagonal.  No theta x theta temporary
 is made: the coordinates' Gram matrix (bound n(m-1)^2, float32 for every
 benchmark space) is cast per tile into the storage dtype of that bound,
 reduced mod m and compared with 0, and A's rows enter B's product as
-float32 copies of two row panels of at most 384 rows, or theta/5 rows for
-a larger theta, so below the int8 result's size once theta > 1536.  B's
-storage dtype is fixed from its largest diagonal entry before the first
-tile, which is its largest |entry| by Cauchy-Schwarz.  The eigenbasis
-certificate's residual M V = V D (``ExactMatrix.scales_columns``) runs
-through the same tiles, with V^T in place of the second copy of the rows,
-and compares each tile as it is made.  The one product outside the tiles
-is ``ExactMatrix.matvec``, a matrix times one vector.
+float32 copies of a row panel of at most 384 rows, or theta/5 rows for a
+larger theta, so below the int8 result's size once theta > 1536, and of
+a packed column panel.  B's storage dtype is fixed from its largest
+diagonal entry d before the first tile, which is its largest |entry| by
+Cauchy-Schwarz.  That bound also packs B's product: A is 0/1, so every
+term of A A^t is a non-negative integer, and a float32 of the product
+carries k entries of B in fields of b = d.bit_length() bits, exactly
+while d * (1 + 2^b + ... + 2^(b(k-1))) < 2^24, since no partial sum
+exceeds the final one (``build_B_product``).  k is 4 for B_{3,32}
+(d = 48), 3 for B_{3,67} (68) and 2 for B_{4,12} (364), so B takes k
+times fewer flops; a B of one tile (theta <= 384) is not packed.  The
+eigenbasis certificate's residual M V = V D
+(``ExactMatrix.scales_columns``) runs through the same tiles, with V^T
+unpacked in place of the column panel (V is signed, and the bound
+max|B| * max|V| * theta leaves no room for a second field), and compares
+each tile as it is made.  The one product outside the tiles is
+``ExactMatrix.matvec``, a matrix times one vector.
 
 The closed-form B over p^e reads each entry from nu, the p-adic
 valuation of the gcd of the 2x2 minors of the pair (capped at e), and
@@ -93,7 +102,10 @@ _BLOCK_ENTRIES = 1 << 16
 # and each float32 row panel of A they read takes 4 * side * theta bytes,
 # so B's rows are cut into at most _B_PANELS panels: from theta = 5 * 384
 # on, a panel then stays below the size of the int8 result, and A is
-# converted in at most 15 panels (5 left, 10 right) whatever theta is
+# converted in 5 left panels and 15 packed right ones whatever theta is,
+# each of those side / k rows for the k fields of ``_packing``, or in 5
+# left and 10 right panels of side rows with k = 1, whose diagonal tiles
+# reuse the left panel
 _A_TILE = 256
 _B_TILE = 384
 _B_PANELS = 5
@@ -119,7 +131,10 @@ def _product_dtype(*bounds: int) -> type:
     n(m-1)^2 (n products of coordinates below m): float32 while
     n(m-1)^2 < 2^24, which holds for every (3,m) with m <= 2365 and every
     space of the benchmark, and float64 below 2^53.  B = A A^t has the
-    bound theta, so it runs in float32 for every theta < 2^24; the
+    bound theta, so it runs in float32 for every theta < 2^24, and for a
+    non-negative A it packs several entries of B into each float32, a
+    product whose bound is the packed entry, which ``_packing`` keeps
+    below 2^24 (``build_B_product`` says why that is exact); the
     certificate's product B V has the bound max|B| * theta, which is in
     the float32 tier for B_{3,36} (72 * 3276) and B_{4,12} (364 * 4800).
     The Gram products and B V run in square tiles (``_tiles``), each one
@@ -369,29 +384,42 @@ class ExactMatrix:
 # -------------------- constructions --------------------
 
 
-def _tiles(x: np.ndarray, y: np.ndarray, dtype: type,
-           side: int) -> Iterator[tuple[slice, slice, np.ndarray]]:
+def _tiles(x: np.ndarray, y: np.ndarray, dtype: type, side: int, fields: int = 1,
+           bits: int = 0) -> Iterator[tuple[slice, slice, np.ndarray]]:
     """(rows, cols, x[rows] @ y[cols]^T) over square tiles of at most
     ``side`` rows: the rows of x are cut into as few panels as that allows,
     all of one height but the last, which may be lower (a sliver panel
     would cost as many products as a full one), and the rows of y into
     panels of the same height.
 
+    With ``fields`` = k > 1 the rows of y enter packed, k to a row: row g
+    of the panel y[cols] becomes sum_i 2^(bits*i) * y[cols.start + g*k + i]
+    (a missing row counts as 0), so the tile has ceil(len(cols) / k)
+    columns, and its column g holds the products with rows
+    cols.start + g*k + i in bit fields of ``bits`` bits, field i at bit
+    bits*i.  The panel height is then rounded up to a multiple of k, so
+    that every panel starts at a field boundary.  The caller unpacks the
+    fields, and the bound it passes must cover the packed products
+    (``build_B_product``).  The first tile is the largest in both axes.
+
     Each tile is one product in ``dtype``, exact by the caller's bound on
     the whole product (``_product_dtype``), as the bound of a tile is that of
     the product.  With y = x (the same array) only the tiles on and above
-    the diagonal are yielded, x @ x^T being symmetric, and a diagonal tile
-    is a panel times its own transpose, which BLAS computes as a symmetric
-    rank-k update.  Every row panel x[rows] is converted to ``dtype`` once
-    and each column panel once per tile, so no whole copy of x or y and no
-    product wider than one tile is held.  The two panels and the tile live
-    in three buffers allocated once, as a fresh allocation per tile would
-    be paged in afresh each time; a tile is overwritten by the next one."""
+    the diagonal are yielded, x @ x^T being symmetric, and with one field a
+    diagonal tile is a panel times its own transpose, which BLAS computes
+    as a symmetric rank-k update.  Every row panel x[rows] is converted to
+    ``dtype`` once and each column panel once per tile (packed by Horner's
+    rule in place, from the top field down), so no whole copy of x or y
+    and no product wider than one tile is held.  The two panels and the
+    tile live in three buffers allocated once, as a fresh allocation per
+    tile would be paged in afresh each time; a tile is overwritten by the
+    next one."""
     order = x.shape[0]
     panels = max(1, -(-order // side))
-    side = max(1, -(-order // panels))
-    left_buf, right_buf = (np.empty((side, x.shape[1]), dtype) for _ in range(2))
-    tile_buf = np.empty((side, side), dtype)
+    side = fields * max(1, -(-order // (panels * fields)))
+    left_buf = np.empty((side, x.shape[1]), dtype)
+    right_buf = np.empty((side // fields, y.shape[1]), dtype)
+    tile_buf = np.empty((side, side // fields), dtype)
     for start in range(0, order, side):
         rows = slice(start, start + side)
         left = left_buf[: min(side, order - start)]
@@ -399,9 +427,15 @@ def _tiles(x: np.ndarray, y: np.ndarray, dtype: type,
         for col_start in range(start if y is x else 0, y.shape[0], side):
             cols = slice(col_start, col_start + side)
             right = left
-            if y is not x or col_start != start:
-                right = right_buf[: min(side, y.shape[0] - col_start)]
-                np.copyto(right, y[cols])
+            if y is not x or col_start != start or fields > 1:
+                right = right_buf[: -(-min(side, y.shape[0] - col_start) // fields)]
+                top = y[col_start + fields - 1 : cols.stop : fields]
+                np.copyto(right[: len(top)], top)
+                right[len(top) :] = 0
+                for i in reversed(range(fields - 1)):
+                    right *= 1 << bits
+                    part = y[col_start + i : cols.stop : fields]
+                    right[: len(part)] += part
             yield rows, cols, np.matmul(left, right.T, out=tile_buf[: len(left), : len(right)])
 
 
@@ -425,6 +459,23 @@ def build_A(space: ProjectiveSpace) -> ExactMatrix:
     return ExactMatrix(incidence, space)
 
 
+def _packing(largest: int) -> tuple[int, int]:
+    """(k, b): the number k of entries of B = A A^t that one float32 of the
+    packed product carries, each in a field of b bits, for a non-negative A
+    whose largest diagonal entry of B is ``largest``.
+
+    b = largest.bit_length(), so every entry, at most ``largest`` by
+    Cauchy-Schwarz, fits its field, and k is the largest count with
+    largest * (1 + 2^b + ... + 2^(b(k-1))) < 2^24, the bound of a packed
+    entry: 4 for B_{3,10} (18, b = 5), B_{3,27} and B_{3,32}, 3 for B_{4,8}
+    and B_{3,67}, 2 for B_{4,12} (364, b = 9), and 1 from largest = 2^12 on.
+    An empty or zero A gets one field."""
+    bits, fields = largest.bit_length(), 1
+    while largest and largest * sum(1 << bits * i for i in range(fields + 1)) < _FLOAT32_LIMIT:
+        fields += 1
+    return fields, bits
+
+
 def build_B_product(a: ExactMatrix) -> ExactMatrix:
     """Exact Gram matrix A @ A^t, labelled by A's space.
 
@@ -436,16 +487,53 @@ def build_B_product(a: ExactMatrix) -> ExactMatrix:
     Cauchy-Schwarz, |B_uv| = |<a_u, a_v>| <= sqrt(B_uu * B_vv)
     <= max(B_uu, B_vv).  The diagonal entries are sums of squares of A's
     entries, whose terms and partial sums are within the product's bound,
-    so they are summed exactly in the product's dtype."""
+    so they are summed exactly in the product's dtype.
+
+    A non-negative A in the float32 tier is multiplied by a packed right
+    operand: k of its rows to a row, row i of a group in a field of b bits
+    (``_packing``), so each tile needs k times fewer flops.  That is exact:
+    every term of the packed product is a non-negative integer, so every
+    partial sum is at most the packed entry sum_i 2^(b*i) * B[u, g*k + i],
+    which is at most largest * sum_i 2^(b*i) < 2^24, and float32 holds
+    each one in any summation order (as do the operands, whose entries are
+    at most that bound too).  Each B entry is at most the largest diagonal
+    entry, below 2^b, so the packed entry is B's entries written in base
+    2^b, and the fields of its int32 copy, (entry >> b*i) & (2^b - 1), are
+    the entries themselves, each written straight into its strided column
+    slice of the result.  A signed A (whose products could borrow across
+    fields), an empty one and the float64 and object tiers take one
+    field, the plain product, and so does a product of one tile (order at
+    most ``_B_TILE``, as every space of the benchmark's verify grid): the
+    4k numpy calls that pack and unpack a tile cost more there than the
+    flops they save, B_{3,8} (order 112, k = 6) taking 99 us packed
+    against 71 us plain, and a diagonal tile is a symmetric product of
+    half the flops anyway.  From two tiles on, packing pays: B_{4,8}
+    (960) takes 4.5 against 6.0 ms."""
     if not a.is_square:
         raise DomainError("the incidence matrix must be square")
     top = a.max_abs()
     dtype = _product_dtype(top, top * top * a.cols)
     x = a.array
-    largest = np.einsum("ij,ij->i", x, x, dtype=dtype).max(initial=0)
-    out = np.empty(x.shape, dtype=_storage_dtype(int(largest)))
-    for rows, cols, tile in _tiles(x, x, dtype, max(_B_TILE, -(-a.rows // _B_PANELS))):
-        out[rows, cols] = tile
+    largest = int(np.einsum("ij,ij->i", x, x, dtype=dtype).max(initial=0))
+    side = max(_B_TILE, -(-a.rows // _B_PANELS))
+    fields, bits = 1, 0
+    if dtype is np.float32 and a.rows > side and x.min(initial=0) >= 0:
+        fields, bits = _packing(largest)
+    out = np.empty(x.shape, dtype=_storage_dtype(largest))
+    ints = None  # the int32 copy of a packed tile, allocated at the first, largest one
+    for rows, cols, tile in _tiles(x, x, dtype, side, fields, bits):
+        if fields == 1:
+            out[rows, cols] = tile
+        else:
+            if ints is None:
+                ints = np.empty(tile.shape, np.int32)
+            packed = ints[: tile.shape[0], : tile.shape[1]]
+            np.copyto(packed, tile, casting="unsafe")
+            for i in range(fields):
+                column = out[rows, cols.start + i : cols.stop : fields]
+                np.bitwise_and(packed[:, : column.shape[1]], (1 << bits) - 1, out=column,
+                               casting="unsafe")
+                packed >>= bits
         out[cols, rows] = out[rows, cols].T
     return ExactMatrix(out, a.space)
 

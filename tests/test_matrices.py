@@ -417,6 +417,129 @@ def _tiling(tile, monkeypatch):
     monkeypatch.setattr(matrices, "_B_PANELS", 10**6)
 
 
+def _packing_spy(monkeypatch):
+    """The (fields, bits) of every ``_tiles`` call build_B_product makes."""
+    calls, tiles = [], matrices._tiles
+
+    def spy(x, y, dtype, side, fields=1, bits=0):
+        calls.append((fields, bits))
+        return tiles(x, y, dtype, side, fields, bits)
+    monkeypatch.setattr(matrices, "_tiles", spy)
+    return calls
+
+
+# (the largest entry of B, its field count).  With largest = 2^b - 1 for
+# a b dividing 24 (b = largest.bit_length()), every packed entry of an
+# all-largest B is largest * (1 + 2^b + ...) = 2^24 - 1, the last integer
+# below the float32 limit; 16 and 64 are 2^(b-1), the least largest of
+# their width, and 4095 = 2^12 - 1 is the last largest with two fields
+FIELD_EDGES = [(1, 24), (3, 12), (15, 6), (16, 4), (63, 4), (64, 3), (255, 3), (4095, 2)]
+
+
+@pytest.mark.parametrize("largest, fields", FIELD_EDGES)
+def test_every_field_at_largest_packs_exactly(largest, fields, monkeypatch):
+    bits = largest.bit_length()
+    assert matrices._packing(largest) == (fields, bits)
+    packed = largest * sum(1 << bits * i for i in range(fields))
+    assert packed < 2**24 <= packed + largest * (1 << bits * fields)
+    assert (packed == 2**24 - 1) == (largest == 2**bits - 1 and 24 % bits == 0)
+    # c in the first w columns gives B = w * c^2 = largest wherever both
+    # rows are nonzero; 4095 = 455 * 3^2 keeps the order small.  Every
+    # third row is zero, so fields at largest sit next to fields at 0, and
+    # the order w + 7 is no multiple of the field count (but 462 for 4095),
+    # so the last group lacks its top fields
+    c = 3 if largest == 4095 else 1
+    width = largest // c**2
+    a = np.zeros((width + 7, width + 7), dtype=np.int8)
+    a[:, :width] = c
+    a[1::3] = 0
+    # int64 matmul: numpy's own integer loop, exact here and no BLAS
+    expected = a.astype(np.int64) @ a.T.astype(np.int64)
+    assert expected.max() == largest
+    calls = _packing_spy(monkeypatch)
+    for tile in TILES:
+        _tiling(tile, monkeypatch)
+        assert np.array_equal(build_B_product(ExactMatrix(a)).array, expected)
+    # the tiles of 1, 3 and 5 rows pack, and the one whole tile does not
+    assert calls == [(fields, bits)] * 3 + [(1, 0)]
+
+
+def test_an_empty_signed_wide_or_one_tile_product_takes_one_field(monkeypatch):
+    a = build_A(enumerate_space(3, 10))
+    calls = _packing_spy(monkeypatch)
+    # one tile, at the default tiling: every space of the verify grid
+    assert build_B_product(a).rows == 217
+    # tiles of one row from here on, so that only the rule below decides
+    _tiling(1, monkeypatch)
+    assert build_B_product(ExactMatrix(np.zeros((0, 0), dtype=np.int8))).rows == 0
+    assert build_B_product(ExactMatrix(np.zeros((3, 3), dtype=np.int8))).to_lists() == [[0] * 3] * 3
+    # a negative B entry would borrow from the field above it
+    assert build_B_product(ExactMatrix([[1, 0], [-1, 0]])).to_lists() == [[1, -1], [-1, 1]]
+    # the float64 and object tiers
+    assert build_B_product(ExactMatrix([[2**13, 1], [1, 0]]))[0, 0] == 2**26 + 1
+    assert build_B_product(ExactMatrix([[2**30, 1], [1, 0]]))[0, 0] == 2**60 + 1
+    assert calls == [(1, 0)] * 6
+    # the same order and tiling with a non-negative A packs
+    assert build_B_product(ExactMatrix([[1, 0], [1, 0]])).to_lists() == [[1, 1], [1, 1]]
+    assert calls[-1] == matrices._packing(1) == (24, 1)
+
+
+@pytest.mark.parametrize("n, m, fields", [(3, 10, 4), (3, 32, 4), (4, 8, 3), (4, 12, 2)])
+def test_field_counts_of_the_benchmark_spaces(n, m, fields, monkeypatch):
+    # B's diagonal is |u^perp| = theta(n - 1, m): 18, 48, 112 and 364
+    assert matrices._packing(theta(n - 1, m))[0] == fields
+    if n * m < 48:
+        a = build_A(enumerate_space(n, m)).array
+        calls = _packing_spy(monkeypatch)
+        # B_{3,10} is one tile at the default tiling, and is not packed there
+        _tiling(100, monkeypatch)
+        b = build_B_product(ExactMatrix(a))
+        assert np.array_equal(b.array, a.astype(np.int64) @ a.T.astype(np.int64))
+        assert calls == [matrices._packing(theta(n - 1, m))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_packed_product_is_exact_on_random_non_negative_a(data):
+    order = data.draw(st.integers(1, 40))
+    # max|A|^2 * order stays below 2^24, in the float32 tier
+    top = data.draw(st.sampled_from([1, 2, 3, 7, 15, 40, 255, 640]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    a = rng.integers(0, top + 1, size=(order, order))
+    a[rng.random((order, order)) < data.draw(st.floats(0, 1))] = 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matrices, "_B_TILE", data.draw(st.sampled_from(TILES)))
+        patch.setattr(matrices, "_B_PANELS", data.draw(st.sampled_from([2, 5, 10**6])))
+        b = build_B_product(ExactMatrix(a))
+    expected = _object_product(ExactMatrix(a), ExactMatrix(a.T))
+    assert b.to_lists() == expected.tolist()
+    assert b.array.dtype == _storage_dtype(max(expected.flat))
+
+
+def _packed_B_3_32_is_exact() -> bool:
+    space = enumerate_space(3, 32)
+    return build_B_product(build_A(space)) == build_B_analytic(space)
+
+
+def test_packed_B_3_32_equals_the_closed_form():
+    assert _packed_B_3_32_is_exact()
+
+
+@pytest.mark.parametrize("more_fields, fewer_bits", [(1, 0), (0, 1)],
+                         ids=["a field more than the bound", "a bit less per field"])
+def test_a_looser_field_rule_breaks_B_3_32(more_fields, fewer_bits, monkeypatch):
+    # the negative control of the exactness test above: B_{3,32} has
+    # largest = 48, b = 6 and k = 4; five fields pass 2^24, as
+    # 48 * (1 + 2^6 + ... + 2^24) does, and 48 does not fit 5 bits
+    packing = matrices._packing
+
+    def looser(largest):
+        fields, bits = packing(largest)
+        return fields + more_fields, bits - fewer_bits
+    monkeypatch.setattr(matrices, "_packing", looser)
+    assert not _packed_B_3_32_is_exact()
+
+
 @pytest.mark.parametrize("tile", TILES)
 def test_scales_columns_accepts_the_eigenbasis_and_nothing_near_it(tile, monkeypatch):
     _tiling(tile, monkeypatch)
