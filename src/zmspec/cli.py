@@ -80,11 +80,12 @@ def _keep_freed_blocks() -> None:
     returns the top of the heap to the system once more than twice that is
     free.  The tiled constructions of ``matrices`` free nothing larger
     than their theta^2 results and buffers, so each build of A or B took
-    every page of them from the system afresh: about 2600 minor faults a
-    pass over the crosscheck benchmark and 8800 over build-export, kernel
-    time whose cost varies with the load of the machine.  With both
-    thresholds fixed, a freed block is reused by the next build, and those
-    passes take none.  Blocks above 16 MiB (an int8 theta x theta array
+    every page of them from the system afresh: 2010-2300 minor faults a
+    pass over the crosscheck benchmark and 7800-8030 over build-export
+    (``ru_minflt`` over passes 2-4 of one process, seed 1), kernel time
+    whose cost varies with the load of the machine.  With both thresholds
+    fixed, a freed block is reused by the next build, and those passes
+    take 0-5.  Blocks above 16 MiB (an int8 theta x theta array
     once theta > 4096) are still mapped and unmapped on their own, which
     keeps a large single build from holding that much freed heap: on a
     shared 2-core Xeon ``spectrum --verify`` peaks at 136 MiB at (3,67)
@@ -248,12 +249,20 @@ def _build_b(space: ProjectiveSpace) -> ExactMatrix:
 def tensor_similar(n: int, m1: int, m2: int, guardrail: int | None = None) -> bool:
     """B_{n,m1*m2}, relabeled by the CRT permutation, equals B_{n,m1} (x) B_{n,m2}.
 
+    Proved from the incidence matrices, in theta^2 work, with no B built.
+    Let P be the CRT permutation, P[i, forward[i]] = 1, and A1, A2, A the
+    A of P_{n,m1}, P_{n,m2}, P_{n,m1*m2}.  What is compared is
+    P A P^T = A1 (x) A2, which holds because <u, v> = 0 mod m1*m2 iff it
+    vanishes mod m1 and mod m2.  P is a permutation and B = A A^t exactly,
+    so P B P^T = (P A P^T)(P A P^T)^T = (A1 (x) A2)(A1 (x) A2)^T = B1 (x) B2
+    by the mixed-product rule: the verdict on B follows from the one on A.
+
     Each space is enumerated once; the permutation, which refuses moduli
-    that are not coprime, comes before any B is built."""
+    that are not coprime, comes before any A is built."""
     s1, s2, big = (enumerate_space(n, m, guardrail=guardrail) for m in (m1, m2, m1 * m2))
     perm = crt_permutation(s1, s2, big)
-    b1, b2 = _build_b(s1), _build_b(s2)
-    return apply_simultaneous_permutation(_build_b(big), perm) == tensor_product(b1, b2)
+    return (apply_simultaneous_permutation(build_A(big), perm)
+            == tensor_product(build_A(s1), build_A(s2)))
 
 
 def cmd_tensor_check(args: argparse.Namespace) -> int:
@@ -349,7 +358,10 @@ def check_spectrum_verify(grid: Iterable[tuple[int, int]]) -> tuple | None:
 
 
 def check_tensor(grid: Iterable[tuple[int, int, int]]) -> tuple | None:
-    """Criterion 5: the CRT tensor lemma on (n, m1, m2)."""
+    """Criterion 5: the CRT tensor lemma on (n, m1, m2), proved by
+    ``tensor_similar`` from A: the CRT permutation P carries A to
+    A1 (x) A2, and as P is a permutation and B = A A^t exactly, it carries
+    B to (A1 (x) A2)(A1 (x) A2)^T = B1 (x) B2, so the B-level lemma follows."""
     return next((case for case in grid if not tensor_similar(*case)), None)
 
 

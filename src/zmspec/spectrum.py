@@ -418,8 +418,9 @@ class VerificationReport:
 
 def verify_spectrum(m: ExactMatrix, table: SpectrumTable) -> VerificationReport:
     """Check every merged (eigenvalue, multiplicity) claim, plus the
-    dimension, trace and trace-of-square identities.  Mismatches are
-    report content, not exceptions.
+    dimension identity (the computed multiplicities sum to the order), and
+    the trace and trace-of-square identities of the claims.  Mismatches
+    are report content, not exceptions.
 
     The claims are first decided together by ``eigenbasis_nullities`` on
     the family of ``eigvec_family_general``, which is an exact proof for
@@ -452,7 +453,7 @@ def verify_spectrum(m: ExactMatrix, table: SpectrumTable) -> VerificationReport:
             EigenvalueCheck(lam, d, exact_nullity(m, lam), "bareiss")
             for lam, d in merged
         )
-    dim_ok = sum(d for _, d in merged) == m.rows
+    dim_ok = sum(c.computed for c in entries) == m.rows
     trace_ok = sum(lam * d for lam, d in merged) == m.trace()
     trace_sq_ok = sum(lam * lam * d for lam, d in merged) == m.trace_of_square()
     return VerificationReport(

@@ -140,6 +140,38 @@ def test_criterion_5_tensor_lemma(capsys):
         capsys.readouterr()
 
 
+def test_criterion_5_builds_no_B(monkeypatch, capsys):
+    # the lemma is proved from A: P A P^T = A1 (x) A2 gives P B P^T = B1 (x) B2
+    def refused(*args):
+        raise AssertionError("the tensor lemma built a B")
+
+    monkeypatch.setattr(cli, "build_B_product", refused)
+    monkeypatch.setattr(cli, "_build_b", refused)
+    assert main(["tensor-check", "-n", "3", "--m1", "2", "--m2", "9"]) == 0
+    assert capsys.readouterr().out == "PASS: B_{3,18} ~ B_{3,2} (x) B_{3,9}\n"
+    assert cli.check_tensor(TENSOR_GRID) is None
+
+
+def test_criterion_5_catches_one_flipped_pair_of_A(monkeypatch, capsys):
+    # A_{3,12} with one symmetric pair of entries flipped, so it stays symmetric
+    real = cli.build_A
+
+    def flipped(space):
+        a = real(space)
+        if (space.n, space.m.value) != (3, 12):
+            return a
+        data = a.array.copy()
+        data[0, 5] ^= 1
+        data[5, 0] ^= 1
+        return ExactMatrix(data, space)
+
+    monkeypatch.setattr(cli, "build_A", flipped)
+    assert main(["tensor-check", "-n", "3", "--m1", "4", "--m2", "3"]) == cli.EXIT_MISMATCH
+    assert capsys.readouterr().out == "FAIL: B_{3,12} ~ B_{3,4} (x) B_{3,3}\n"
+    assert cli.check_tensor(TENSOR_GRID) == (3, 4, 3)
+    assert main(["tensor-check", "-n", "2", "--m1", "4", "--m2", "3"]) == cli.EXIT_OK
+
+
 def test_criterion_6_count_2x2_exhaustion(capsys):
     with capsys.disabled(), criterion(
         6, "2x2 closed-form count equals brute force for p^e in {2,3,4,5,8,9}",

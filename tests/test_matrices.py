@@ -758,6 +758,22 @@ def test_permutation_validation():
     assert apply_simultaneous_permutation(m, (2, 0, 1))[0, 1] == m[2, 0]
 
 
+def test_is_permutation_directly():
+    # the permutation clause of the eigenbasis certificate's full-rank
+    # proof and of the CRT relabelling: a 1-d integer array holding each
+    # of 0, ..., size - 1 once
+    for dtype in (np.int64, np.int32, np.uint8, np.uint64):
+        assert matrices.is_permutation(np.array([2, 0, 1], dtype=dtype), 3), dtype
+    assert matrices.is_permutation((1, 0), 2)
+    assert matrices.is_permutation(np.array([], dtype=np.int64), 0)
+    assert not matrices.is_permutation(np.array([], dtype=np.int64), 1)
+    for forward in ((0, 0, 2), (0, 1, 3), (-1, 0, 1), (0, 1), (0, 1, 2, 3)):
+        assert not matrices.is_permutation(np.array(forward), 3), forward
+    for forward in (np.array([[0, 1, 2]]), np.eye(3, dtype=np.int64), np.array([2.0, 0.0, 1.0]),
+                    np.array([True, False, True]), np.array([], dtype=float)):
+        assert not matrices.is_permutation(forward, forward.size), forward
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_simultaneous_permutation_equals_the_ix_gather(seed):
     # seed 0 has entries past 2^62, so an object array

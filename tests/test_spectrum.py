@@ -269,6 +269,23 @@ def test_perturbed_table_fails_under_both_routes(monkeypatch):
         assert [c.ok for c in report.entries] == [False, False, True, True]
 
 
+def test_a_missed_eigenvalue_fails_the_dimension_check(monkeypatch):
+    # eigenvalue 8 of B_{3,4} claimed as 9: the claims still sum to 28,
+    # but the computed multiplicities sum to 1 + 0 + 21 = 22
+    _, b = B_of(3, 4)
+    rows = tuple(SpectrumRow(9 if lam == 8 else lam, d, "c")
+                 for lam, d in spectrum_general(3, 4).merged())
+    table = SpectrumTable(n=3, m=4, rows=rows)
+    certified = verify_spectrum(b, table)
+    _force_family(monkeypatch, replace(eigvec_family_general(enumerate_space(3, 4)), tags=()))
+    fallback = verify_spectrum(b, table)
+    for report, method in ((certified, "eigenbasis"), (fallback, "bareiss")):
+        assert {c.method for c in report.entries} == {method}
+        assert [(c.eigenvalue, c.computed) for c in report.entries] == [(36, 1), (9, 0), (4, 21)]
+        assert report.dimension_ok is False and json.loads(report.to_json())["dimension_ok"] is False
+        assert not report.all_ok
+
+
 def test_certificate_declines_on_k_grouped_matrix():
     space = enumerate_space(3, 4, "k-grouped")
     b = build_B_product(build_A(space))
